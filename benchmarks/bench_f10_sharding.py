@@ -7,7 +7,7 @@ UEs-simulated-per-wall-second toward the million-UE regime.  The byte
 check is the hard gate (any machine can verify it); the scaling curve is
 meaningful only on multi-core hosts, so the ≥3x assertion arms itself
 only when ``os.cpu_count() >= 4`` and the bench runs in full mode
-(``tools/check_bench_f10.py`` applies the same rule to the JSON).
+(``tools/check_bench.py --bench F10`` applies the same rule to the JSON).
 """
 
 import os

@@ -19,7 +19,7 @@ The emitted ``BENCH_O2.json`` carries the frozen pre-PR kernel numbers
 (measured on the machine that landed the fast lane) purely as the
 speedup provenance; the CI regression gate instead compares a fresh run
 against the *committed* ``benchmarks/BENCH_O2.json`` via
-``tools/check_bench_o2.py`` (>20% events/sec drop fails).
+``tools/check_bench.py --bench O2`` (>20% events/sec drop fails).
 
 Wall-clock columns are non-deterministic (like O1 and F6); every event
 count in the table regenerates bit-identically.

@@ -496,6 +496,18 @@ class OffloadController:
         Safe to call repeatedly: only functions whose memory changed are
         redeployed (a redeploy recycles the warm pool, so needless churn
         is avoided).
+
+        Planning is two passes at most.  The first partitions at the
+        memory sizes of the previous allocation; when its allocation
+        keeps every size, the second pass would price the same context,
+        so it is skipped (the fixed point).  Otherwise the second pass
+        partitions at the new sizes, and reuses the first allocation if
+        the partition did not change (``allocate_app`` is pure).  Sizes
+        are compared, not whole :class:`AllocationDecision` values,
+        because ``expected_duration_s`` drifts with online demand
+        learning.  A partitioner that draws randomness per call, such as
+        :class:`~repro.core.partitioning.SimulatedAnnealingPartitioner`,
+        is therefore called once when the fixed point holds.
         """
         self._planned_input_mb = input_mb
         tracer = self.env.sim.tracer
@@ -514,13 +526,21 @@ class OffloadController:
             self.app, partition, self.demand, input_mb, self.latency_slo_s
         )
         self.allocation = allocation
-        context = self.build_context(input_mb)
-        partition = self.partitioner.partition(context)
-        partition.validate(self.app)
+        memory_plan = {
+            name: decision.memory_mb for name, decision in allocation.items()
+        }
+        if memory_plan != context.memory_plan:
+            context = self.build_context(input_mb)
+            refined = self.partitioner.partition(context)
+            refined.validate(self.app)
+            if refined != partition:
+                partition = refined
+                allocation = self.allocator.allocate_app(
+                    self.app, partition, self.demand, input_mb,
+                    self.latency_slo_s,
+                )
         self.partition = partition
-        self.allocation = self.allocator.allocate_app(
-            self.app, partition, self.demand, input_mb, self.latency_slo_s
-        )
+        self.allocation = allocation
         self._deploy()
         tracer.end_span(
             plan_span,

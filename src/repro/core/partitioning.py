@@ -27,10 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.apps.graph import AppGraph
 from repro.device.energy import EnergyModel
@@ -439,12 +438,16 @@ class MinCutPartitioner(Partitioner):
 
     This is the MAUI formulation generalised to three objective axes.
 
-    Capacities are scaled to integers before the max-flow runs: with
-    float capacities, networkx derives the node partition from residual
-    reachability without any tolerance, and accumulated rounding can
-    yield a partition whose cost exceeds the (correctly computed) cut
-    value.  Integer arithmetic makes the residual graph exact; the
+    Capacities are scaled to integers before the max-flow runs: the cut
+    is read off residual reachability, which has no tolerance, so float
+    rounding accumulated while pushing flow could leave an edge "almost"
+    saturated and yield a partition whose cost exceeds the cut value.  Integer arithmetic makes the residual graph exact; the
     scaling keeps ~12 significant digits of the original costs.
+
+    The max-flow is :func:`_sink_side` (push-relabel), and the cloud set
+    is every node that still reaches the sink in the residual graph: the
+    minimal sink side, which is the same for every maximum flow, so the
+    partition does not depend on the solver.
     """
 
     name = "mincut"
@@ -453,15 +456,16 @@ class MinCutPartitioner(Partitioner):
     _SCALE_TARGET = 1e14
 
     def partition(self, ctx: PartitionContext) -> Partition:
-        graph = nx.DiGraph()
-        source, sink = "__ue__", "__cloud__"
+        app = ctx.app
+        names = app.component_names
+        flows = app.flows
+        node_costs = [_node_costs(ctx, name) for name in names]
+        edge_costs = [_edge_costs(ctx, flow.src, flow.dst) for flow in flows]
         # A capacity safely above any finite sum of costs acts as infinity.
         ceiling = 1.0
-        for name in ctx.app.component_names:
-            local, cloud = _node_costs(ctx, name)
+        for local, cloud in node_costs:
             ceiling += local + cloud
-        for flow in ctx.app.flows:
-            up, down = _edge_costs(ctx, flow.src, flow.dst)
+        for up, down in edge_costs:
             ceiling += up + down
         infinite = ceiling * 10
         scale = self._SCALE_TARGET / infinite
@@ -469,28 +473,116 @@ class MinCutPartitioner(Partitioner):
         def capacity(value: float) -> int:
             return int(round(value * scale))
 
-        for name in ctx.app.component_names:
-            local_cost, cloud_cost = _node_costs(ctx, name)
-            if not ctx.app.component(name).offloadable:
+        source, sink = "__ue__", "__cloud__"
+        # residual[u][v] is the capacity left on u -> v; every edge has
+        # its reverse entry, so the adjacency is symmetric.
+        residual: Dict[str, Dict[str, int]] = {source: {}, sink: {}}
+        for name, (local_cost, cloud_cost) in zip(names, node_costs):
+            if not app.component(name).offloadable:
                 cloud_cost = infinite
             # The convention: capacity(s->v) is paid when v lands on the
             # sink (cloud) side, so it carries the cloud cost; v->t is paid
             # when v stays on the source (local) side.
-            graph.add_edge(source, name, capacity=capacity(cloud_cost))
-            graph.add_edge(name, sink, capacity=capacity(local_cost))
+            residual[source][name] = capacity(cloud_cost)
+            residual[sink][name] = 0
+            residual[name] = {source: 0, sink: capacity(local_cost)}
 
-        for flow in ctx.app.flows:
-            up, down = _edge_costs(ctx, flow.src, flow.dst)
+        for flow, (up, down) in zip(flows, edge_costs):
             # src local / dst cloud pays `up`: that cut separates src (source
-            # side) from dst (sink side) across edge src->dst.
-            graph.add_edge(flow.src, flow.dst, capacity=capacity(up))
-            graph.add_edge(flow.dst, flow.src, capacity=capacity(down))
+            # side) from dst (sink side) across edge src->dst.  AppGraph is
+            # a DAG, so no flow has a reverse twin to merge with.
+            residual[flow.src][flow.dst] = capacity(up)
+            residual[flow.dst][flow.src] = capacity(down)
 
-        _value, (source_side, sink_side) = nx.minimum_cut(graph, source, sink)
-        cloud = frozenset(n for n in sink_side if n not in (source, sink))
-        partition = Partition(ctx.app.name, cloud)
-        partition.validate(ctx.app)
+        cloud = frozenset(_sink_side(residual, source, sink) - {sink})
+        partition = Partition(app.name, cloud)
+        partition.validate(app)
         return partition
+
+
+def _sink_side(
+    residual: Dict[str, Dict[str, int]], source: str, sink: str
+) -> Set[str]:
+    """Push a maximum preflow; return the nodes that still reach ``sink``.
+
+    ``residual`` holds integer capacities with a reverse entry for every
+    edge and is updated in place.  FIFO push-relabel: every source edge
+    is saturated, then each active node (excess left, still able to
+    reach the sink) pushes along admissible edges and is relabelled when
+    none is left; heights are recomputed exactly by a reverse BFS after
+    every ``len(residual)`` relabels.  The loop stops at a maximum
+    *preflow*, leaving excess on nodes cut off from the sink instead of
+    returning it to the source.  Returning it would change no residual
+    edge at a node that reaches the sink, since none of those holds
+    excess, so the returned set is the one every maximum flow gives.
+    """
+    n = len(residual)
+    excess = dict.fromkeys(residual, 0)
+    out_of_source = residual[source]
+    for node, cap in out_of_source.items():
+        if cap > 0:
+            out_of_source[node] = 0
+            residual[node][source] += cap
+            excess[node] = cap
+    relabels = n + 1  # start from exact heights
+    while True:
+        if relabels > n:
+            relabels = 0
+            height = _distances_to(residual, sink)
+            active = deque(
+                node for node in residual
+                if excess[node] > 0 and height[node] < n and node != sink
+            )
+        if not active:
+            break
+        node = active.popleft()
+        caps = residual[node]
+        left = excess[node]
+        while True:
+            downhill = height[node] - 1
+            lowest = n
+            for other, cap in caps.items():
+                if cap <= 0:
+                    continue
+                other_height = height[other]
+                if other_height == downhill:
+                    pushed = left if left < cap else cap
+                    caps[other] = cap - pushed
+                    residual[other][node] += pushed
+                    if excess[other] == 0 and other != sink:
+                        active.append(other)
+                    excess[other] += pushed
+                    left -= pushed
+                    if left == 0:
+                        break
+                elif other_height < lowest:
+                    lowest = other_height
+            if left == 0:
+                break
+            height[node] = lowest + 1
+            relabels += 1
+            if height[node] >= n:
+                break  # cut off from the sink for good
+        excess[node] = left
+    height = _distances_to(residual, sink)
+    return {node for node, h in height.items() if h < n}
+
+
+def _distances_to(
+    residual: Dict[str, Dict[str, int]], sink: str
+) -> Dict[str, int]:
+    """Residual hop count to ``sink``; ``len(residual)`` if unreachable."""
+    n = len(residual)
+    height = dict.fromkeys(residual, n)
+    height[sink] = 0
+    frontier = [sink]
+    for node in frontier:
+        step = height[node] + 1
+        for other in residual[node]:
+            if height[other] == n and residual[other][node] > 0:
+                height[other] = step
+                frontier.append(other)
+    return height
 
 
 class TreeDPPartitioner(Partitioner):
@@ -512,12 +604,16 @@ class TreeDPPartitioner(Partitioner):
             raise ValueError(
                 f"app {ctx.app.name!r} is not a tree; use MinCutPartitioner"
             )
-        undirected = nx.Graph()
-        undirected.add_nodes_from(ctx.app.component_names)
+        neighbours: Dict[str, List[str]] = {
+            name: [] for name in ctx.app.component_names
+        }
         directed_edges = {}
         for flow in ctx.app.flows:
-            undirected.add_edge(flow.src, flow.dst)
+            neighbours[flow.src].append(flow.dst)
+            neighbours[flow.dst].append(flow.src)
             directed_edges[(flow.src, flow.dst)] = flow
+        for adjacent in neighbours.values():
+            adjacent.sort()
 
         root = ctx.app.component_names[0]
         # cost[v] = (best subtree cost with v local, with v cloud)
@@ -529,7 +625,7 @@ class TreeDPPartitioner(Partitioner):
         while stack:
             node = stack.pop()
             order.append(node)
-            for neighbour in sorted(undirected.neighbors(node)):
+            for neighbour in neighbours[node]:
                 if neighbour not in seen:
                     seen.add(neighbour)
                     parent[neighbour] = node
@@ -549,7 +645,7 @@ class TreeDPPartitioner(Partitioner):
             if not ctx.app.component(node).offloadable:
                 cloud_cost = math.inf
             best_local, best_cloud = local_cost, cloud_cost
-            for child in sorted(undirected.neighbors(node)):
+            for child in neighbours[node]:
                 if parent.get(child) != node:
                     continue
                 child_local, child_cloud = cost[child]

@@ -22,9 +22,7 @@ its comparable-mode series is flagged before any individual run trips
 the hard gate.  Trend hits warn by default and fail with
 ``--trend-fail``.
 
-``tools/check_bench.py`` is the CLI shim over :func:`main`;
-``tools/check_bench_o2.py`` and ``tools/check_bench_f10.py`` are thin
-wrappers preserving their historical interfaces and pass/fail behavior.
+``tools/check_bench.py`` is the CLI shim over :func:`main`.
 """
 
 from __future__ import annotations

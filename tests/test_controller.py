@@ -1,6 +1,7 @@
 """Tests for the end-to-end offloading controller."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,13 @@ from repro import (
     OffloadController,
     photo_backup_app,
 )
-from repro.core.partitioning import FixedPartitioner, Partition
+from repro.core.allocation import MemoryAllocator
+from repro.core.partitioning import (
+    FixedPartitioner,
+    MinCutPartitioner,
+    Partition,
+    Partitioner,
+)
 from repro.device.ue import DeviceSpec
 
 
@@ -66,6 +73,102 @@ class TestPlanning:
     def test_replan_every_validation(self):
         with pytest.raises(ValueError):
             make_controller(replan_every=0)
+
+
+class CountingPartitioner(Partitioner):
+    """Wraps a partitioner and counts its calls."""
+
+    name = "counting"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def partition(self, ctx):
+        self.calls += 1
+        return self.inner.partition(ctx)
+
+
+def reference_plan(controller, input_mb):
+    """The unconditional two-pass plan, computed without side effects."""
+    partitioner = MinCutPartitioner()
+
+    def allocate(partition):
+        return controller.allocator.allocate_app(
+            controller.app, partition, controller.demand, input_mb,
+            controller.latency_slo_s,
+        )
+
+    context = controller.build_context(input_mb)
+    first = allocate(partitioner.partition(context))
+    context = replace(
+        context,
+        memory_plan={name: d.memory_mb for name, d in first.items()},
+    )
+    partition = partitioner.partition(context)
+    return partition, allocate(partition)
+
+
+class TestPlanFixedPoint:
+    def plan_and_count(self, controller, input_mb):
+        expected = reference_plan(controller, input_mb)
+        counter = controller.partitioner
+        before = counter.calls
+        partition = controller.plan(input_mb)
+        assert (partition, controller.allocation) == expected
+        return counter.calls - before
+
+    def make(self, connectivity="4g", **kwargs):
+        env = Environment.build(seed=0, connectivity=connectivity)
+        controller = OffloadController(
+            env, photo_backup_app(),
+            partitioner=CountingPartitioner(MinCutPartitioner()), **kwargs
+        )
+        controller.profile_offline()
+        return controller
+
+    def test_second_pass_that_moves_the_partition_reallocates(self):
+        # At 128-256 MB the cloud is slow enough on 3G that the refined
+        # pass pulls components back to the UE.
+        controller = self.make("3g")
+        controller.allocator = MemoryAllocator(
+            billing=controller.env.platform.config.billing,
+            tiers_mb=(128, 256),
+        )
+        full = set(controller.app.offloadable_names())
+        assert self.plan_and_count(controller, 16.0) == 2
+        assert controller.partition.cloud < full
+        assert set(controller.allocation) == controller.partition.cloud
+
+    def test_first_plan_with_cloud_components_partitions_twice(self):
+        controller = self.make()
+        assert self.plan_and_count(controller, 4.0) == 2
+        assert controller.partition.cloud
+
+    def test_unchanged_replan_partitions_once(self):
+        controller = self.make()
+        self.plan_and_count(controller, 4.0)
+        assert self.plan_and_count(controller, 4.0) == 1
+        assert self.plan_and_count(controller, 8.0) == 1
+
+    def test_replan_after_memory_plan_moves_partitions_twice(self):
+        controller = self.make()
+        self.plan_and_count(controller, 4.0)
+        before = {n: d.memory_mb for n, d in controller.allocation.items()}
+        controller.allocator = MemoryAllocator(
+            billing=controller.env.platform.config.billing,
+            tiers_mb=(512, 1024, 3008),
+        )
+        assert self.plan_and_count(controller, 4.0) == 2
+        after = {n: d.memory_mb for n, d in controller.allocation.items()}
+        assert after != before
+        assert self.plan_and_count(controller, 4.0) == 1
+
+    def test_all_local_first_plan_partitions_once(self):
+        controller = self.make()
+        controller.plan_rate_overrides.update(uplink=125.0, downlink=125.0)
+        assert self.plan_and_count(controller, 4.0) == 1
+        assert not controller.partition.cloud
 
 
 class TestExecution:

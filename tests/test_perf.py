@@ -485,32 +485,7 @@ def _legacy_o2(path, events_per_s):
     return path
 
 
-class TestLegacyWrappers:
-    """The thin tools/ wrappers must keep their historical pass/fail."""
-
-    def test_check_bench_o2_pass_and_fail(self, tmp_path):
-        wrapper = _import_tool("check_bench_o2")
-        committed = _legacy_o2(tmp_path / "committed.json", 1000.0)
-        ok = _legacy_o2(tmp_path / "ok.json", 950.0)
-        assert wrapper.main([str(ok), "--committed", str(committed)]) == 0
-        bad = _legacy_o2(tmp_path / "bad.json", 700.0)
-        assert wrapper.main([str(bad), "--committed", str(committed)]) == 1
-
-    def test_check_bench_f10_pass_and_fail(self, tmp_path):
-        wrapper = _import_tool("check_bench_f10")
-        ok = tmp_path / "ok.json"
-        ok.write_text(json.dumps({
-            "bench": "F10", "mode": "short", "byte_identical": True,
-            "speedup_4w": 1.0, "cores": 1,
-        }))
-        assert wrapper.main([str(ok)]) == 0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "bench": "F10", "mode": "short", "byte_identical": False,
-            "speedup_4w": 1.0, "cores": 1,
-        }))
-        assert wrapper.main([str(bad)]) == 1
-
+class TestBenchCLI:
     def test_unified_checker_shim_matches(self, tmp_path):
         from repro.perf.check import main as check_main
 
@@ -523,8 +498,21 @@ class TestLegacyWrappers:
         shim = _import_tool("check_bench")
         assert shim.main is check_main
 
+    def test_checker_gates_f10_byte_identity(self, tmp_path):
+        from repro.perf.check import main as check_main
 
-class TestBenchCLI:
+        def f10(name, identical):
+            path = tmp_path / name
+            path.write_text(json.dumps({
+                "bench": "F10", "mode": "short",
+                "byte_identical": identical, "speedup_4w": 1.0, "cores": 1,
+            }))
+            return str(path)
+
+        argv = ["--bench", "F10", "--no-trend"]
+        assert check_main([f10("ok.json", True), *argv]) == 0
+        assert check_main([f10("bad.json", False), *argv]) == 1
+
     def test_bench_history_lists_entries(self, tmp_path, capsys,
                                          scratch_registry):
         from repro.cli import main

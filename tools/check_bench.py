@@ -10,9 +10,9 @@ and the trend sentinel forecasts the benchmark history ledger to flag
 slow drifts before any single run trips a hard gate.
 
 This file is a path-bootstrap shim; the evaluator lives in
-:mod:`repro.perf.check`.  ``check_bench_o2.py`` and
-``check_bench_f10.py`` are thin wrappers over the same evaluator,
-preserving their historical interfaces.
+:mod:`repro.perf.check`.  It is the only bench gate: ``--bench O2``
+applies the O2 events/sec drop rule, ``--bench F10`` the F10
+byte-identity and scaling rules.
 
 Usage::
 

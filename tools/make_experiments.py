@@ -475,7 +475,7 @@ def build_sections():
             "(`tests/test_kernel_fastlane.py`), and a tracemalloc "
             "per-job allocation budget (`tests/test_alloc_budget.py`).  "
             "CI gates every commit against the committed "
-            "`benchmarks/BENCH_O2.json` via `tools/check_bench_o2.py`.  "
+            "`benchmarks/BENCH_O2.json` via `tools/check_bench.py --bench O2`.  "
             "Wall-clock columns are non-deterministic; the speedup "
             "column is meaningful on comparable hardware only.",
         ),
