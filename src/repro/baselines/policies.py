@@ -47,6 +47,7 @@ class MyopicLatencyPartitioner(Partitioner):
     """
 
     name = "myopic"
+    pure = True
 
     def partition(self, ctx: PartitionContext) -> Partition:
         cloud = set()

@@ -21,7 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Hashable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.apps.graph import AppGraph
 from repro.apps.jobs import Job, JobResult
@@ -300,6 +309,12 @@ class ControllerReport:
         return data[lower] * (1 - weight) + data[upper] * weight
 
 
+#: Solved plans keyed by planning context: see :meth:`OffloadController.plan`.
+PlanMemo = Dict[
+    Tuple[Hashable, ...], Tuple[Partition, Dict[str, AllocationDecision]]
+]
+
+
 class OffloadController:
     """Runs one application under the paper's offloading framework."""
 
@@ -322,6 +337,7 @@ class OffloadController:
         degradation: Optional[DegradationPolicy] = None,
         observed_signals: bool = False,
         monitor: Optional[Any] = None,
+        plan_memo: Optional[PlanMemo] = None,
     ) -> None:
         self.env = env
         self.app = app
@@ -367,6 +383,10 @@ class OffloadController:
 
         self.partition: Optional[Partition] = None
         self.allocation: Dict[str, AllocationDecision] = {}
+        #: Solved plans by planning context (see :meth:`plan`); a fleet
+        #: hands one memo to all of its controllers, a solo controller
+        #: keeps its own.
+        self._plan_memo: PlanMemo = plan_memo if plan_memo is not None else {}
         self._jobs_since_replan = 0
         #: Per-controller job sequence used for trace span labels.  Job
         #: ids come from a process-global counter, so two same-seed runs
@@ -497,17 +517,15 @@ class OffloadController:
         redeployed (a redeploy recycles the warm pool, so needless churn
         is avoided).
 
-        Planning is two passes at most.  The first partitions at the
-        memory sizes of the previous allocation; when its allocation
-        keeps every size, the second pass would price the same context,
-        so it is skipped (the fixed point).  Otherwise the second pass
-        partitions at the new sizes, and reuses the first allocation if
-        the partition did not change (``allocate_app`` is pure).  Sizes
-        are compared, not whole :class:`AllocationDecision` values,
-        because ``expected_duration_s`` drifts with online demand
-        learning.  A partitioner that draws randomness per call, such as
-        :class:`~repro.core.partitioning.SimulatedAnnealingPartitioner`,
-        is therefore called once when the fixed point holds.
+        With a :attr:`~repro.core.partitioning.Partitioner.pure`
+        partitioner the solved partition and allocation are memoised by
+        ``(partitioner, allocator, demand model, latency SLO, context
+        key)``, the first three by identity, so a context seen before (by
+        this controller or by another sharing its memo) skips both
+        partition passes and ``allocate_app``.  The hit is exact:
+        ``allocate_app`` is pure and reads the demand model only through
+        ``predict`` at ``input_mb``, whose values are ``context.work``.
+        Deployment, the ``plan`` span and the meter run on every call.
         """
         self._planned_input_mb = input_mb
         tracer = self.env.sim.tracer
@@ -516,10 +534,52 @@ class OffloadController:
         plan_span = tracer.start_span(
             "plan", category=PHASE_PLAN, app=self.app.name, input_mb=input_mb
         )
-        # First pass at default memory, then refine: the partition decides
-        # *what* runs in the cloud, the allocation decides *at which size*,
-        # and sizes feed back into partition economics.
         context = self.build_context(input_mb)
+        memo_key = None
+        solved = None
+        if self.partitioner.pure:
+            memo_key = (
+                self.partitioner, self.allocator, self.demand,
+                self.latency_slo_s, context.key(),
+            )
+            solved = self._plan_memo.get(memo_key)
+        if solved is None:
+            solved = self._solve(context, input_mb)
+            if memo_key is not None:
+                self._plan_memo[memo_key] = solved
+        partition, allocation = solved
+        self.partition = partition
+        self.allocation = dict(allocation)
+        self._deploy()
+        tracer.end_span(
+            plan_span,
+            n_cloud=len(partition.cloud),
+            n_local=len(self.app.component_names) - len(partition.cloud),
+        )
+        meter.plans_computed += 1
+        if meter.enabled:
+            meter.plan_wall_s += perf_counter() - plan_started
+        return partition
+
+    def _solve(
+        self, context: PartitionContext, input_mb: float
+    ) -> Tuple[Partition, Dict[str, AllocationDecision]]:
+        """The two-pass partition and allocation for ``context``.
+
+        The first pass partitions at the memory sizes of the previous
+        allocation: the partition decides *what* runs in the cloud, the
+        allocation decides *at which size*, and sizes feed back into
+        partition economics.  When the first allocation keeps every size,
+        the second pass would price the same context, so it is skipped
+        (the fixed point).  Otherwise the second pass partitions at the
+        new sizes, and reuses the first allocation if the partition did
+        not change (``allocate_app`` is pure).  Sizes are compared, not
+        whole :class:`AllocationDecision` values, because
+        ``expected_duration_s`` drifts with online demand learning.  A
+        partitioner that draws randomness per call, such as
+        :class:`~repro.core.partitioning.SimulatedAnnealingPartitioner`,
+        is therefore called once when the fixed point holds.
+        """
         partition = self.partitioner.partition(context)
         partition.validate(self.app)
         allocation = self.allocator.allocate_app(
@@ -539,18 +599,7 @@ class OffloadController:
                     self.app, partition, self.demand, input_mb,
                     self.latency_slo_s,
                 )
-        self.partition = partition
-        self.allocation = allocation
-        self._deploy()
-        tracer.end_span(
-            plan_span,
-            n_cloud=len(partition.cloud),
-            n_local=len(self.app.component_names) - len(partition.cloud),
-        )
-        meter.plans_computed += 1
-        if meter.enabled:
-            meter.plan_wall_s += perf_counter() - plan_started
-        return partition
+        return partition, allocation
 
     def _function_name(self, component: str) -> str:
         return f"{self.function_prefix}{self.app.name}.{component}"

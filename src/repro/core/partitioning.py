@@ -28,8 +28,17 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.apps.graph import AppGraph
 from repro.device.energy import EnergyModel
@@ -151,6 +160,21 @@ class PartitionContext:
         if min(self.uplink_bps, self.downlink_bps) <= 0:
             raise ValueError("link rates must be > 0")
 
+    def key(self) -> Tuple[Hashable, ...]:
+        """A hashable value, equal exactly when every field is equal.
+
+        Built from every dataclass field in declaration order, with dicts
+        turned into sorted item tuples, so a field added later is covered
+        without touching this method.  ``app`` compares by identity.
+        Equal keys price every partition identically, which is what lets
+        :meth:`~repro.core.controller.OffloadController.plan` reuse a
+        solved plan.
+        """
+        return tuple(
+            tuple(sorted(value.items())) if isinstance(value, dict) else value
+            for value in (getattr(self, name) for name in _CONTEXT_FIELDS)
+        )
+
     # -- per-node terms --------------------------------------------------
 
     def memory_for(self, component: str) -> float:
@@ -213,6 +237,9 @@ class PartitionContext:
             nbytes = self.app.flow(src, dst).bytes_for(self.input_mb)
             return nbytes / 1e9 * self.egress_price_per_gb
         return 0.0
+
+
+_CONTEXT_FIELDS = tuple(f.name for f in fields(PartitionContext))
 
 
 @dataclass(frozen=True)
@@ -305,6 +332,12 @@ class Partitioner(ABC):
 
     name: str = "partitioner"
 
+    #: True when :meth:`partition` is a function of the context alone (no
+    #: randomness, no state carried between calls).  Only then may a
+    #: caller reuse one result for every context with the same
+    #: :meth:`PartitionContext.key`.
+    pure: bool = False
+
     @abstractmethod
     def partition(self, ctx: PartitionContext) -> Partition:
         """Compute an assignment for ``ctx`` (pinned components respected)."""
@@ -352,6 +385,7 @@ class ExhaustivePartitioner(Partitioner):
     """
 
     name = "exhaustive"
+    pure = True
 
     def __init__(self, use_makespan: bool = False, max_offloadable: int = 18) -> None:
         self.use_makespan = use_makespan
@@ -395,6 +429,7 @@ class GreedyPartitioner(Partitioner):
     """
 
     name = "greedy"
+    pure = True
 
     def __init__(self, max_iterations: int = 10_000) -> None:
         self.max_iterations = max_iterations
@@ -451,6 +486,7 @@ class MinCutPartitioner(Partitioner):
     """
 
     name = "mincut"
+    pure = True
 
     #: Integer scale target: the largest finite capacity maps to ~1e14.
     _SCALE_TARGET = 1e14
@@ -598,6 +634,7 @@ class TreeDPPartitioner(Partitioner):
     """
 
     name = "treedp"
+    pure = True
 
     def partition(self, ctx: PartitionContext) -> Partition:
         if not ctx.app.is_tree():
@@ -750,6 +787,7 @@ class FixedPartitioner(Partitioner):
     """Returns a predetermined partition (used for baselines and canaries)."""
 
     name = "fixed"
+    pure = True
 
     def __init__(self, partition: Partition) -> None:
         self._partition = partition

@@ -18,14 +18,20 @@ from typing import (
 
 from repro.apps.graph import AppGraph
 from repro.apps.jobs import Job
+from repro.core.allocation import MemoryAllocator
 from repro.core.controller import (
     ControllerReport,
     Environment,
     JobFailure,
     OffloadController,
+    PlanMemo,
 )
 from repro.core.demand import DemandModel, RegressionEstimator
-from repro.core.partitioning import ObjectiveWeights, Partitioner
+from repro.core.partitioning import (
+    MinCutPartitioner,
+    ObjectiveWeights,
+    Partitioner,
+)
 from repro.core.scheduler import Scheduler
 from repro.device.ue import DeviceSpec, UserEquipment
 from repro.metrics import MetricRegistry
@@ -192,7 +198,10 @@ class FleetController:
     All devices run the *same* application, so they share one demand
     model (fleet-wide learning) and one set of deployed functions (the
     warm pools are communal — the fleet's key economy).  Each device
-    still plans against its own connectivity.
+    still plans against its own connectivity, but the controllers share
+    one partitioner, one allocator and one plan memo, so a device whose
+    planning context another device already solved reuses that plan
+    (see :meth:`~repro.core.controller.OffloadController.plan`).
     """
 
     def __init__(
@@ -208,6 +217,9 @@ class FleetController:
         self.env = env
         self.app = app
         self.demand = demand_model or DemandModel(app, RegressionEstimator)
+        partitioner = partitioner or MinCutPartitioner()
+        allocator = MemoryAllocator(billing=env.platform.config.billing)
+        plan_memo: PlanMemo = {}
         self.controllers: List[OffloadController] = []
         for device_env in env.devices:
             self.controllers.append(
@@ -215,10 +227,12 @@ class FleetController:
                     env=device_env,
                     app=app,
                     partitioner=partitioner,
+                    allocator=allocator,
                     scheduler=scheduler_factory() if scheduler_factory else None,
                     demand_model=self.demand,
                     weights=weights,
                     latency_slo_s=latency_slo_s,
+                    plan_memo=plan_memo,
                 )
             )
 

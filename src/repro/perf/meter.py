@@ -47,11 +47,15 @@ _COUNTER_SLOTS = (
 
 #: Float wall-clock slots.  Host-dependent provenance, never identity.
 _TIMING_SLOTS = (
-    "plan_wall_s",          # controller: seconds inside plan()
+    "plan_wall_s",          # controller: seconds inside plan(), memo
+                            # hits included
     "sweep_wall_s",         # sweep: seconds inside SweepRunner.run()
     "shard_wall_s",         # fleet: seconds fanning the shards out
     "merge_wall_s",         # fleet: seconds merging + serialising the documents
-    "kernel_flush_wall_s",  # kernel: seconds inside run()'s dispatch drain
+    "kernel_flush_wall_s",  # kernel: seconds inside all of Simulator.run(),
+                            # callbacks and process bodies included: whole
+                            # simulation time, not kernel time (the name is
+                            # kept because benchmark harnesses read it)
 )
 
 

@@ -1,9 +1,11 @@
 """Tests for the end-to-end offloading controller."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     DeadlineBatcher,
@@ -14,14 +16,29 @@ from repro import (
     OffloadController,
     photo_backup_app,
 )
+from repro.apps.graph import AppGraph
+from repro.apps.generators import (
+    fanout_fanin_app,
+    layered_random_app,
+    linear_pipeline_app,
+    random_tree_app,
+)
+from repro.baselines.policies import RandomPartitioner
 from repro.core.allocation import MemoryAllocator
 from repro.core.partitioning import (
     FixedPartitioner,
     MinCutPartitioner,
     Partition,
+    PartitionContext,
     Partitioner,
+    SimulatedAnnealingPartitioner,
 )
 from repro.device.ue import DeviceSpec
+from repro.fleet import FleetController, FleetEnvironment
+from repro.fleet.sharded import ShardedFleetSpec, run_sharded
+from repro.fleet.topology import FleetTopology
+from repro.profiling.profiler import DemandObservation
+from repro.sim.rng import RngStream
 
 
 def make_controller(seed=0, app=None, **kwargs):
@@ -87,6 +104,30 @@ class CountingPartitioner(Partitioner):
     def partition(self, ctx):
         self.calls += 1
         return self.inner.partition(ctx)
+
+
+class PureCountingPartitioner(CountingPartitioner):
+    """A call counter its controller may memoise (MinCut is pure)."""
+
+    pure = True
+
+
+class CallCounting:
+    """Mixin counting ``partition`` calls; keeps the base class's mark."""
+
+    calls = 0
+
+    def partition(self, ctx):
+        self.calls += 1
+        return super().partition(ctx)
+
+
+class CountingAnnealer(CallCounting, SimulatedAnnealingPartitioner):
+    pass
+
+
+class CountingRandom(CallCounting, RandomPartitioner):
+    pass
 
 
 def reference_plan(controller, input_mb):
@@ -169,6 +210,234 @@ class TestPlanFixedPoint:
         controller.plan_rate_overrides.update(uplink=125.0, downlink=125.0)
         assert self.plan_and_count(controller, 4.0) == 1
         assert not controller.partition.cloud
+
+    def test_pure_partitioner_skips_a_repeated_context(self):
+        env = Environment.build(seed=0, connectivity="4g")
+        controller = OffloadController(
+            env, photo_backup_app(),
+            partitioner=PureCountingPartitioner(MinCutPartitioner()),
+        )
+        controller.profile_offline()
+        assert self.plan_and_count(controller, 4.0) == 2
+        # The first re-plan prices the new memory sizes: a new context.
+        assert self.plan_and_count(controller, 4.0) == 1
+        assert self.plan_and_count(controller, 4.0) == 0
+        assert self.plan_and_count(controller, 4.0) == 0
+
+    def test_fleet_devices_with_one_context_partition_once(self):
+        env = FleetEnvironment.build(4, seed=0, connectivity="4g")
+        counter = PureCountingPartitioner(MinCutPartitioner())
+        fleet = FleetController(env, photo_backup_app(), partitioner=counter)
+        fleet.profile_offline()
+        for controller in fleet.controllers:
+            expected = reference_plan(controller, 4.0)
+            assert controller.plan(4.0) == expected[0]
+            assert controller.allocation == expected[1]
+        assert counter.calls == 2
+        assert env.sim.meter.plans_computed == 4
+
+    @pytest.mark.parametrize("kind", ["annealing", "random"])
+    def test_impure_partitioner_calls_are_unchanged_in_a_fleet(self, kind):
+        # The counts are those of the two-pass planner before the plan
+        # memo existed: an impure partitioner never reads the memo.
+        env = FleetEnvironment.build(
+            4, seed=0, connectivity=("4g", "wifi")
+        )
+        if kind == "annealing":
+            counter = CountingAnnealer(
+                env.rng.stream("annealing"), iterations=20
+            )
+        else:
+            counter = CountingRandom(env.rng.stream("random"))
+        assert not counter.pure
+        fleet = FleetController(env, photo_backup_app(), partitioner=counter)
+        fleet.profile_offline()
+        for controller in fleet.controllers:
+            controller.adaptive = True
+            controller.replan_every = 1
+        fleet.plan(4.0)
+        fleet.plan(4.0)
+        fleet.plan(1.0)
+        fleet.run({
+            index: [
+                Job(fleet.app, input_mb=2.0, released_at=30.0 * k)
+                for k in range(2)
+            ]
+            for index in range(4)
+        })
+        assert env.sim.meter.plans_computed == 20
+        assert counter.calls == {"annealing": 24, "random": 40}[kind]
+
+
+def generated_app(family, size, seed):
+    """One app of about ``size`` components from a generator family."""
+    rng = RngStream(seed)
+    if family == "pipeline":
+        return linear_pipeline_app(size, rng)
+    if family == "fanout":
+        return fanout_fanin_app(max(size - 2, 1), rng)
+    if family == "tree":
+        return random_tree_app(size, rng)
+    return layered_random_app(max(size // 2, 2), 2, rng)
+
+
+def perturbed(value):
+    """A value of the same type that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value * 2.0 + 1.0
+    if isinstance(value, dict):
+        if not value:
+            return {"extra": 1.0}
+        name = next(iter(value))
+        return {**value, name: perturbed(value[name])}
+    if is_dataclass(value):
+        first = fields(value)[0].name
+        return replace(value, **{first: perturbed(getattr(value, first))})
+    if isinstance(value, AppGraph):
+        return AppGraph(value.name, list(value.components), list(value.flows))
+    raise TypeError(f"no perturbation for {type(value).__name__}")
+
+
+class TestPlanMemo:
+    def test_key_covers_every_context_field(self):
+        app = photo_backup_app()
+        context = PartitionContext(
+            app=app,
+            input_mb=4.0,
+            work={name: 1.0 for name in app.component_names},
+            memory_plan={"transcode": 1024.0},
+        )
+        key = context.key()
+        assert hash(key) == hash(replace(context).key())
+        for field in fields(PartitionContext):
+            value = perturbed(getattr(context, field.name))
+            changed = replace(context, **{field.name: value})
+            assert changed.key() != key, field.name
+
+    def test_key_ignores_dict_insertion_order(self):
+        app = photo_backup_app()
+        work = {name: 1.0 for name in app.component_names}
+        first = PartitionContext(app=app, input_mb=1.0, work=work)
+        second = PartitionContext(
+            app=app, input_mb=1.0, work=dict(reversed(list(work.items())))
+        )
+        assert first.key() == second.key()
+
+    @pytest.mark.parametrize("swap", ["allocator", "latency_slo_s"])
+    def test_swapping_allocator_or_slo_misses_the_memo(self, swap):
+        env = Environment.build(seed=0, connectivity="4g")
+        billing = env.platform.config.billing
+        controller = OffloadController(
+            env, photo_backup_app(),
+            allocator=MemoryAllocator(billing=billing, tiers_mb=(128, 512, 3008)),
+        )
+        controller.profile_offline()
+        controller.plan(4.0)
+        controller.plan(4.0)
+        before = dict(controller.allocation)
+        # Same context key either way: only the allocation changes.
+        if swap == "allocator":
+            controller.allocator = MemoryAllocator(
+                billing=billing, tiers_mb=(1024, 3008)
+            )
+        else:
+            controller.latency_slo_s = 40.0
+        expected = reference_plan(controller, 4.0)
+        assert controller.plan(4.0) == expected[0]
+        assert controller.allocation == expected[1] != before
+
+    def test_pure_marks(self):
+        assert MinCutPartitioner.pure and FixedPartitioner.pure
+        assert not Partitioner.pure
+        assert not SimulatedAnnealingPartitioner.pure
+        assert not RandomPartitioner.pure
+        assert not CountingPartitioner.pure
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["pipeline", "fanout", "tree", "layered"]),
+        size=st.integers(min_value=2, max_value=10),
+        app_seed=st.integers(min_value=0, max_value=2**16),
+        connectivity=st.lists(
+            st.sampled_from(["3g", "4g", "wifi"]), min_size=3, max_size=3
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 4.0, 16.0]),
+                st.sampled_from([None, 125.0, 1.25e6, 1e8]),
+                st.sampled_from([None, 125.0, 5e6]),
+                st.integers(min_value=0, max_value=3).map(lambda n: n == 0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_shared_memo_plans_equal_fresh_two_pass_plans(
+        self, family, size, app_seed, connectivity, steps
+    ):
+        # Every step re-plans the whole fleet under one set of pinned
+        # rates, as remediation does, so devices that share a
+        # connectivity class (or a pinned rate) hit each other's plans.
+        env = FleetEnvironment.build(3, seed=0, connectivity=connectivity)
+        fleet = FleetController(env, generated_app(family, size, app_seed))
+        fleet.profile_offline(input_sizes_mb=(0.5, 4.0), repetitions=1)
+        for input_mb, uplink, downlink, learn in steps:
+            if learn:
+                # Online learning moves the shared demand model, so every
+                # earlier memo entry is now priced at stale work.
+                fleet.demand.observe(DemandObservation(
+                    component=fleet.app.component_names[-1],
+                    input_mb=input_mb,
+                    measured_gcycles=3.0 * input_mb + 1.0,
+                    at_time=0.0,
+                ))
+            for controller in fleet.controllers:
+                controller.plan_rate_overrides.clear()
+                if uplink is not None:
+                    controller.plan_rate_overrides["uplink"] = uplink
+                if downlink is not None:
+                    controller.plan_rate_overrides["downlink"] = downlink
+                expected = reference_plan(controller, input_mb)
+                partition = controller.plan(input_mb)
+                assert (partition, controller.allocation) == expected
+
+    def test_remediated_fleet_memo_hits_equal_fresh_plans(self, monkeypatch):
+        solves = []
+        hits = []
+        solve = OffloadController._solve
+        plan = OffloadController.plan
+
+        def counted_solve(self, context, input_mb):
+            solves.append(input_mb)
+            return solve(self, context, input_mb)
+
+        def checked_plan(self, input_mb=1.0):
+            expected = reference_plan(self, input_mb)
+            before = len(solves)
+            partition = plan(self, input_mb)
+            if len(solves) == before:
+                hits.append(input_mb)
+                assert (partition, self.allocation) == expected
+            return partition
+
+        monkeypatch.setattr(OffloadController, "_solve", counted_solve)
+        monkeypatch.setattr(OffloadController, "plan", checked_plan)
+        spec = ShardedFleetSpec(
+            topology=FleetTopology.uniform(
+                2, 25, connectivity=("4g", "wifi", "3g"), jobs_per_ue=2,
+                seed=0,
+            ),
+            monitor=True,
+            chaos="uplink-outage",
+            remediate=True,
+        )
+        result = run_sharded(spec, n_shards=2, workers=1)
+        assert result.aggregates["jobs_completed"] == 100
+        # 150 plans, most of them remediation re-plans; 18 solve.
+        assert len(solves) + len(hits) == 150
+        assert len(hits) > 100
 
 
 class TestExecution:
