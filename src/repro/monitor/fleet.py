@@ -17,12 +17,13 @@ needs three pieces, all byte-deterministic:
   are identical for any shard/worker count *given the same group
   decomposition* — exactly the regime where the sharded fleet report
   itself is exact (no split coupling links);
-* :class:`FleetSLOEngine` — restores a monitor from the merged snapshot
-  and **replays** the stock :class:`~repro.monitor.slo.SLOEngine`
-  cadence over it offline (tick by tick up to the snapshot's end time),
-  so availability / latency / cold-start / cost SLOs and multi-window
-  burn-rate rules evaluate over the *merged* streams and emit the same
-  canonical alert log the live engine would.
+* :class:`FleetSLOEngine` — reads the merged snapshot in place through
+  a read-only monitor view and **replays** the stock
+  :class:`~repro.monitor.slo.SLOEngine` cadence over it offline (tick
+  by tick up to the snapshot's end time), so availability / latency /
+  cold-start / cost SLOs and multi-window burn-rate rules evaluate over
+  the *merged* streams and emit the same canonical alert log the live
+  engine would.
 
 Per-group zone-availability series are keyed by the coupling-group
 label (zones sharing a warm pool share fate), while function and link
@@ -150,11 +151,7 @@ class MonitorSnapshot:
             end_s=end_s,
         )
         for key in monitor.entities():
-            kind, name, signal = key
-            twin = WindowedSeries.from_dict(
-                monitor.series(kind, name, signal).to_dict()
-            )
-            snapshot.series[key] = twin
+            snapshot.series[key] = monitor.series(*key).copy()
         return snapshot
 
     @property
@@ -209,8 +206,8 @@ class MonitorSnapshot:
         Bucket width and sketch alpha must match; the horizon and end
         time extend to cover both.  Same series key ⇒ bucket-aligned
         :meth:`~repro.monitor.window.WindowedSeries.merge`; new keys
-        copy over via a serialization round trip (so the two snapshots
-        never share mutable state).
+        take a :meth:`~repro.monitor.window.WindowedSeries.copy` (so the
+        two snapshots never share mutable state).
         """
         if other.bucket_s != self.bucket_s:
             raise ValueError(
@@ -230,7 +227,7 @@ class MonitorSnapshot:
             theirs = other.series[key]
             mine = self.series.get(key)
             if mine is None:
-                self.series[key] = WindowedSeries.from_dict(theirs.to_dict())
+                self.series[key] = theirs.copy()
             else:
                 mine.merge(theirs)
 
@@ -262,11 +259,13 @@ def merge_snapshots(
 
 
 def restore_monitor(snapshot: MonitorSnapshot) -> Monitor:
-    """A :class:`Monitor` whose series mirror ``snapshot``.
+    """A read-only :class:`Monitor` view over ``snapshot``'s series.
 
-    The monitor gets a frozen clock pinned at the snapshot's end time
-    and is only meant for offline queries (aggregate / stats / SLO
-    replay), not for subscribing to a live tracer.
+    The monitor shares the snapshot's series objects (nothing is
+    copied), gets a frozen clock pinned at the snapshot's end time, and
+    is only meant for offline queries (aggregate / stats / SLO replay).
+    Never subscribe it to a live tracer: recording into it would write
+    through to the snapshot.
     """
     monitor = Monitor(
         _FrozenClock(snapshot.end_s),
@@ -275,10 +274,7 @@ def restore_monitor(snapshot: MonitorSnapshot) -> Monitor:
         horizon_s=snapshot.horizon_s,
         alpha=snapshot.alpha,
     )
-    for key in sorted(snapshot.series):
-        monitor._series[key] = WindowedSeries.from_dict(
-            snapshot.series[key].to_dict()
-        )
+    monitor._series = dict(snapshot.series)
     return monitor
 
 
@@ -397,11 +393,11 @@ class FleetSLOEngine:
     """Offline burn-rate replay over a merged fleet snapshot.
 
     Wraps the stock :class:`~repro.monitor.slo.SLOEngine`: the snapshot
-    is restored into a monitor, then :meth:`evaluate` replays the
-    engine's cadence tick by tick from ``eval_interval_s`` up past the
-    snapshot's end time.  Because the merged snapshot is byte-identical
-    for any shard/worker count, so are the alert log, the alerts, and
-    the health rollup.
+    is read in place through :func:`restore_monitor`, then
+    :meth:`evaluate` replays the engine's cadence tick by tick from
+    ``eval_interval_s`` up past the snapshot's end time.  Because the
+    merged snapshot is byte-identical for any shard/worker count, so are
+    the alert log, the alerts, and the health rollup.
     """
 
     def __init__(

@@ -150,10 +150,10 @@ class LatencySLO(SLO):
         self.threshold_s = threshold_s
 
     def bad_fraction(self, agg: WindowAggregate) -> Optional[float]:
-        total = agg.sketch.count
+        total = agg.valued
         if total == 0:
             return None
-        return 1.0 - agg.sketch.count_at_most(self.threshold_s) / total
+        return 1.0 - agg.count_at_most(self.threshold_s) / total
 
 
 class ColdStartSLO(SLO):
@@ -324,18 +324,17 @@ class SLOEngine:
 
         Fires and clears are appended to the log ordered by (SLO name,
         rule name) within this instant; re-evaluating the same instant
-        is idempotent.  Returns alerts newly fired at this evaluation.
+        is idempotent.  Each (series, window) is folded once per call
+        and shared by every rule and SLO that reads it.  Returns alerts
+        newly fired at this evaluation.
         """
         fired: List[Alert] = []
+        folds: Dict[Tuple[str, str, str, float], WindowAggregate] = {}
         for slo in self.slos:
             for rule in self.rules_for(slo):
                 key = (slo.name, rule.name)
-                agg_short = self.monitor.aggregate(
-                    slo.kind, slo.entity, slo.signal, now, rule.short_s
-                )
-                agg_long = self.monitor.aggregate(
-                    slo.kind, slo.entity, slo.signal, now, rule.long_s
-                )
+                agg_short = self._fold(folds, slo, now, rule.short_s)
+                agg_long = self._fold(folds, slo, now, rule.long_s)
                 burn_short = slo.burn_rate(agg_short)
                 burn_long = slo.burn_rate(agg_long)
                 firing = (
@@ -374,6 +373,22 @@ class SLOEngine:
                     )
                     self._notify("on_alert_cleared", active, now)
         return fired
+
+    def _fold(
+        self,
+        folds: Dict[Tuple[str, str, str, float], WindowAggregate],
+        slo: SLO,
+        now: float,
+        window_s: float,
+    ) -> WindowAggregate:
+        """``slo``'s series folded over ``window_s``, memoised in ``folds``."""
+        key = (slo.kind, slo.entity, slo.signal, window_s)
+        agg = folds.get(key)
+        if agg is None:
+            agg = folds[key] = self.monitor.aggregate(
+                slo.kind, slo.entity, slo.signal, now, window_s
+            )
+        return agg
 
     def finalize(self, now: float) -> List[Alert]:
         """Run a last evaluation, then force-close any alert still firing.

@@ -4,9 +4,14 @@ A :class:`WindowedSeries` accepts timestamped observations (an optional
 value, a good/bad flag, and named extras) and bins them into fixed-width
 time buckets.  Querying :meth:`aggregate` folds every bucket that
 intersects ``(now - window_s, now]`` into one :class:`WindowAggregate`:
-event count, bad count, value sum, a merged
-:class:`~repro.monitor.sketch.QuantileSketch`, summed extras (bytes,
-cost, cold starts) and maxed extras (queue depth).
+event count, bad count, value sum, summed extras (bytes, cost, cold
+starts), maxed extras (queue depth) and value quantiles.  A fold walks
+only the bucket indices inside the window and sums the counts; the
+aggregate keeps the in-window buckets and derives everything else when
+it is first read.  In particular the merged
+:class:`~repro.monitor.sketch.QuantileSketch` is built only when a
+quantile is read, while the valued count and threshold counts sum per
+bucket (exact integers).
 
 Buckets are the determinism boundary: windows are aligned to bucket
 edges, so an aggregate covers *at least* ``window_s`` and at most one
@@ -29,31 +34,106 @@ __all__ = ["WindowAggregate", "WindowedSeries"]
 class _Bucket:
     __slots__ = ("count", "bad", "value_sum", "sketch", "extras", "extras_max")
 
-    def __init__(self, alpha: float) -> None:
+    def __init__(self, sketch: QuantileSketch) -> None:
         self.count = 0
         self.bad = 0
         self.value_sum = 0.0
-        self.sketch = QuantileSketch(alpha)
+        self.sketch = sketch
         self.extras: Dict[str, float] = {}
         self.extras_max: Dict[str, float] = {}
+
+    def copy(self) -> "_Bucket":
+        """An independent copy, with ``from_dict``'s value types.
+
+        Sums start from ``0.0`` and so are floats already; only maxed
+        extras keep the type they were observed with.
+        """
+        twin = _Bucket(self.sketch.copy())
+        twin.count = self.count
+        twin.bad = self.bad
+        twin.value_sum = self.value_sum
+        twin.extras = self.extras.copy()
+        twin.extras_max = {k: float(v) for k, v in self.extras_max.items()}
+        return twin
 
 
 class WindowAggregate:
-    """The fold of every bucket intersecting one query window."""
+    """The fold of every bucket intersecting one query window.
+
+    Counts and the value sum fold when the aggregate is built.  Extras,
+    the valued count, threshold counts and the merged sketch are derived
+    from the held in-window buckets when read, in the same ascending
+    bucket order, so read an aggregate before its series records more
+    observations.
+    """
 
     __slots__ = (
-        "window_s", "count", "bad", "value_sum", "sketch", "extras",
-        "extras_max",
+        "window_s", "alpha", "count", "bad", "value_sum", "_buckets",
+        "_sketch", "_extras", "_extras_max",
     )
 
-    def __init__(self, window_s: float, alpha: float) -> None:
+    def __init__(
+        self, window_s: float, alpha: float, buckets: Sequence[_Bucket] = ()
+    ) -> None:
         self.window_s = window_s
-        self.count = 0
-        self.bad = 0
-        self.value_sum = 0.0
-        self.sketch = QuantileSketch(alpha)
-        self.extras: Dict[str, float] = {}
-        self.extras_max: Dict[str, float] = {}
+        self.alpha = alpha
+        self._buckets = buckets
+        count = bad = 0
+        value_sum = 0.0
+        for bucket in buckets:
+            count += bucket.count
+            bad += bucket.bad
+            value_sum += bucket.value_sum
+        self.count = count
+        self.bad = bad
+        self.value_sum = value_sum
+        self._sketch: Optional[QuantileSketch] = None
+        self._extras: Optional[Dict[str, float]] = None
+        self._extras_max: Optional[Dict[str, float]] = None
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        """The in-window bucket sketches merged into one (built once)."""
+        if self._sketch is None:
+            self._sketch = QuantileSketch.merged(
+                (bucket.sketch for bucket in self._buckets), self.alpha
+            )
+        return self._sketch
+
+    @property
+    def valued(self) -> int:
+        """Events that carried a value (the sketch's count)."""
+        return sum(bucket.sketch.count for bucket in self._buckets)
+
+    def count_at_most(self, threshold: float) -> int:
+        """Valued events ``<= threshold``, at sketch-bucket resolution."""
+        return sum(
+            bucket.sketch.count_at_most(threshold) for bucket in self._buckets
+        )
+
+    @property
+    def extras(self) -> Dict[str, float]:
+        """Summed extras over the window, by name (built once)."""
+        if self._extras is None:
+            extras: Dict[str, float] = {}
+            for bucket in self._buckets:
+                for name in bucket.extras:
+                    extras[name] = extras.get(name, 0.0) + bucket.extras[name]
+            self._extras = extras
+        return self._extras
+
+    @property
+    def extras_max(self) -> Dict[str, float]:
+        """Maxed extras over the window, by name (built once)."""
+        if self._extras_max is None:
+            extras_max: Dict[str, float] = {}
+            for bucket in self._buckets:
+                for name in bucket.extras_max:
+                    prev = extras_max.get(name)
+                    if prev is None or bucket.extras_max[name] > prev:
+                        extras_max[name] = bucket.extras_max[name]
+            self._extras_max = extras_max
+        return self._extras_max
 
     @property
     def rate_per_s(self) -> float:
@@ -68,7 +148,7 @@ class WindowAggregate:
     @property
     def mean(self) -> float:
         """Mean observed value (0.0 when no values were recorded)."""
-        valued = self.sketch.count
+        valued = self.valued
         return self.value_sum / valued if valued else 0.0
 
     def quantile(self, q: float) -> Optional[float]:
@@ -124,7 +204,8 @@ class WindowedSeries:
         index = int(at // self.bucket_s)
         bucket = self._buckets.get(index)
         if bucket is None:
-            bucket = self._buckets[index] = _Bucket(self.alpha)
+            bucket = _Bucket(QuantileSketch(self.alpha))
+            self._buckets[index] = bucket
             self._prune(index)
         bucket.count += 1
         self.total_count += 1
@@ -174,7 +255,8 @@ class WindowedSeries:
             theirs = other._buckets[index]
             bucket = self._buckets.get(index)
             if bucket is None:
-                bucket = self._buckets[index] = _Bucket(self.alpha)
+                bucket = _Bucket(QuantileSketch(self.alpha))
+                self._buckets[index] = bucket
             bucket.count += theirs.count
             bucket.bad += theirs.bad
             bucket.value_sum += theirs.value_sum
@@ -188,6 +270,18 @@ class WindowedSeries:
                 if prev is None or theirs.extras_max[name] > prev:
                     bucket.extras_max[name] = theirs.extras_max[name]
         self.total_count += other.total_count
+
+    def copy(self) -> "WindowedSeries":
+        """An independent deep copy, equal to a serialization round trip."""
+        twin = WindowedSeries(
+            bucket_s=float(self.bucket_s),
+            horizon_s=float(self.horizon_s),
+            alpha=float(self.alpha),
+        )
+        twin.total_count = self.total_count
+        for index in sorted(self._buckets):
+            twin._buckets[index] = self._buckets[index].copy()
+        return twin
 
     # -- serialization -----------------------------------------------------
 
@@ -236,17 +330,32 @@ class WindowedSeries:
         buckets = data.get("buckets", {})  # type: ignore[assignment]
         for key in buckets:
             entry = buckets[key]
-            bucket = _Bucket(series.alpha)
+            bucket = _Bucket(QuantileSketch.from_dict(entry["sketch"]))  # type: ignore[arg-type]
             bucket.count = int(entry["count"])  # type: ignore[arg-type]
             bucket.bad = int(entry.get("bad", 0))  # type: ignore[arg-type]
             bucket.value_sum = float(entry.get("value_sum", 0.0))  # type: ignore[arg-type]
-            bucket.sketch = QuantileSketch.from_dict(entry["sketch"])  # type: ignore[arg-type]
             extras: Mapping[str, float] = entry.get("extras", {})  # type: ignore[assignment]
             bucket.extras = {k: float(extras[k]) for k in extras}
             extras_max: Mapping[str, float] = entry.get("extras_max", {})  # type: ignore[assignment]
             bucket.extras_max = {k: float(extras_max[k]) for k in extras_max}
             series._buckets[int(key)] = bucket
         return series
+
+    def _window_indices(self, now: float, window_s: float) -> List[int]:
+        """Ascending indices of retained buckets intersecting the window.
+
+        The window is bucket-aligned: the oldest included bucket is the
+        one containing ``now - window_s``.  The walk covers whichever is
+        smaller, the window's index range or the retained buckets.
+        """
+        if window_s <= 0:
+            raise ValueError(f"window_s must be positive, got {window_s}")
+        first = int(max(0.0, now - window_s) // self.bucket_s)
+        last = int(now // self.bucket_s)
+        buckets = self._buckets
+        if last - first < len(buckets):
+            return [i for i in range(first, last + 1) if i in buckets]
+        return sorted(i for i in buckets if first <= i <= last)
 
     def bucket_extras(
         self, now: float, window_s: float, names: Sequence[str]
@@ -258,14 +367,8 @@ class WindowedSeries:
         short-horizon forecaster fits a trend to.  Window alignment
         matches :meth:`aggregate`.
         """
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        first = int(max(0.0, now - window_s) // self.bucket_s)
-        last = int(now // self.bucket_s)
         out: List[Tuple[float, Dict[str, float]]] = []
-        for index in sorted(self._buckets):
-            if index < first or index > last:
-                continue
+        for index in self._window_indices(now, window_s):
             bucket = self._buckets[index]
             out.append((
                 (index + 1) * self.bucket_s,
@@ -279,25 +382,13 @@ class WindowedSeries:
         The window is bucket-aligned: the oldest included bucket is the
         one containing ``now - window_s``, so coverage is at least
         ``window_s`` (never less) and the result depends only on the
-        recorded observations and the query arguments.
+        recorded observations and the query arguments.  Buckets fold in
+        ascending index order, so float sums are reproducible; what the
+        fold defers is listed on :class:`WindowAggregate`.
         """
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        out = WindowAggregate(window_s, self.alpha)
-        first = int(max(0.0, now - window_s) // self.bucket_s)
-        last = int(now // self.bucket_s)
-        for index in sorted(self._buckets):
-            if index < first or index > last:
-                continue
-            bucket = self._buckets[index]
-            out.count += bucket.count
-            out.bad += bucket.bad
-            out.value_sum += bucket.value_sum
-            out.sketch.merge(bucket.sketch)
-            for name in bucket.extras:
-                out.extras[name] = out.extras.get(name, 0.0) + bucket.extras[name]
-            for name in bucket.extras_max:
-                prev = out.extras_max.get(name)
-                if prev is None or bucket.extras_max[name] > prev:
-                    out.extras_max[name] = bucket.extras_max[name]
-        return out
+        buckets = self._buckets
+        return WindowAggregate(
+            window_s,
+            self.alpha,
+            [buckets[i] for i in self._window_indices(now, window_s)],
+        )

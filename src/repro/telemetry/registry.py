@@ -15,6 +15,9 @@ formats:
 
 Label values are stringified at registration; a series' identity is
 ``(name, sorted(labels))``, so call-site keyword order never matters.
+Each registry memoises the validated, sorted key per call shape
+(name, label names in call order, stringified values), so a hot call
+site such as the tracer's per-span summary validates its labels once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from repro.metrics.collectors import Counter, Gauge, Summary
 
 #: A fully qualified series key: (metric name, ((label, value), ...)).
 SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+#: One call shape, flat: (metric name, *label names in call order,
+#: *stringified values).  Its length fixes the label count, so two
+#: different shapes never collide.
+_CallKey = Tuple[str, ...]
 
 _NAME_BAD_CHARS = set(" {}\"',\n\t")
 
@@ -78,12 +86,21 @@ class LabeledMetricsRegistry:
         self._counters: Dict[SeriesKey, Counter] = {}
         self._gauges: Dict[SeriesKey, Gauge] = {}
         self._summaries: Dict[SeriesKey, Summary] = {}
+        self._keys: Dict[_CallKey, SeriesKey] = {}
 
     # -- access ------------------------------------------------------------
 
+    def _key(self, name: str, labels: Mapping[str, object]) -> SeriesKey:
+        """The key of ``name{labels}``; only valid keys are memoised."""
+        call = (name, *labels, *map(str, labels.values()))
+        key = self._keys.get(call)
+        if key is None:
+            key = self._keys[call] = _series_key(name, labels)
+        return key
+
     def counter(self, name: str, **labels: object) -> Counter:
         """Get or create the counter series ``name{labels}``."""
-        key = _series_key(name, labels)
+        key = self._key(name, labels)
         series = self._counters.get(key)
         if series is None:
             series = self._counters[key] = Counter(_render_series(key))
@@ -91,7 +108,7 @@ class LabeledMetricsRegistry:
 
     def gauge(self, name: str, initial: float = 0.0, **labels: object) -> Gauge:
         """Get or create the gauge series ``name{labels}``."""
-        key = _series_key(name, labels)
+        key = self._key(name, labels)
         series = self._gauges.get(key)
         if series is None:
             series = self._gauges[key] = Gauge(_render_series(key), initial)
@@ -99,7 +116,7 @@ class LabeledMetricsRegistry:
 
     def summary(self, name: str, **labels: object) -> Summary:
         """Get or create the summary series ``name{labels}``."""
-        key = _series_key(name, labels)
+        key = self._key(name, labels)
         series = self._summaries.get(key)
         if series is None:
             series = self._summaries[key] = Summary(_render_series(key))

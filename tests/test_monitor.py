@@ -283,6 +283,18 @@ class TestMonitoredGoldenScenario:
             == chaos["plane"].engine.report_json(chaos["sim_end_s"])
         )
 
+    def test_chaos_report_dumps_as_sort_keyed_json(self, chaos):
+        report = chaos["plane"].engine.report(chaos["sim_end_s"])
+        text = json.dumps(report, sort_keys=True, indent=2)
+        payload = json.loads(text)
+        assert {"alerts", "log", "health", "stats"} <= set(payload)
+        assert text == json.dumps(payload, sort_keys=True, indent=2)
+        assert payload["log"] == chaos["alert_log"].splitlines()
+        assert {a["slo"] for a in payload["alerts"]} == set(
+            chaos["fired_slos"]
+        )
+        assert payload["stats"]
+
     def test_monitoring_does_not_perturb_the_simulation(self, chaos):
         # The monitor observes the chaos schedule's run; the same
         # schedule without monitoring must land on the same clock.

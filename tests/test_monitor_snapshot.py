@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.monitor import QuantileSketch
 from repro.monitor.fleet import (
+    FleetSLOEngine,
     MonitorSnapshot,
     merge_snapshots,
     restore_monitor,
@@ -96,6 +97,34 @@ class TestSeriesRoundTripAndMerge:
         left.merge(right)
         assert left.to_dict() == combined.to_dict()
 
+    @given(obs=observations(), horizon_s=st.sampled_from([30.0, 3600.0]))
+    @settings(max_examples=25)
+    def test_copy_equals_to_dict_and_is_independent(self, obs, horizon_s):
+        series = WindowedSeries(bucket_s=10.0, horizon_s=horizon_s)
+        for at, value, bad in obs:
+            series.observe(
+                at, value=value, bad=bad, extras={"bytes": value},
+                extras_max={"depth": value},
+            )
+        twin = series.copy()
+        assert twin.to_dict() == series.to_dict()
+        before = canonical_json(series.to_dict())
+        twin.observe(599.0, value=3.0, extras={"bytes": 1.0})
+        for bucket in twin._buckets.values():
+            bucket.count += 1
+            bucket.sketch.add(1.0)
+            bucket.extras["bytes"] = -1.0
+            bucket.extras_max["depth"] = -1.0
+        assert canonical_json(series.to_dict()) == before
+
+    def test_copy_types_values_like_a_round_trip(self):
+        series = WindowedSeries(bucket_s=10, horizon_s=60)
+        series.observe(5.0, value=2, extras_max={"depth": 3})
+        round_trip = WindowedSeries.from_dict(series.to_dict())
+        assert canonical_json(series.copy().to_dict()) == canonical_json(
+            round_trip.to_dict()
+        )
+
     def test_merge_rejects_mismatched_geometry(self):
         a = WindowedSeries(bucket_s=10.0)
         with pytest.raises(ValueError):
@@ -111,6 +140,19 @@ def _populated_monitor(events, zone="z0"):
             at, value=value, bad=bad
         )
         monitor.series("zone", zone, "job").observe(at, bad=bad)
+    return monitor
+
+
+def _linked_monitor(events, zone="z0"):
+    """Zone availability plus uplink transfers: what fleet SLOs read."""
+    monitor = Monitor(_Clock(), zone=zone, horizon_s=7200.0)
+    for at, value, bad in events:
+        monitor.series("zone", zone, "availability").observe(
+            at, value=value, bad=bad, extras={"cold": float(bad)}
+        )
+        monitor.series("link", "uplink", "throughput").observe(
+            at, value=value, extras={"bytes": 1e6, "radio_s": 1.0}
+        )
     return monitor
 
 
@@ -150,6 +192,55 @@ class TestSnapshot:
         assert canonical_json(merged.to_dict()) == canonical_json(
             whole.to_dict()
         )
+
+    @given(obs=observations(), n_shards=st.sampled_from([2, 3]))
+    @settings(max_examples=15)
+    def test_merge_leaves_inputs_unchanged(self, obs, n_shards):
+        shards = [
+            _populated_monitor(obs[i::n_shards], zone=f"z{i % 2}").snapshot(
+                end_s=600.0
+            )
+            for i in range(n_shards)
+        ]
+        before = [canonical_json(s.to_dict()) for s in shards]
+        merged = merge_snapshots(shards)
+        merged.merge(_populated_monitor(obs).snapshot(end_s=600.0))
+        for series in merged.series.values():
+            series.observe(599.0, value=1.0, bad=True)
+        assert [canonical_json(s.to_dict()) for s in shards] == before
+
+    @given(obs=observations())
+    @settings(max_examples=15)
+    def test_fleet_replay_leaves_merged_snapshot_unchanged(self, obs):
+        shards = [
+            _linked_monitor(obs[i::2], zone=f"z{i}").snapshot(end_s=600.0)
+            for i in range(2)
+        ]
+        merged = merge_snapshots(shards)
+        before = canonical_json(merged.to_dict())
+        engine = FleetSLOEngine(merged)
+        report = engine.report()
+        assert canonical_json(merged.to_dict()) == before
+        # The replay reads the snapshot's own series, not copies.
+        for key, series in merged.series.items():
+            assert engine.monitor._series[key] is series
+        # Asking the view for an unknown series never adds it to the
+        # snapshot.
+        engine.monitor.series("zone", "nowhere", "availability")
+        assert canonical_json(merged.to_dict()) == before
+        assert report == FleetSLOEngine(
+            MonitorSnapshot.from_dict(merged.to_dict())
+        ).report()
+
+    def test_fleet_replay_of_a_stall_fires_and_keeps_bytes(self):
+        stalls = [(float(t), 60.0, False) for t in range(200, 320, 10)]
+        merged = merge_snapshots(
+            [_linked_monitor(stalls).snapshot(end_s=900.0)]
+        )
+        before = canonical_json(merged.to_dict())
+        report = FleetSLOEngine(merged).report()
+        assert any(a["slo"] == "uplink-stall" for a in report["alerts"])
+        assert canonical_json(merged.to_dict()) == before
 
     def test_merge_order_independent(self):
         a = _populated_monitor([(1.0, 1.0, False)], zone="za").snapshot(10.0)

@@ -8,12 +8,23 @@ with ``final=True``, the log gains a terminal ``CLEARED ... final=true``
 line, and health keeps treating them as unresolved.
 """
 
+import random
+
 import pytest
 
 from repro.apps import Job, photo_backup_app
 from repro.core.controller import Environment, OffloadController
 from repro.faults import FaultKind, FaultSchedule, FaultWindow, inject_faults
-from repro.monitor import AvailabilitySLO, BurnRateRule, Monitor, SLOEngine
+from repro.monitor import (
+    DEFAULT_RULES,
+    AvailabilitySLO,
+    BurnRateRule,
+    ColdStartSLO,
+    CostSLO,
+    LatencySLO,
+    Monitor,
+    SLOEngine,
+)
 from repro.monitor.fleet import (
     FLEET_RULES,
     default_fleet_rule_overrides,
@@ -204,3 +215,132 @@ class TestOutageStraddlingSimEnd:
             if " CLEARED " in line
         )
         assert engine.health(end)["zone/faas"]["status"] == "critical"
+
+
+class _PerRuleFoldEngine(SLOEngine):
+    """Reference engine: every rule folds its own windows, unshared."""
+
+    def _fold(self, folds, slo, now, window_s):
+        return self.monitor.aggregate(
+            slo.kind, slo.entity, slo.signal, now, window_s
+        )
+
+
+class _MergedSketchLatencySLO(LatencySLO):
+    """Reference latency SLO: reads an eagerly merged window sketch."""
+
+    def bad_fraction(self, agg):
+        total = agg.sketch.count
+        if total == 0:
+            return None
+        return 1.0 - agg.sketch.count_at_most(self.threshold_s) / total
+
+
+def _stall_slo(cls, link):
+    return cls(
+        f"{link}-stall", kind="link", entity=link, threshold_s=30.0,
+        objective=0.75, signal="throughput",
+    )
+
+
+def _shared_series_slos(latency_cls):
+    """Availability and cold start read the same zone series."""
+    return [
+        AvailabilitySLO("availability", objective=0.95),
+        ColdStartSLO("cold-start", objective=0.7),
+        CostSLO("cost", usd_per_hour=0.5, signal="job"),
+        _stall_slo(latency_cls, "uplink"),
+        latency_cls("fn-latency", kind="function", entity="app.f",
+                    threshold_s=2.0, objective=0.9),
+    ]
+
+
+def _fleet_slos(latency_cls):
+    slos = [AvailabilitySLO("availability:faas", objective=0.99)]
+    slos += [_stall_slo(latency_cls, link) for link in ("uplink", "downlink")]
+    return slos
+
+
+def _noisy_spans(seed, horizon_s=1500.0):
+    """A span stream with bursts of errors, cold starts and stalls."""
+    rng = random.Random(seed)
+    spans = []
+    t = 0.0
+    while t < horizon_s:
+        t += rng.expovariate(1 / 4.0)
+        burst = (t // 300.0) % 2 == 1  # every other 5 minutes misbehaves
+        duration = rng.uniform(0.1, 6.0 if burst else 1.5)
+        cold = rng.random() < (0.8 if burst else 0.2)
+        attrs = {"tier": "cloud", "cold": cold}
+        if rng.random() < (0.3 if burst else 0.01):
+            attrs["error"] = "Boom"
+        spans.append(_Span("execute", "app.f", t - duration, t, **attrs))
+        if rng.random() < 0.3:
+            stall = rng.uniform(40.0, 90.0) if burst else rng.uniform(0.5, 5)
+            link = rng.choice(("upload", "download"))
+            spans.append(
+                _Span(link, "x", t - stall, t, bytes=1e6, radio_s=1.0)
+            )
+        if rng.random() < 0.2:
+            spans.append(_Span(
+                "job", "j", t - 10.0, t,
+                cloud_cost_usd=rng.uniform(0.0, 0.02 if burst else 0.001),
+            ))
+    spans.sort(key=lambda span: span.end)
+    return spans
+
+
+class TestSharedFolds:
+    """Sharing folds across rules and SLOs changes no alert byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "rules,build_slos",
+        [(FLEET_RULES, _fleet_slos), (DEFAULT_RULES, _shared_series_slos)],
+        ids=["fleet", "default-shared-series"],
+    )
+    def test_shared_fold_engine_matches_per_rule_reference(
+        self, seed, rules, build_slos
+    ):
+        monitor = Monitor(_Clock())
+        folds = {"n": 0}
+        aggregate = monitor.aggregate
+
+        def counting_aggregate(*args):
+            folds["n"] += 1
+            return aggregate(*args)
+
+        monitor.aggregate = counting_aggregate
+        engines = {}
+        for name, cls, latency_cls in (
+            ("shared", SLOEngine, LatencySLO),
+            ("reference", _PerRuleFoldEngine, _MergedSketchLatencySLO),
+        ):
+            slos = build_slos(latency_cls)
+            engines[name] = cls(
+                monitor, slos, rules=rules,
+                rule_overrides=default_fleet_rule_overrides(slos),
+            )
+        fold_counts = {"shared": 0, "reference": 0}
+        spans = iter(_noisy_spans(seed))
+        pending = next(spans, None)
+        for tick in range(1, 61):
+            now = tick * 30.0
+            while pending is not None and pending.end <= now:
+                monitor.on_span_end(pending)
+                pending = next(spans, None)
+            for name, engine in engines.items():
+                before = folds["n"]
+                engine.evaluate(now)
+                fold_counts[name] += folds["n"] - before
+        for engine in engines.values():
+            engine.finalize(1830.0)
+        shared, reference = engines["shared"], engines["reference"]
+        assert " FIRING " in reference.alert_log()
+        assert " CLEARED " in reference.alert_log()
+        assert shared.alert_log() == reference.alert_log()
+        assert [a.to_dict() for a in shared.alerts] == [
+            a.to_dict() for a in reference.alerts
+        ]
+        assert shared.health(1830.0) == reference.health(1830.0)
+        assert fold_counts["shared"] < fold_counts["reference"]

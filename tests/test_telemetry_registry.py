@@ -43,6 +43,50 @@ class TestSeriesIdentity:
             LabeledMetricsRegistry().counter("ok", **{"b ad": 1})
 
 
+class TestSeriesKeyMemo:
+    """Memoised series keys name exactly the series fresh keys would."""
+
+    def test_keyword_order_does_not_change_the_series(self):
+        reg = LabeledMetricsRegistry()
+        for _ in range(3):  # later calls are memo hits
+            reg.summary("lat", tier="cloud", app="photo").observe(1.0)
+            reg.summary("lat", app="photo", tier="cloud").observe(2.0)
+        assert reg.series_names() == ['lat{app="photo",tier="cloud"}']
+        assert reg.snapshot()['lat_count{app="photo",tier="cloud"}'] == 6
+
+    def test_swapped_values_under_swapped_names_stay_distinct(self):
+        reg = LabeledMetricsRegistry()
+        first = reg.counter("pair", a=1, b=2)
+        second = reg.counter("pair", b=1, a=2)
+        assert first is not second
+        assert reg.series_names() == ['pair{a="1",b="2"}', 'pair{a="2",b="1"}']
+
+    def test_int_and_string_values_name_one_series(self):
+        reg = LabeledMetricsRegistry()
+        first = reg.counter("hits", shard=1)
+        assert reg.counter("hits", shard="1") is first
+        assert reg.counter("hits", shard=1) is first
+        first.increment()
+        assert reg.snapshot() == {'hits{shard="1"}': 1.0}
+
+    def test_true_and_one_are_distinct_series(self):
+        reg = LabeledMetricsRegistry()
+        reg.counter("flag", on=1).increment()
+        reg.counter("flag", on=True).increment()
+        assert reg.series_names() == ['flag{on="1"}', 'flag{on="True"}']
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "summary"])
+    def test_invalid_names_raise_on_every_call(self, kind):
+        reg = LabeledMetricsRegistry()
+        get = getattr(reg, kind)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="invalid metric name"):
+                get("bad name", tier="cloud")
+            with pytest.raises(ValueError, match="invalid label name"):
+                get("ok", **{"bad label": 1})
+        assert reg.series_names() == []
+
+
 class TestSnapshot:
     def test_summary_expands_to_count_sum_quantiles(self):
         reg = LabeledMetricsRegistry()
