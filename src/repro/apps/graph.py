@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
+from repro.apps.dag import find_cycle, topological_order
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ class AppGraph:
         if not self._components:
             raise ValueError(f"app {name!r} has no components")
 
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(self._components)
         self._flows: Dict[Tuple[str, str], DataFlow] = {}
+        succ: Dict[str, List[str]] = {n: [] for n in self._components}
+        pred: Dict[str, List[str]] = {n: [] for n in self._components}
         for flow in flows:
             for endpoint in (flow.src, flow.dst):
                 if endpoint not in self._components:
@@ -118,12 +118,17 @@ class AppGraph:
             if key in self._flows:
                 raise ValueError(f"duplicate flow {key}")
             self._flows[key] = flow
-            self._graph.add_edge(flow.src, flow.dst)
+            succ[flow.src].append(flow.dst)
+            pred[flow.dst].append(flow.src)
 
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
+        order = topological_order(self._components, self._flows)
+        if order is None:
+            cycle = find_cycle(self._components, self._flows)
             raise ValueError(f"app {name!r} contains a cycle: {cycle}")
-        self._topo_order: List[str] = list(nx.topological_sort(self._graph))
+        self._topo_order: List[str] = order
+        self._succ = {n: tuple(sorted(v)) for n, v in succ.items()}
+        self._pred = {n: tuple(sorted(v)) for n, v in pred.items()}
+        self._sorted_flows = tuple(self._flows[k] for k in sorted(self._flows))
 
     # -- structure ----------------------------------------------------------
 
@@ -152,7 +157,7 @@ class AppGraph:
     @property
     def flows(self) -> List[DataFlow]:
         """All data flows, ordered by (src, dst)."""
-        return [self._flows[k] for k in sorted(self._flows)]
+        return list(self._sorted_flows)
 
     def flow(self, src: str, dst: str) -> DataFlow:
         """The flow on edge ``(src, dst)``."""
@@ -163,26 +168,36 @@ class AppGraph:
 
     def predecessors(self, name: str) -> List[str]:
         """Immediate upstream component names, sorted."""
-        return sorted(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: str) -> List[str]:
         """Immediate downstream component names, sorted."""
-        return sorted(self._graph.successors(name))
+        return list(self._succ[name])
 
     @property
     def entry_components(self) -> List[str]:
         """Components with no predecessors (job inputs arrive here)."""
-        return [n for n in self._topo_order if self._graph.in_degree(n) == 0]
+        return [n for n in self._topo_order if not self._pred[n]]
 
     @property
     def exit_components(self) -> List[str]:
         """Components with no successors (job results leave here)."""
-        return [n for n in self._topo_order if self._graph.out_degree(n) == 0]
+        return [n for n in self._topo_order if not self._succ[n]]
 
     def is_tree(self) -> bool:
         """True when the undirected shape is a tree (enables DP partitioning)."""
-        undirected = self._graph.to_undirected()
-        return nx.is_tree(undirected)
+        if len(self._flows) != len(self._components) - 1:
+            return False
+        start = self._topo_order[0]
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            for other in self._pred[node] + self._succ[node]:
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        return len(reached) == len(self._components)
 
     # -- aggregate demand -----------------------------------------------------
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
+from repro.apps.dag import find_cycle, topological_order
 from repro.serverless.function import Invocation, InvocationRequest
 from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.retry import RetryPolicy, invoke_with_retries
@@ -48,22 +47,23 @@ class WorkflowDefinition:
             raise ValueError(f"workflow {name!r} has no steps")
         self.name = name
         self._steps: Dict[str, WorkflowStep] = {}
-        graph = nx.DiGraph()
+        edges: List[Tuple[str, str]] = []
         for step in steps:
             if step.name in self._steps:
                 raise ValueError(f"duplicate step {step.name!r}")
             self._steps[step.name] = step
-            graph.add_node(step.name)
         for step in steps:
             for upstream in step.depends_on:
                 if upstream not in self._steps:
                     raise KeyError(
                         f"step {step.name!r} depends on unknown {upstream!r}"
                     )
-                graph.add_edge(upstream, step.name)
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ValueError(f"workflow {name!r} contains a cycle")
-        self._order: List[str] = list(nx.topological_sort(graph))
+                edges.append((upstream, step.name))
+        order = topological_order(self._steps, edges)
+        if order is None:
+            cycle = find_cycle(self._steps, edges)
+            raise ValueError(f"workflow {name!r} contains a cycle: {cycle}")
+        self._order: List[str] = order
 
     @property
     def step_names(self) -> List[str]:

@@ -65,6 +65,19 @@ RING = FleetTopology(
     seed=0,
 )
 
+PAIRS = FleetTopology.uniform(
+    n_zones=4,
+    ues_per_zone=2,
+    connectivity="4g",
+    jobs_per_ue=1,
+    couple="pairs",
+    seed=0,
+)
+
+COUPLINGS = pytest.mark.parametrize(
+    "topology", [RING, PAIRS], ids=["ring", "pairs"]
+)
+
 
 class TestByteIdentity:
     @given(
@@ -98,18 +111,22 @@ class TestByteIdentity:
                 == reference_meter["batched_events"]
             )
 
-    def test_health_byte_identical_across_worker_counts(self):
-        spec = small_spec(topology=RING, chaos="uplink-outage")
+    @COUPLINGS
+    def test_health_byte_identical_across_worker_counts(self, topology):
+        spec = small_spec(topology=topology, chaos="uplink-outage")
+        single = run_sharded(spec, n_shards=1)
         serial = run_sharded(spec, n_shards=2, workers=1)
         pooled = run_sharded(spec, n_shards=2, workers=2)
-        assert serial.health_json() == pooled.health_json()
-        assert serial.alert_log == pooled.alert_log
-        assert serial.health["meter"] == pooled.health["meter"]
+        for result in (serial, pooled):
+            assert result.health_json() == single.health_json()
+            assert result.alert_log == single.alert_log
+            assert result.health["meter"] == single.health["meter"]
 
 
 class TestHealthDocument:
-    def test_fault_free_fleet_is_quiet(self):
-        result = run_sharded(small_spec(topology=RING), n_shards=2)
+    @COUPLINGS
+    def test_fault_free_fleet_is_quiet(self, topology):
+        result = run_sharded(small_spec(topology=topology), n_shards=2)
         health = result.health
         assert health is not None
         assert health["fleet"]["status"] == "ok"
@@ -120,8 +137,9 @@ class TestHealthDocument:
             zone["status"] == "ok" for zone in health["zones"].values()
         )
 
-    def test_uplink_outage_fires_and_clears(self):
-        spec = small_spec(topology=RING, chaos="uplink-outage")
+    @COUPLINGS
+    def test_uplink_outage_fires_and_clears(self, topology):
+        spec = small_spec(topology=topology, chaos="uplink-outage")
         result = run_sharded(spec, n_shards=1)
         health = result.health
         assert health["fleet"]["alerts_fired"] >= 1
