@@ -1,4 +1,4 @@
-"""O3 — batched dispatch: burst drains, batch speedup, compiled core.
+"""O3 — batched dispatch: burst drains and the batch speedup.
 
 Three microbenches isolate what the O3 kernel work bought:
 
@@ -14,14 +14,8 @@ Three microbenches isolate what the O3 kernel work bought:
   the registered floor: it gates the batching win itself, not the
   machine.
 * **relight_chain** — O2's callback-chained immediate events, re-run
-  here on an explicitly pure-loop simulator and (when built) on the
-  compiled core, so the pure-vs-compiled column pair regenerates from
-  one bench.
-
-The compiled-core cells engage the C loop per-simulator (a
-``_ckernel.FastLane`` fast lane) without touching ``REPRO_SIM_CORE``;
-the ``events_per_s_compiled`` floor is gated on ``{"compiled": True}``
-so pure-only hosts skip it instead of failing it.
+  here through the same batched loop: a drain that runs user code per
+  event.
 
 ``REPRO_BENCH_SHORT=1`` shrinks op counts ~8x for CI smoke runs.  Event
 counts (including ``batched_events``) regenerate bit-identically; wall
@@ -33,13 +27,11 @@ from __future__ import annotations
 import gc
 import heapq
 import os
-from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
 
 from repro.metrics import Table
 from repro.sim import Simulator
-from repro.sim._core import ACTIVE, COMPILED_AVAILABLE, CKERNEL
 from repro.sim.events import Event
 
 from _common import (
@@ -81,36 +73,18 @@ def _gc_quiet():
             gc.enable()
 
 
-class PureLoopSimulator(Simulator):
-    """``run()`` takes the pure batched loop regardless of core mode."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._fast = deque()
-
-
-if CKERNEL is not None:
-
-    class CompiledLoopSimulator(Simulator):
-        """``run()`` engages the compiled loop (FastLane fast lane)."""
-
-        def __init__(self) -> None:
-            super().__init__()
-            self._fast = CKERNEL.FastLane()
-
-
-def _loaded_burst(sim_class, n: int, event_class=Event) -> Simulator:
+def _loaded_burst(n: int) -> Simulator:
     """A simulator holding ``n`` triggered lane events + one heap entry."""
-    sim = sim_class()
+    sim = Simulator()
     sim.timeout(FAR_FUTURE)
     for _ in range(n):
-        event_class(sim).succeed(None)
+        Event(sim).succeed(None)
     return sim
 
 
-def _batched_drain(sim_class, n: int, event_class=Event) -> float:
+def _batched_drain(n: int) -> float:
     """Drain the burst through ``run()`` (the batched loop)."""
-    sim = _loaded_burst(sim_class, n, event_class)
+    sim = _loaded_burst(n)
     with _gc_quiet():
         started = perf_counter()
         sim.run(until=0.5)
@@ -126,7 +100,7 @@ def _per_event_drain(n: int) -> float:
     batching change: one heap-front comparison, one ``self._now`` read
     and one meter increment per dispatched event.
     """
-    sim = _loaded_burst(PureLoopSimulator, n)
+    sim = _loaded_burst(n)
     horizon = 0.5
     fast = sim._fast
     heap = sim._heap
@@ -170,19 +144,19 @@ def _run_per_event(sim, fast, heap, pool, pop, meter, horizon):
     sim._now = horizon
 
 
-def _relight_chain(sim_class, n: int, event_class=Event) -> float:
+def _relight_chain(n: int) -> float:
     """O2's pure_events cell: callback-chained immediate succeeds."""
-    sim = sim_class()
+    sim = Simulator()
     remaining = [n]
 
     def relight(_event) -> None:
         if remaining[0]:
             remaining[0] -= 1
-            nxt = event_class(sim)
+            nxt = Event(sim)
             nxt.callbacks.append(relight)
             nxt.succeed(None)
 
-    first = event_class(sim)
+    first = Event(sim)
     first.callbacks.append(relight)
     first.succeed(None)
     with _gc_quiet():
@@ -195,20 +169,10 @@ def _relight_chain(sim_class, n: int, event_class=Event) -> float:
 
 def measure() -> dict:
     cases = {
-        "burst_drain": lambda: _batched_drain(PureLoopSimulator, N_DRAIN),
+        "burst_drain": lambda: _batched_drain(N_DRAIN),
         "per_event_reference": lambda: _per_event_drain(N_DRAIN),
-        "relight_chain": lambda: _relight_chain(PureLoopSimulator, N_CHAIN),
+        "relight_chain": lambda: _relight_chain(N_CHAIN),
     }
-    if COMPILED_AVAILABLE:
-        # The compiled core is the C loop *and* the C event type: exact
-        # C events take the loop's inline dispatch path, which is what
-        # REPRO_SIM_CORE=compiled runs end to end.
-        cases["burst_drain_compiled"] = lambda: _batched_drain(
-            CompiledLoopSimulator, N_DRAIN, CKERNEL.Event
-        )
-        cases["relight_chain_compiled"] = lambda: _relight_chain(
-            CompiledLoopSimulator, N_CHAIN, CKERNEL.Event
-        )
     return timed_rows(cases, repeats=REPEATS)
 
 
@@ -221,17 +185,9 @@ def measure() -> dict:
                    threshold=0.20),
         # The batching win proper: batched loop vs the reconstructed
         # per-event loop on identical work, same process, same machine.
-        # Machine-independent by construction, so an absolute floor —
-        # but a *pure-core* property: under REPRO_SIM_CORE=compiled the
-        # active Event type is the C one, whose `_run_callbacks` hands
-        # the per-event reference a C dispatch the pre-O3 pure loop
-        # never had, so the comparison only means something on "pure".
+        # Machine-independent by construction, so an absolute floor.
         MetricSpec("batch_speedup", kind="min", direction="higher",
-                   threshold=1.2, gate={"core": "pure"}),
-        # The compiled core's burst-drain floor; armed only when the
-        # extension is built (pure-only hosts skip, never fail).
-        MetricSpec("events_per_s_compiled", kind="min", direction="higher",
-                   threshold=5e6, gate={"compiled": True}),
+                   threshold=1.2),
     ),
     deterministic=("mode", "short_mode", "repeats", "ops",
                    "drain_events", "drain_batched_events", "chain_events"),
@@ -242,7 +198,7 @@ def run_o3() -> Table:
 
     # Determinism shape: the batched drain books every lane dispatch as
     # batched, and the far-future heap entry never fires.
-    probe = _loaded_burst(PureLoopSimulator, 1024)
+    probe = _loaded_burst(1024)
     probe.run(until=0.5)
     meter = probe.meter
     assert meter.batched_events == 1024, meter.batched_events
@@ -266,21 +222,9 @@ def run_o3() -> Table:
     table.add_row("relight chain", "batched", N_CHAIN,
                   best["relight_chain"], chain_per_s)
 
-    compiled_drain_per_s = None
-    compiled_chain_per_s = None
-    if COMPILED_AVAILABLE:
-        compiled_drain_per_s = N_DRAIN / best["burst_drain_compiled"]
-        compiled_chain_per_s = (N_CHAIN + 1) / best["relight_chain_compiled"]
-        table.add_row("burst drain", "compiled", N_DRAIN,
-                      best["burst_drain_compiled"], compiled_drain_per_s)
-        table.add_row("relight chain", "compiled", N_CHAIN,
-                      best["relight_chain_compiled"], compiled_chain_per_s)
-
     # Machine-independent shape: draining no-callback events beats the
-    # relight chain (which runs user code per event) on every loop.
+    # relight chain (which runs user code per event).
     assert drain_per_s > chain_per_s, (drain_per_s, chain_per_s)
-    if COMPILED_AVAILABLE:
-        assert compiled_drain_per_s > compiled_chain_per_s
 
     payload = {
         "mode": "short" if SHORT else "full",
@@ -290,17 +234,12 @@ def run_o3() -> Table:
         "drain_events": N_DRAIN,
         "drain_batched_events": N_DRAIN,
         "chain_events": N_CHAIN + 1,
-        "core": ACTIVE,
-        "compiled": COMPILED_AVAILABLE,
         "wall_s": dict(best),
         "events_per_s_drain": drain_per_s,
         "events_per_s_reference": reference_per_s,
         "batch_speedup": batch_speedup,
         "events_per_s_chain": chain_per_s,
     }
-    if COMPILED_AVAILABLE:
-        payload["events_per_s_compiled"] = compiled_drain_per_s
-        payload["events_per_s_chain_compiled"] = compiled_chain_per_s
     write_bench_summary("O3", payload)
     return table
 

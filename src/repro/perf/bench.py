@@ -103,9 +103,10 @@ class MetricSpec:
     * ``flag`` — the fresh value must be truthy (byte-identity gates);
     * ``equal`` — fresh must equal committed exactly (digests).
 
-    ``threshold=None`` makes the metric report-only.  ``gate`` arms the
-    check conditionally on fresh-payload facts (``{"cores_min": 4,
-    "mode": "full"}`` reproduces the F10 scaling rule).  ``same_mode``
+    ``threshold=None`` makes the metric report-only.  ``gate`` arms a
+    ``min``/``max`` check on the fresh payload's ``mode`` and core count
+    — its only keys are ``mode`` and ``cores_min`` (``{"cores_min": 4,
+    "mode": "full"}`` is the F10 scaling rule).  ``same_mode``
     skips committed comparisons when the fresh and committed runs used
     different modes (short-mode digests differ from full-mode ones by
     construction).

@@ -85,15 +85,6 @@ def _gate_reason(
         cores = int(payload.get("cores", 1))
         if cores < int(gate["cores_min"]):
             return f"needs >={gate['cores_min']} cores, host has {cores}"
-    for key, wanted in gate.items():
-        # Any other gate key arms the check only when the payload field
-        # equals the wanted value (e.g. {"core": "compiled"} skips the
-        # compiled-throughput floor on pure-only hosts).
-        if key in ("mode", "cores_min"):
-            continue
-        actual = payload.get(key)
-        if actual != wanted:
-            return f"needs {key}={wanted!r}, payload has {actual!r}"
     return None
 
 

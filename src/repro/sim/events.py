@@ -135,23 +135,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-#: The pure-Python event type, kept importable under a stable name for
-#: differential tests even when the compiled core rebinds ``Event``.
-PurePythonEvent = Event
-
-from repro.sim._core import ACTIVE as _ACTIVE_CORE  # noqa: E402
-from repro.sim._core import CKERNEL as _CKERNEL  # noqa: E402
-
-if _CKERNEL is not None:
-    # Hand the C core the module-level singletons it must share with the
-    # pure implementation (the sentinel *is* the triggered-state flag).
-    _CKERNEL._bind_events(_PENDING, EventAlreadyTriggered)
-    if _ACTIVE_CORE == "compiled":
-        # Rebind before the subclasses below are defined so Timeout,
-        # conditions, and kernel.Process all inherit the C type.
-        Event = _CKERNEL.Event  # type: ignore[misc,assignment]  # noqa: F811
-
-
 class Timeout(Event):
     """An event that fires automatically after a simulated delay."""
 

@@ -45,8 +45,6 @@ from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.perf.meter import RuntimeMeter
-from repro.sim._core import ACTIVE as _ACTIVE_CORE
-from repro.sim._core import CKERNEL as _CKERNEL
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.telemetry.tracer import NULL_TRACER
 
@@ -55,19 +53,29 @@ class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. scheduling into the past)."""
 
 
-if _CKERNEL is not None:
-    _CKERNEL._bind_kernel(SimulationError)
-    _C_RUN = _CKERNEL.run
-    _C_FAST = _CKERNEL.FastLane
-else:
-    _C_RUN = None
-    _C_FAST = None
+class _Stop(BaseException):
+    """The callback ``run(until=event)`` appends to its target.
 
-#: What ``Simulator.__init__`` builds the fast lane from.  The compiled
-#: loop engages iff the lane is a ``FastLane`` (see ``run()``), so the
-#: core choice is per-simulator state, not global mode — tests construct
-#: compiled-loop simulators in-process regardless of REPRO_SIM_CORE.
-_FAST_LANE_FACTORY = _C_FAST if _ACTIVE_CORE == "compiled" else deque
+    When the target is processed it runs the callbacks registered behind
+    it, then raises itself to end that ``run()``.  It is its own
+    exception so a nested ``run()`` can tell another run's stop from its
+    own and let it unwind; a ``BaseException`` so that a callback's
+    ``except Exception`` cannot swallow it.
+    """
+
+    __slots__ = ("callbacks",)
+
+    def __init__(self, callbacks: list) -> None:
+        super().__init__()
+        self.callbacks = callbacks
+
+    def __call__(self, event: Event) -> None:
+        callbacks = self.callbacks
+        for callback in callbacks[callbacks.index(self) + 1:]:
+            # A nested run() on the same target stops with this one.
+            if type(callback) is not _Stop:
+                callback(event)
+        raise self
 
 
 class _Bootstrap:
@@ -275,9 +283,8 @@ class Simulator:
         #: Immediate fast lane: FIFO of items scheduled at exactly
         #: ``self._now``.  Holds events plus the lightweight dispatch
         #: records (:class:`_Bootstrap`, :class:`_Throw`); everything in
-        #: it responds to ``_run_callbacks``.  A ``deque`` on the pure
-        #: core, a ``_ckernel.FastLane`` on the compiled core.
-        self._fast = _FAST_LANE_FACTORY()
+        #: it responds to ``_run_callbacks``.
+        self._fast: deque = deque()
         self._sequence = 0
         #: Recycled ``[when, seq, event]`` heap entries.  Popped entries
         #: return here with their event slot cleared, so steady-state
@@ -379,16 +386,6 @@ class Simulator:
             entry = [when, self._sequence, event]
         heapq.heappush(self._heap, entry)
 
-    def _enqueue_triggered(self, event: Event) -> None:
-        """Enqueue an item that fires at the current time (fast lane).
-
-        Callers guarantee single delivery (an event can only be triggered
-        once), so no ``_scheduled`` bookkeeping is needed here.  The
-        reference kernel in the differential test suite overrides this to
-        route everything through one global heap.
-        """
-        self._fast.append(event)
-
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
@@ -436,6 +433,13 @@ class Simulator:
         * an :class:`Event` — run until that event has been processed and
           return its value (raising its exception if it failed).
 
+        All three share one loop.  The horizon is checked only when the
+        heap is popped (fast-lane items fire at the current time, which
+        is always within it) and is ``inf`` for an event target; an
+        event target instead ends the loop through a :class:`_Stop`
+        callback appended to it, so the lane drain checks nothing per
+        event.
+
         The loop dispatches the fast lane in batches: after same-time
         heap entries drain, no new heap entry can appear at the current
         timestamp (``_enqueue_at`` routes those to the lane), so the
@@ -446,10 +450,22 @@ class Simulator:
         it after ``run()`` returns, or use ``step()`` which meters per
         dispatch.
         """
-        if _C_RUN is not None and type(self._fast) is _C_FAST:
-            # Compiled core: the C loop implements the same batched
-            # dispatch, meter flush, and exception semantics.
-            return _C_RUN(self, until, isinstance(until, Event))
+        stop = None
+        if isinstance(until, Event):
+            if until.callbacks is None:  # already processed
+                if until._ok:
+                    return until._value
+                raise until._value
+            horizon = float("inf")
+            stop = _Stop(until.callbacks)
+            until.callbacks.append(stop)
+        else:
+            horizon = float("inf") if until is None else float(until)
+            if horizon < self._now:
+                raise SimulationError(
+                    f"cannot run until t={horizon}: clock already at "
+                    f"t={self._now}"
+                )
         fast = self._fast
         heap = self._heap
         pool = self._entry_pool
@@ -462,63 +478,12 @@ class Simulator:
         started = perf_counter() if meter.enabled else 0.0
 
         try:
-            if isinstance(until, Event):
-                sentinel = until
-                while sentinel.callbacks is not None:  # not yet processed
-                    if fast:
-                        if heap and heap[0][0] == self._now:
-                            # Same-time heap entries were scheduled before
-                            # the clock arrived here: dispatch before the
-                            # lane, one at a time (they may append more).
-                            entry = pop(heap)
-                            event = entry[2]
-                            entry[2] = None
-                            pool.append(entry)
-                            heap_hits += 1
-                            event._run_callbacks()
-                            continue
-                        # Batch drain: no heap entry can appear at the
-                        # current time while the clock holds still.
-                        while fast:
-                            event = fast_pop()
-                            lane += 1
-                            if type(event) is plain:
-                                callbacks = event.callbacks
-                                event.callbacks = None
-                                for callback in callbacks:
-                                    callback(event)
-                            else:
-                                event._run_callbacks()
-                            if sentinel.callbacks is None:
-                                break
-                    elif heap:
-                        entry = pop(heap)
-                        self._now = entry[0]
-                        event = entry[2]
-                        entry[2] = None
-                        pool.append(entry)
-                        heap_hits += 1
-                        event._run_callbacks()
-                    else:
-                        raise SimulationError(
-                            "simulation ran out of events before the target "
-                            "event triggered (deadlock?)"
-                        )
-                if sentinel._ok:
-                    return sentinel._value
-                raise sentinel._value
-
-            horizon = float("inf") if until is None else float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"cannot run until t={horizon}: clock already at "
-                    f"t={self._now}"
-                )
             while True:
                 if fast:
-                    # Fast-lane items fire at the current time, which is
-                    # always within the horizon.
                     if heap and heap[0][0] == self._now:
+                        # Same-time heap entries were scheduled before
+                        # the clock arrived here: dispatch before the
+                        # lane, one at a time (they may append more).
                         entry = pop(heap)
                         event = entry[2]
                         entry[2] = None
@@ -526,6 +491,8 @@ class Simulator:
                         heap_hits += 1
                         event._run_callbacks()
                         continue
+                    # Batch drain: no heap entry can appear at the
+                    # current time while the clock holds still.
                     while fast:
                         event = fast_pop()
                         lane += 1
@@ -549,15 +516,30 @@ class Simulator:
                     event._run_callbacks()
                 else:
                     break
+        except _Stop as stopped:
+            if stopped is not stop:
+                raise  # an outer run()'s target: unwind to that run
+            stop.__traceback__ = None  # release the frames it pinned
+        else:
+            if stop is not None:
+                raise SimulationError(
+                    "simulation ran out of events before the target "
+                    "event triggered (deadlock?)"
+                )
             if horizon != float("inf"):
                 self._now = horizon
             return None
         finally:
+            if stop is not None and until.callbacks is not None:
+                until.callbacks.remove(stop)
             meter.fast_lane_hits += lane
             meter.batched_events += lane
             meter.heap_hits += heap_hits
             if meter.enabled:
                 meter.kernel_flush_wall_s += perf_counter() - started
+        if until._ok:
+            return until._value
+        raise until._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pending = len(self._fast) + len(self._heap)

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim._core import CKERNEL
 from repro.sim.events import Interrupt
 
 
@@ -59,28 +58,6 @@ class ReferenceSimulator(Simulator):
         self._fast = _HeapLaneAdapter(self)
 
 
-if CKERNEL is not None:
-
-    class CompiledLoopSimulator(Simulator):
-        """A simulator that dispatches through the compiled batched loop.
-
-        ``run()`` engages the C core whenever the fast lane is a
-        ``_ckernel.FastLane``, so this opts in per-instance without
-        touching ``REPRO_SIM_CORE`` — the differential suite then fuzzes
-        the compiled loop in the same process as the pure reference.
-        """
-
-        def __init__(self, start: float = 0.0) -> None:
-            super().__init__(start)
-            self._fast = CKERNEL.FastLane()
-
-    SIM_CLASSES = [Simulator, CompiledLoopSimulator]
-    SIM_CLASS_IDS = ["pure-loop", "compiled-loop"]
-else:  # pragma: no cover - compiled core not built in this environment
-    SIM_CLASSES = [Simulator]
-    SIM_CLASS_IDS = ["pure-loop"]
-
-
 # Each op is (kind, arg); arg's meaning depends on the kind.
 OPS = st.tuples(
     st.sampled_from(
@@ -93,12 +70,19 @@ PROGRAMS = st.lists(
 )
 
 
-def _execute(sim_class, program):
+#: How ``_execute`` drives the kernel: straight through, or paused once
+#: (at a time horizon, or at the first root process's completion — the
+#: ``run(until=Event)`` path every controller run takes) and resumed.
+RUN_MODES = ["run", "until-time", "until-event"]
+
+
+def _execute(sim_class, program, mode):
     """Run ``program`` on a fresh kernel, returning its execution log.
 
     The log records every resume point with the process id, step index
     and clock — any divergence in dispatch order between two kernels
-    shows up as reordered or re-timed entries.
+    shows up as reordered or re-timed entries.  A paused ``mode`` also
+    logs the clock and event count at the pause.
     """
     sim = sim_class()
     log = []
@@ -138,28 +122,30 @@ def _execute(sim_class, program):
 
     for pid, ops in enumerate(program):
         roots.append(sim.spawn(body(pid, ops)))
+    if mode != "run":
+        sim.run(until=1.25 if mode == "until-time" else roots[0])
+        log.append(("pause", sim.now, sim.events_processed))
     sim.run()
     log.append(("end", sim.now, sim.events_processed))
     return log
 
 
-@pytest.mark.parametrize("sim_class", SIM_CLASSES, ids=SIM_CLASS_IDS)
+@pytest.mark.parametrize("mode", RUN_MODES)
 @given(program=PROGRAMS)
-@settings(max_examples=120, deadline=None)
-def test_fast_lane_matches_reference_kernel(sim_class, program):
-    assert _execute(sim_class, program) == _execute(
-        ReferenceSimulator, program
+@settings(max_examples=100, deadline=None)
+def test_fast_lane_matches_reference_kernel(mode, program):
+    assert _execute(Simulator, program, mode) == _execute(
+        ReferenceSimulator, program, mode
     )
 
 
-@pytest.mark.parametrize("checked_class", SIM_CLASSES, ids=SIM_CLASS_IDS)
 @given(
     delays=st.lists(
         st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5]), min_size=1, max_size=30
     )
 )
 @settings(max_examples=80, deadline=None)
-def test_same_time_insertion_order_matches_reference(checked_class, delays):
+def test_same_time_insertion_order_matches_reference(delays):
     """Dense same-timestamp traffic: the contract's hardest case."""
 
     def run(sim_class):
@@ -177,10 +163,9 @@ def test_same_time_insertion_order_matches_reference(checked_class, delays):
         sim.run()
         return order, sim.now, sim.events_processed
 
-    assert run(checked_class) == run(ReferenceSimulator)
+    assert run(Simulator) == run(ReferenceSimulator)
 
 
-@pytest.mark.parametrize("checked_class", SIM_CLASSES, ids=SIM_CLASS_IDS)
 @given(
     spawns=st.integers(min_value=2, max_value=10),
     kinds=st.lists(
@@ -190,7 +175,7 @@ def test_same_time_insertion_order_matches_reference(checked_class, delays):
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_same_time_homogeneous_bursts_match_reference(checked_class, spawns, kinds):
+def test_same_time_homogeneous_bursts_match_reference(spawns, kinds):
     """Same-time homogeneous bursts: the batching boundary's hardest case.
 
     ``spawns`` children all land at one timestamp and execute the same
@@ -236,7 +221,7 @@ def test_same_time_homogeneous_bursts_match_reference(checked_class, spawns, kin
         log.append(("end", sim.now, sim.events_processed))
         return log
 
-    assert run(checked_class) == run(ReferenceSimulator)
+    assert run(Simulator) == run(ReferenceSimulator)
 
 
 def test_reference_kernel_never_uses_fast_lane():

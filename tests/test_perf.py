@@ -321,24 +321,6 @@ class TestEvaluateMetric:
         short = {"speedup": 0.1, "cores": 8, "mode": "short"}
         assert evaluate_metric("B", spec, short).status == "skip"
 
-    def test_payload_equality_gate(self):
-        """Any non-reserved gate key arms only on payload equality —
-        the O3 rule: the compiled floor skips on pure-only hosts."""
-        spec = MetricSpec(
-            "events_per_s_compiled", kind="min", threshold=5e6,
-            gate={"compiled": True},
-        )
-        armed = {"events_per_s_compiled": 1e6, "compiled": True}
-        assert evaluate_metric("B", spec, armed).failed
-        passing = {"events_per_s_compiled": 9e6, "compiled": True}
-        assert evaluate_metric("B", spec, passing).status == "ok"
-        pure_host = {"events_per_s_compiled": 0.0, "compiled": False}
-        outcome = evaluate_metric("B", spec, pure_host)
-        assert outcome.status == "skip"
-        assert "compiled" in outcome.detail
-        missing = {"events_per_s_compiled": 0.0}
-        assert evaluate_metric("B", spec, missing).status == "skip"
-
     def test_max_ceiling(self):
         spec = MetricSpec("overhead", kind="max", threshold=2.0)
         assert evaluate_metric("B", spec, {"overhead": 1.5}).status == "ok"

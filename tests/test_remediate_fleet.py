@@ -6,9 +6,10 @@ action log are byte-identical regardless of how the fleet is split
 into shards or how many workers execute them.  Hypothesis drives the
 chaos schedule and coupling topology; each drawn fleet is executed at
 1, 2, and 4 shards (workers 1 and 2) and every artifact compared
-byte for byte.
+byte for byte.  A fixed outage fleet also checks that acting pays off.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from repro.fleet.sharded import ShardedFleetSpec, run_sharded
 from repro.fleet.topology import FleetTopology
 
 
-def _spec(chaos, couple, ues_per_zone, seed):
+def _spec(chaos, couple, ues_per_zone, seed, remediate=True):
     topology = FleetTopology.uniform(
         n_zones=4,
         ues_per_zone=ues_per_zone,
@@ -31,7 +32,7 @@ def _spec(chaos, couple, ues_per_zone, seed):
         slack_s=1200.0,
         monitor=True,
         chaos=chaos,
-        remediate=True,
+        remediate=remediate,
     )
 
 
@@ -88,3 +89,37 @@ class TestRemediatedFleetDeterminism:
         for line in result.action_log.splitlines():
             assert line.startswith("t=")
             assert " ACTION kind=" in line
+
+
+class TestRemediatedOutageFleet:
+    """4 zones x 2 UEs, paired, under an uplink outage at seed 0."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        spec = _spec("uplink-outage", "pairs", 2, 0)
+        return {
+            "watched": run_sharded(
+                _spec("uplink-outage", "pairs", 2, 0, remediate=False),
+                n_shards=1,
+            ),
+            "acted": run_sharded(spec, n_shards=1),
+            "acted_sharded": run_sharded(spec, n_shards=2, workers=2),
+        }
+
+    def test_remediation_acts_and_the_stall_clears(self, runs):
+        acted = runs["acted"]
+        assert acted.action_log
+        assert "FIRING slo=uplink-stall" in acted.alert_log
+        assert "CLEARED slo=uplink-stall" in acted.alert_log
+
+    def test_remediation_cuts_platform_spend(self, runs):
+        # Shifting traffic off the stalled uplink stops burning spend
+        # into it, so the remediated bill is strictly below alert-only.
+        watched = runs["watched"].aggregates["platform_usd"]
+        assert runs["acted"].aggregates["platform_usd"] < watched
+
+    def test_artifacts_byte_identical_at_two_shards(self, runs):
+        acted, sharded = runs["acted"], runs["acted_sharded"]
+        assert acted.merged_json() == sharded.merged_json()
+        assert acted.health_json() == sharded.health_json()
+        assert acted.action_log == sharded.action_log

@@ -425,3 +425,104 @@ class TestCallAt:
         sim.run()
         with pytest.raises(SimulationError):
             sim.call_at(1.0, lambda: None)
+
+
+class TestRunUntilEvent:
+    """``run(until=event)`` stops through a callback on the target."""
+
+    def test_callbacks_added_during_run_fire_in_order_before_return(self, sim):
+        target = sim.event()
+        order = []
+        target.callbacks.append(lambda _: order.append("before"))
+
+        def proc():
+            yield sim.timeout(1.0)
+            target.callbacks.append(lambda _: order.append("during-1"))
+            target.callbacks.append(lambda _: order.append("during-2"))
+            target.succeed("value")
+            later = sim.event()
+            later.callbacks.append(lambda _: order.append("later"))
+            later.succeed()
+
+        sim.spawn(proc())
+        assert sim.run(until=target) == "value"
+        # Everything registered on the target ran; the event queued
+        # behind it did not.
+        assert order == ["before", "during-1", "during-2"]
+        sim.run()
+        assert order[-1] == "later"
+
+    def test_deadlock_removes_the_stop_callback(self, sim):
+        target = sim.event()
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run(until=target)
+        assert target.callbacks == []
+        target.succeed("late")
+        assert sim.run(until=target) == "late"
+
+    def test_callback_exception_removes_the_stop_callback(self, sim):
+        target = sim.event()
+
+        def boom(_):
+            raise ValueError("boom")
+
+        trigger = sim.event()
+        trigger.callbacks.append(boom)
+        trigger.succeed()
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=target)
+        assert target.callbacks == []
+        target.succeed("after")
+        assert sim.run(until=target) == "after"
+
+    def test_nested_run_does_not_swallow_outer_stop(self, sim):
+        outer, inner = sim.event(), sim.event()
+        sim.call_at(5.0, lambda: inner.succeed("inner"))
+        returned = []
+
+        def nested(_):
+            outer.succeed("outer")
+            sim.run(until=inner)
+            returned.append("nested")
+
+        kick = sim.event()
+        kick.callbacks.append(nested)
+        kick.succeed()
+        assert sim.run(until=outer) == "outer"
+        # The outer target fired inside the nested run, which unwound
+        # without advancing the clock and without leaving its stop behind.
+        assert returned == []
+        assert sim.now == 0.0
+        assert inner.callbacks == []
+        assert sim.run(until=inner) == "inner"
+        assert sim.now == 5.0
+
+    def test_nested_run_on_the_same_target_stops_with_the_outer(self, sim):
+        target = sim.event()
+        seen = []
+        returned = []
+
+        def nested(_):
+            target.callbacks.append(lambda _: seen.append("registered"))
+            target.succeed("value")
+            sim.run(until=target)
+            returned.append("nested")
+
+        kick = sim.event()
+        kick.callbacks.append(nested)
+        kick.succeed()
+        assert sim.run(until=target) == "value"
+        assert seen == ["registered"]
+        assert returned == []
+
+    def test_already_processed_target_returns_at_once(self, sim):
+        done = sim.event().succeed("done")
+        failed = sim.event().fail(KeyError("gone"))
+        sim.run()
+        sim.timeout(1.0)
+        before = sim.events_processed
+        assert sim.run(until=done) == "done"
+        with pytest.raises(KeyError):
+            sim.run(until=failed)
+        assert sim.events_processed == before
+        assert sim.now == 0.0

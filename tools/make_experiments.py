@@ -480,31 +480,31 @@ def build_sections():
             "column is meaningful on comparable hardware only.",
         ),
         (
-            "O3", "Optimisation: batched dispatch and the compiled core",
+            "O3", "Optimisation: batched dispatch",
             "Once same-time heap entries drain, nothing can re-enter the "
             "heap at the current timestamp, so `run()` can drain the "
             "whole fast lane as one batch — one heap-front comparison "
-            "and one clock read per batch instead of per event — and the "
-            "same loop compiles to a C core (`tools/build_core.py`, "
-            "`REPRO_SIM_CORE=compiled`), all byte-identical to the "
-            "per-event pure loop.",
+            "and one clock read per batch instead of per event — "
+            "byte-identical to the per-event loop.  `run()`, "
+            "`run(until=t)` and `run(until=event)` share that one loop: "
+            "an event target stops it through a callback on the target, "
+            "so the drain checks nothing per event.",
             single(run_o3),
             "**Verdict ✅** — on a lane drain with a pending heap entry "
-            "(the steady state of real workloads), the batched pure loop "
-            "clears ~6.5M events/s vs ~4.7–5.1M for a verbatim "
-            "reconstruction of the per-event loop — a 1.25–1.4x batching "
-            "win (gated ≥1.2x), with the relight chain at ~2M events/s.  "
-            "The compiled core drains the same burst at ~25M events/s "
-            "(gated ≥5M) and runs the chain ~1.4x faster than pure.  "
-            "Equivalence is enforced the same three ways as O2 plus a "
-            "compiled leg: golden traces and `repro run` documents are "
-            "byte-identical under `REPRO_SIM_CORE=pure|compiled`, the "
-            "Hypothesis differential suite fuzzes the compiled loop "
-            "in-process (`tests/test_kernel_fastlane.py`), and the "
-            "traced event loop's transient allocation peak is pinned "
-            "O(1) by the trace ring (`tests/test_alloc_budget.py`).  "
-            "CI gates against the committed `benchmarks/BENCH_O3.json` "
-            "via `tools/check_bench.py`.",
+            "(the steady state of real workloads), the batched loop "
+            "clears ~5.3M events/s vs ~3.7M for a verbatim "
+            "reconstruction of the per-event loop — a 1.3–1.5x "
+            "batching win (gated ≥1.2x), with the relight chain at "
+            "~1.5M events/s (medians of 10 full-mode runs on a 2-vCPU VM).  Equivalence is enforced the "
+            "same three ways as O2: golden traces, the Hypothesis "
+            "differential suite against the heap-only reference kernel "
+            "(`tests/test_kernel_fastlane.py`), which drives `run()`, "
+            "`run(until=t)` and `run(until=event)` with a mid-program "
+            "pause, and the traced event loop's transient allocation "
+            "peak pinned O(1) by the trace ring "
+            "(`tests/test_alloc_budget.py`).  CI gates against the "
+            "committed `benchmarks/BENCH_O3.json` via "
+            "`tools/check_bench.py`.",
         ),
     ]
 
