@@ -10,6 +10,7 @@ conclusion.
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 from repro.core.controller import Environment
@@ -22,6 +23,12 @@ from repro.perf.bench import MetricSpec, record_summary, register_bench
 from repro.serverless.platform import PlatformConfig, ServerlessPlatform
 from repro.sim import Simulator
 from repro.sim.rng import SeedSequenceRegistry
+
+#: Short mode: every registered bench shrinks its op counts.  Any value
+#: of ``REPRO_BENCH_SHORT`` other than empty or ``"0"`` turns it on; it
+#: is read once, at import, so ``repro bench run`` sets the variable
+#: both ways before it loads the registry.
+SHORT = os.environ.get("REPRO_BENCH_SHORT", "") not in ("", "0")
 
 
 def build_env_with_uplink(
@@ -116,8 +123,6 @@ def sweep_rows(cell, configs, *, workers=None, cache_dir=None):
     (``1`` = in-process, the deterministic-wall-clock default for CI);
     export e.g. ``REPRO_BENCH_WORKERS=4`` to fan the grid out.
     """
-    import os
-
     from repro.sweep import SweepRunner, SweepSpec
 
     if workers is None:
@@ -171,12 +176,10 @@ def write_bench_summary(name: str, payload: dict) -> None:
     ``REPRO_BENCH_JSON`` environment variable names a directory (created
     if missing), the payload is additionally dumped there as sorted-key
     JSON — stamped with the machine fingerprint so a committed baseline
-    records where its numbers came from; CI uploads the files as build
-    artifacts so cross-commit trends can be scraped without parsing
-    stdout tables.
+    records where its numbers came from.  That is how the committed
+    ``benchmarks/BENCH_<name>.json`` baselines are refreshed.
     """
     import json
-    import os
     from pathlib import Path
 
     record_summary(name, payload)

@@ -23,7 +23,7 @@ from repro.metrics import Table, stable_digest
 from repro.monitor import attach_monitor
 from repro.telemetry import attach_tracer
 
-from _common import emit, write_bench_summary
+from _common import emit
 
 SEED = 1010
 N_JOBS = 10
@@ -129,27 +129,11 @@ def run_a10() -> Table:
     # Determinism: the monitored, adaptive mode reruns bit-identically.
     assert run_mode("observed")["digest"] == observed["digest"]
 
-    write_bench_summary(
-        "a10_observed_signals",
-        {
-            "seed": SEED,
-            "jobs": N_JOBS,
-            "modes": {
-                mode: {
-                    key: value
-                    for key, value in cells[mode].items()
-                    if key != "mode"
-                }
-                for mode in MODES
-            },
-        },
-    )
     return table
 
 
-def bench_a10_observed_signals(benchmark):
-    table = benchmark.pedantic(run_a10, rounds=1, iterations=1)
-    emit(table)
+def bench_a10_observed_signals():
+    emit(run_a10())
 
 
 if __name__ == "__main__":

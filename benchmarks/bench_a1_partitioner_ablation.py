@@ -6,8 +6,6 @@ bit-for-bit, while greedy's worst-case gap and the myopic heuristic's
 gap are quantified.
 """
 
-import pytest
-
 from repro.apps import (
     fanout_fanin_app,
     layered_random_app,
@@ -97,8 +95,8 @@ def run_a1() -> Table:
     return table
 
 
-def bench_a1_partitioner_ablation(benchmark):
-    table = benchmark.pedantic(run_a1, rounds=1, iterations=1)
+def bench_a1_partitioner_ablation():
+    table = run_a1()
     emit(table)
     # The myopic heuristic must lose visibly somewhere — whole-graph
     # optimisation has measurable value.

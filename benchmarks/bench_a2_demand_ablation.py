@@ -10,8 +10,6 @@ mean relative prediction error at an unseen input size:
   estimators win, the static guess stays bad.
 """
 
-import pytest
-
 from repro.core.demand import (
     BayesianLinearEstimator,
     EwmaEstimator,
@@ -116,8 +114,8 @@ def run_a2() -> Table:
     return table
 
 
-def bench_a2_demand_ablation(benchmark):
-    table = benchmark.pedantic(run_a2, rounds=1, iterations=1)
+def bench_a2_demand_ablation():
+    table = run_a2()
     emit(table)
     # Regression is the right default: on the input-scaling regime (the
     # one the catalog apps live in) its error stays within the

@@ -10,8 +10,6 @@ probes with occasional small regret.
 
 import math
 
-import pytest
-
 from repro.core.allocation import MemoryAllocator
 from repro.metrics import Table
 
@@ -64,8 +62,8 @@ def run_a3() -> Table:
     return table
 
 
-def bench_a3_allocation_ablation(benchmark):
-    table = benchmark.pedantic(run_a3, rounds=1, iterations=1)
+def bench_a3_allocation_ablation():
+    table = run_a3()
     emit(table)
 
     probes = {}

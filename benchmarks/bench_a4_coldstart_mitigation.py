@@ -15,8 +15,6 @@ every request.  Four mitigations are compared on identical arrivals:
 
 import math
 
-import pytest
-
 from repro.metrics import Table
 from repro.serverless import (
     FunctionSpec,
@@ -135,8 +133,8 @@ def run_a4() -> Table:
     return table
 
 
-def bench_a4_coldstart_mitigation(benchmark):
-    table = benchmark.pedantic(run_a4, rounds=1, iterations=1)
+def bench_a4_coldstart_mitigation():
+    table = run_a4()
     emit(table)
     totals = {row[0]: row[6] for row in table.rows}
     # At this sparsity the provisioned pool costs more than the entire

@@ -14,8 +14,6 @@ job — so orchestration wins energy on every job and the fee stays a
 small multiple of the compute bill.
 """
 
-import pytest
-
 from repro import Environment, Job, OffloadController
 from repro.apps import ml_training_app, nightly_analytics_app
 from repro.core.partitioning import FixedPartitioner, Partition
@@ -85,8 +83,8 @@ def run_a6() -> Table:
     return table
 
 
-def bench_a6_orchestration(benchmark):
-    table = benchmark.pedantic(run_a6, rounds=1, iterations=1)
+def bench_a6_orchestration():
+    table = run_a6()
     emit(table)
     # The fee overhead is tiny relative to the compute bill on the
     # heavy app (orchestration is worth paying for long phases).

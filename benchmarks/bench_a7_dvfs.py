@@ -7,8 +7,6 @@ energy.  Sweeping the slack factor shows the controller walking down the
 DVFS ladder exactly as fast as deadlines allow — and never missing.
 """
 
-import pytest
-
 from repro import Environment, Job, OffloadController, photo_backup_app
 from repro.core.partitioning import FixedPartitioner, Partition
 from repro.metrics import Table
@@ -93,8 +91,8 @@ def figure_a7(table) -> str:
     )
 
 
-def bench_a7_dvfs(benchmark):
-    table = benchmark.pedantic(run_a7, rounds=1, iterations=1)
+def bench_a7_dvfs():
+    table = run_a7()
     emit(table)
     print(figure_a7(table))
     # At the loosest slack the energy saving approaches the f² bound

@@ -9,8 +9,6 @@ seeding simulated annealing with the proxy solution recovers the exact
 makespan optimum.
 """
 
-import pytest
-
 from repro.apps import fanout_fanin_app
 from repro.core.partitioning import (
     ExhaustivePartitioner,
@@ -85,8 +83,8 @@ def run_a8() -> Table:
     return table
 
 
-def bench_a8_makespan(benchmark):
-    table = benchmark.pedantic(run_a8, rounds=1, iterations=1)
+def bench_a8_makespan():
+    table = run_a8()
     emit(table)
     # The gap is real on at least one uplink (the proxy is not free).
     assert max(table.column("proxy gap >0")) >= 1

@@ -10,21 +10,18 @@ table reports alert counts, zone health tallies, and the monitoring
 overhead (monitored vs unmonitored wall time on the same spec).
 """
 
-import os
-
 from repro.fleet.sharded import ShardedFleetSpec, run_sharded
 from repro.fleet.topology import FleetTopology
 from repro.metrics import Table
 
 from _common import (
+    SHORT,
     MetricSpec,
     emit,
     register_bench,
     timed_rows,
     write_bench_summary,
 )
-
-SHORT = os.environ.get("REPRO_BENCH_SHORT") == "1"
 
 N_ZONES = 4 if SHORT else 16
 UES_PER_ZONE = 2 if SHORT else 16
@@ -66,7 +63,6 @@ def _zone_tally(health: dict) -> dict:
     ),
     deterministic=("mode", "zones", "ues", "byte_identical", "alerts",
                    "log_lines", "meter_events"),
-    primary="monitor_overhead_x",
 )
 def run_f11() -> Table:
     # Claim 1: health bytes are shard-layout-independent, chaos included.
@@ -139,11 +135,6 @@ def run_f11() -> Table:
         "monitor_overhead_x": overhead,
     })
     return table
-
-
-def bench_f11_fleet_obs(benchmark):
-    table = benchmark.pedantic(run_f11, rounds=1, iterations=1)
-    emit(table)
 
 
 if __name__ == "__main__":

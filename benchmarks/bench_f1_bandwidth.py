@@ -7,8 +7,6 @@ single-digit Mbit/s range; the controller tracks whichever side is better
 (its objective is min-like) across the whole sweep.
 """
 
-import pytest
-
 from repro import Job, ObjectiveWeights, OffloadController, photo_backup_app
 from repro.baselines import full_offload_controller, local_only_controller
 from repro.metrics import Table
@@ -108,8 +106,8 @@ def figure_f1(table) -> str:
     return "\n\n".join(charts)
 
 
-def bench_f1_bandwidth(benchmark):
-    table = benchmark.pedantic(run_f1, rounds=1, iterations=1)
+def bench_f1_bandwidth():
+    table = run_f1()
     emit(table)
     print(figure_f1(table))
 

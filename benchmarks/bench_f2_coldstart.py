@@ -8,8 +8,6 @@ rises past 1/keep-alive the warm pool absorbs the traffic and the cold
 fraction collapses.
 """
 
-import pytest
-
 from repro.metrics import Table
 from repro.serverless import (
     FunctionSpec,
@@ -84,8 +82,8 @@ def run_f2() -> Table:
     return table
 
 
-def bench_f2_coldstart(benchmark):
-    table = benchmark.pedantic(run_f2, rounds=1, iterations=1)
+def bench_f2_coldstart():
+    table = run_f2()
     emit(table)
 
     # A longer keep-alive strictly helps at the intermediate rates.

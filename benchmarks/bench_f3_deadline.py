@@ -8,8 +8,6 @@ holds zero misses from moderate slack on while cutting cold starts, i.e.
 deferral never costs deadline safety.
 """
 
-import pytest
-
 from repro import (
     DeadlineBatcher,
     EagerScheduler,
@@ -85,8 +83,8 @@ def run_f3() -> Table:
     return table
 
 
-def bench_f3_deadline(benchmark):
-    table = benchmark.pedantic(run_f3, rounds=1, iterations=1)
+def bench_f3_deadline():
+    table = run_f3()
     emit(table)
 
     # At generous slack the batcher must not miss, despite deferring.

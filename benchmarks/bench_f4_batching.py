@@ -9,8 +9,6 @@ pressure forces early dispatches again (visible as the curve flattening,
 never as misses).
 """
 
-import pytest
-
 from repro import DeadlineBatcher, EagerScheduler, Environment, Job, OffloadController
 from repro.apps import nightly_analytics_app
 from repro.metrics import Table
@@ -84,8 +82,8 @@ def run_f4() -> Table:
     return table
 
 
-def bench_f4_batching(benchmark):
-    table = benchmark.pedantic(run_f4, rounds=1, iterations=1)
+def bench_f4_batching():
+    table = run_f4()
     emit(table)
     # Response time grows with the window — the explicit trade.
     responses = table.column("mean resp s")

@@ -148,11 +148,9 @@ def run_components_axis() -> Table:
     return table
 
 
-def bench_f6_scalability(benchmark):
-    def both():
-        return run_jobs_axis(), run_components_axis()
-
-    jobs_table, components_table = benchmark.pedantic(both, rounds=1, iterations=1)
+def bench_f6_scalability():
+    jobs_table = run_jobs_axis()
+    components_table = run_components_axis()
     emit(jobs_table)
     emit(components_table)
 

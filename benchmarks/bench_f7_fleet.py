@@ -9,8 +9,6 @@ deadline safety is unaffected.  This is the fleet-scale version of the
 paper's serverless argument.
 """
 
-import pytest
-
 from repro import Job
 from repro.apps import nightly_analytics_app
 from repro.fleet import FleetController, FleetEnvironment
@@ -105,8 +103,8 @@ def figure_f7(table) -> str:
     )
 
 
-def bench_f7_fleet(benchmark):
-    table = benchmark.pedantic(run_f7, rounds=1, iterations=1)
+def bench_f7_fleet():
+    table = run_f7()
     emit(table)
     print(figure_f7(table))
     totals = table.column("platform $ total")

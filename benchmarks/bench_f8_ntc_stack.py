@@ -23,8 +23,6 @@ energy decision on this uplink: exactly the paper's thesis.)
 
 import math
 
-import pytest
-
 from repro import (
     CostWindowScheduler,
     DeadlineBatcher,
@@ -140,8 +138,8 @@ def run_f8() -> Table:
     return table
 
 
-def bench_f8_ntc_stack(benchmark):
-    table = benchmark.pedantic(run_f8, rounds=1, iterations=1)
+def bench_f8_ntc_stack():
+    table = run_f8()
     emit(table)
     # The currency: response time at the bottom of the ladder exceeds the
     # interactive baseline (slack got spent, deliberately).

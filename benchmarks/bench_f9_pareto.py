@@ -11,8 +11,6 @@ itself is small — most of the 2^n partitions are strictly dominated.
 
 import itertools
 
-import pytest
-
 from repro.apps import photo_backup_app
 from repro.core.partitioning import (
     MinCutPartitioner,
@@ -147,8 +145,8 @@ def run_f9() -> Table:
     return table
 
 
-def bench_f9_pareto(benchmark):
-    table = benchmark.pedantic(run_f9, rounds=1, iterations=1)
+def bench_f9_pareto():
+    table = run_f9()
     emit(table)
     # The frontier spans a real trade: fastest vs cheapest differ a lot.
     makespans = table.column("makespan s")

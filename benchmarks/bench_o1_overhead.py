@@ -29,7 +29,6 @@ meter within 2% of baseline) are what CI enforces.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 from repro.metrics import Table
@@ -39,6 +38,7 @@ from repro.telemetry import attach_tracer
 from repro.telemetry.tracer import PHASE_EXECUTE
 
 from _common import (
+    SHORT,
     MetricSpec,
     emit,
     register_bench,
@@ -48,8 +48,6 @@ from _common import (
 #: Short mode (CI-sized): half the events.  The repeat count stays at 5
 #: — the ≤2% budget is a hard assert, and the min-of-repeats estimator
 #: needs enough rounds to shed scheduler noise at any size.
-SHORT = os.environ.get("REPRO_BENCH_SHORT", "") not in ("", "0")
-
 N_EVENTS = 100_000 if SHORT else 200_000
 REPEATS = 5
 MAX_DISABLED_OVERHEAD = 0.02  # disabled tracer/meter ≤ 2% over baseline
@@ -172,7 +170,6 @@ def _overhead_ratio(samples: dict, config: str) -> float:
         MetricSpec("meter_overhead_pct", kind="max", threshold=2.0),
     ),
     deterministic=("mode", "events", "repeats", "budget_pct"),
-    primary="disabled_overhead_pct",
 )
 def run_o1() -> Table:
     samples = measure()
@@ -215,11 +212,6 @@ def run_o1() -> Table:
         },
     )
     return table
-
-
-def bench_o1_overhead(benchmark):
-    table = benchmark.pedantic(run_o1, rounds=1, iterations=1)
-    emit(table)
 
 
 if __name__ == "__main__":

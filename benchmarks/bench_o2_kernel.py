@@ -14,12 +14,12 @@ cell, so a regression in any of them is attributable:
 * **f6_end_to_end** — the F6a 80-job controller workload, the
   wall-clock number the ≥1.15x acceptance gate tracks.
 
-``REPRO_BENCH_SHORT=1`` shrinks every op count ~8x for CI smoke runs.
-The emitted ``BENCH_O2.json`` carries the frozen pre-PR kernel numbers
+Short mode (``repro bench run --short``) shrinks every op count ~8x
+for CI smoke runs.  The summary carries the frozen pre-PR kernel numbers
 (measured on the machine that landed the fast lane) purely as the
 speedup provenance; the CI regression gate instead compares a fresh run
 against the *committed* ``benchmarks/BENCH_O2.json`` via
-``tools/check_bench.py --bench O2`` (>20% events/sec drop fails).
+``repro bench compare`` (a >20% events/sec drop fails).
 
 Wall-clock columns are non-deterministic (like O1 and F6); every event
 count in the table regenerates bit-identically.
@@ -27,7 +27,6 @@ count in the table regenerates bit-identically.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 from repro.metrics import Table
@@ -37,6 +36,7 @@ from repro.sim.events import Event
 from repro.sim.resources import Resource
 
 from _common import (
+    SHORT,
     MetricSpec,
     emit,
     register_bench,
@@ -44,7 +44,6 @@ from _common import (
     write_bench_summary,
 )
 
-SHORT = os.environ.get("REPRO_BENCH_SHORT", "") not in ("", "0")
 SCALE = 8 if SHORT else 1
 N_PURE = 400_000 // SCALE
 N_SPAWN = 80_000 // SCALE
@@ -210,7 +209,6 @@ def measure() -> dict:
     ),
     deterministic=("mode", "short_mode", "repeats", "ops", "f6_jobs",
                    "f6_sim_events"),
-    primary="events_per_s_pure",
 )
 def run_o2() -> Table:
     best = measure()
@@ -260,11 +258,6 @@ def run_o2() -> Table:
         },
     )
     return table
-
-
-def bench_o2_kernel(benchmark):
-    table = benchmark.pedantic(run_o2, rounds=1, iterations=1)
-    emit(table)
 
 
 if __name__ == "__main__":

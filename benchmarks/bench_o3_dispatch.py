@@ -17,16 +17,15 @@ Three microbenches isolate what the O3 kernel work bought:
   here through the same batched loop: a drain that runs user code per
   event.
 
-``REPRO_BENCH_SHORT=1`` shrinks op counts ~8x for CI smoke runs.  Event
-counts (including ``batched_events``) regenerate bit-identically; wall
-clocks and throughputs are host-dependent.
+Short mode (``repro bench run --short``) shrinks op counts ~8x for CI
+smoke runs.  Event counts (including ``batched_events``) regenerate
+bit-identically; wall clocks and throughputs are host-dependent.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import os
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -35,6 +34,7 @@ from repro.sim import Simulator
 from repro.sim.events import Event
 
 from _common import (
+    SHORT,
     MetricSpec,
     emit,
     register_bench,
@@ -42,7 +42,6 @@ from _common import (
     write_bench_summary,
 )
 
-SHORT = os.environ.get("REPRO_BENCH_SHORT", "") not in ("", "0")
 SCALE = 8 if SHORT else 1
 N_DRAIN = 400_000 // SCALE
 N_CHAIN = 200_000 // SCALE
@@ -191,7 +190,6 @@ def measure() -> dict:
     ),
     deterministic=("mode", "short_mode", "repeats", "ops",
                    "drain_events", "drain_batched_events", "chain_events"),
-    primary="events_per_s_drain",
 )
 def run_o3() -> Table:
     best = measure()
@@ -242,11 +240,6 @@ def run_o3() -> Table:
     }
     write_bench_summary("O3", payload)
     return table
-
-
-def bench_o3_dispatch(benchmark):
-    table = benchmark.pedantic(run_o3, rounds=1, iterations=1)
-    emit(table)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ bench history ledger rather than hard-gated.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 from repro.apps import photo_backup_app
@@ -29,14 +28,13 @@ from repro.core.controller import Environment, OffloadController
 from repro.metrics import Table, stable_digest
 
 from _common import (
+    SHORT,
     MetricSpec,
     emit,
     register_bench,
     timed_rows,
     write_bench_summary,
 )
-
-SHORT = os.environ.get("REPRO_BENCH_SHORT", "") not in ("", "0")
 
 N_PLANS = 60 if SHORT else 400
 REPEATS = 3 if SHORT else 5
@@ -76,7 +74,6 @@ def _plan_burst(controller: OffloadController, n: int) -> float:
     ),
     deterministic=("mode", "plans", "repeats", "input_cycle", "seed",
                    "n_cloud", "partition_digest"),
-    primary="plans_per_s",
 )
 def run_p1() -> Table:
     controller = build_controller()
@@ -125,11 +122,6 @@ def run_p1() -> Table:
         },
     )
     return table
-
-
-def bench_p1_plans(benchmark):
-    table = benchmark.pedantic(run_p1, rounds=1, iterations=1)
-    emit(table)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,6 @@ asserts bit-identical metrics across two same-seed runs — chaos included,
 the simulator stays reproducible.
 """
 
-import pytest
-
 from repro.apps import Job, photo_backup_app
 from repro.core.controller import Environment, OffloadController
 from repro.faults import DegradationPolicy, FaultSchedule, inject_faults
@@ -27,7 +25,7 @@ from repro.metrics import Table, stable_digest
 from repro.serverless import RetryPolicy
 from repro.sim.rng import RngStream
 
-from _common import emit, sweep_rows, write_bench_summary
+from _common import emit, sweep_rows
 
 SEED = 171
 INTENSITIES = [0.0, 0.3, 0.6, 1.0]
@@ -170,25 +168,11 @@ def run_r1() -> Table:
         miss_rates[(storm, "degrade")] < miss_rates[(storm, "retry")]
     ), "degradation-aware controller should out-survive retry-only"
     assert miss_rates[(storm, "retry")] <= miss_rates[(storm, "naive")]
-    write_bench_summary(
-        "r1_chaos",
-        {
-            "seed": SEED,
-            "jobs": N_JOBS,
-            "intensities": INTENSITIES,
-            "miss_rate": {
-                f"{intensity}/{name}": rate
-                for (intensity, name), rate in sorted(miss_rates.items())
-            },
-            "worst_cell_digest": first["digest"],
-        },
-    )
     return table
 
 
-def bench_r1_chaos(benchmark):
-    table = benchmark.pedantic(run_r1, rounds=1, iterations=1)
-    emit(table)
+def bench_r1_chaos():
+    emit(run_r1())
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ versus alert-only, without giving back deadline misses — and the whole
 loop is bit-reproducible, action log included.
 """
 
-import pytest
-
 from repro.apps import Job, photo_backup_app
 from repro.core.controller import Environment, OffloadController
 from repro.faults import DegradationPolicy, FaultSchedule, inject_faults
@@ -38,16 +36,13 @@ from repro.sim.rng import RngStream
 from repro.telemetry import attach_tracer
 
 from _common import (
+    SHORT,
     MetricSpec,
     emit,
     register_bench,
     sweep_rows,
     write_bench_summary,
 )
-
-import os
-
-SHORT = os.environ.get("REPRO_BENCH_SHORT", "") not in ("", "0")
 
 SEED = 171
 INTENSITIES = [0.0, 1.0] if SHORT else [0.0, 0.3, 0.6, 1.0]
@@ -174,7 +169,6 @@ def remediation_cell(config):
     ),
     deterministic=("mode", "seed", "jobs", "intensities", "wasted_usd",
                    "recovery_s", "worst_cell_digest"),
-    primary="worst_cell_digest",
 )
 def run_r2() -> Table:
     table = Table(
@@ -281,11 +275,6 @@ def run_r2() -> Table:
         },
     )
     return table
-
-
-def bench_r2_remediation(benchmark):
-    table = benchmark.pedantic(run_r2, rounds=1, iterations=1)
-    emit(table)
 
 
 if __name__ == "__main__":

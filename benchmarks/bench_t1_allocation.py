@@ -10,8 +10,6 @@ forces it.
 
 import math
 
-import pytest
-
 from repro.core.allocation import MemoryAllocator
 from repro.metrics import Table
 
@@ -67,8 +65,8 @@ def run_t1() -> Table:
     return table
 
 
-def bench_t1_allocation(benchmark):
-    table = benchmark.pedantic(run_t1, rounds=1, iterations=1)
+def bench_t1_allocation():
+    table = run_t1()
     emit(table)
 
     # The headline claim: for CPU-heavy serial-ish work the chosen tier

@@ -7,8 +7,6 @@ quality; on the slowest link the optimiser falls back toward local and
 never does *worse* than the better trivial policy.
 """
 
-import pytest
-
 from repro import Environment, Job, ObjectiveWeights, OffloadController, photo_backup_app
 from repro.baselines import local_only_controller
 from repro.metrics import Table
@@ -71,8 +69,8 @@ def run_t3() -> Table:
     return table
 
 
-def bench_t3_energy(benchmark):
-    table = benchmark.pedantic(run_t3, rounds=1, iterations=1)
+def bench_t3_energy():
+    table = run_t3()
     emit(table)
     energies = {}
     for row in table.rows:

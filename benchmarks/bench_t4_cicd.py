@@ -11,8 +11,6 @@ Two questions:
 
 from dataclasses import replace
 
-import pytest
-
 from repro import Environment
 from repro.apps import ml_training_app, nightly_analytics_app, photo_backup_app
 from repro.cicd import SourceRepository
@@ -104,11 +102,9 @@ def run_t4_gate() -> Table:
     return table
 
 
-def bench_t4_cicd(benchmark):
-    def both():
-        return run_t4_overhead(), run_t4_gate()
-
-    overhead, gate = benchmark.pedantic(both, rounds=1, iterations=1)
+def bench_t4_cicd():
+    overhead = run_t4_overhead()
+    gate = run_t4_gate()
     emit(overhead)
     emit(gate)
 

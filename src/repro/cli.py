@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.apps.catalog import CATALOG
 from repro.core.controller import Environment, OffloadController
@@ -959,10 +959,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf import bench as perf_bench
 
     if args.bench_command == "run":
-        if args.short:
-            # Bench modules read REPRO_BENCH_SHORT at import time, so the
-            # flag must be in the environment before the registry loads.
-            os.environ["REPRO_BENCH_SHORT"] = "1"
+        # Bench modules read REPRO_BENCH_SHORT at import time, so it is
+        # set both ways before the registry loads: an inherited value
+        # must not run the benches in a mode the document does not say.
+        os.environ["REPRO_BENCH_SHORT"] = "1" if args.short else "0"
         registry = perf_bench.load_registry()
         ordered = [
             registry[spec.name]
@@ -980,11 +980,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ordered = [spec for spec in ordered if spec.name in set(args.bench)]
         mode = "short" if args.short else "full"
         results = {}
-        table = Table(
-            ["bench", "wall s", "primary metric"],
-            title="Benchmark run",
-            precision=3,
-        )
+        table = Table(["bench", "wall s"], title="Benchmark run", precision=3)
         for spec in ordered:
             started = time.perf_counter()
             spec.runner()
@@ -996,10 +992,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "(its runner must call write_bench_summary)"
                 )
             results[spec.name] = payload
-            primary = ""
-            if spec.primary is not None and spec.primary in payload:
-                primary = f"{spec.primary}={payload[spec.primary]}"
-            table.add_row(spec.name, wall, primary)
+            table.add_row(spec.name, wall)
         document = perf_bench.build_document(results, mode)
         print(table)
         print(f"mode: {mode}; {len(results)} benchmark(s) executed")
@@ -1021,24 +1014,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     if args.bench_command == "compare":
-        from repro.perf.check import main as check_main
+        from repro.perf.check import compare
 
-        argv: List[str] = [args.fresh]
-        for name in args.bench or ():
-            argv += ["--bench", name]
-        if args.committed:
-            argv += ["--committed", args.committed]
-        if args.baseline_dir:
-            argv += ["--baseline-dir", args.baseline_dir]
-        if args.threshold is not None:
-            argv += ["--threshold", str(args.threshold)]
-        if args.history is not None:
-            argv += ["--history", args.history]
-        if args.no_trend:
-            argv.append("--no-trend")
-        if args.trend_fail:
-            argv.append("--trend-fail")
-        return check_main(argv)
+        return compare(
+            args.fresh,
+            benches=args.bench,
+            baseline_dir=args.baseline_dir,
+            history=args.history,
+            trend=not args.no_trend,
+            trend_fail=args.trend_fail,
+        )
 
     # history
     path = perf_bench.resolve_history_path(args.history)
@@ -1316,20 +1301,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="check a fresh bench document against committed baselines",
     )
     bcompare.add_argument("fresh",
-                          help="repro.bench/1 document (or legacy "
-                               "BENCH_*.json summary) to check")
+                          help="repro.bench/1 document to check")
     bcompare.add_argument("--bench", action="append", default=None,
                           help="check only this benchmark (repeatable)")
-    bcompare.add_argument("--committed", default=None,
-                          help="explicit committed baseline file (single "
-                               "bench only)")
     bcompare.add_argument("--baseline-dir", default=None,
                           help="directory of committed BENCH_<name>.json "
                                "baselines (default: repo benchmarks/)")
-    bcompare.add_argument("--threshold", type=float, default=None,
-                          help="override the primary metric's threshold")
     bcompare.add_argument("--history", default=None,
-                          help="bench-history JSONL for trend analysis")
+                          help="bench-history JSONL for trend analysis "
+                               "(default .repro_bench_history.jsonl; "
+                               "REPRO_BENCH_HISTORY env overrides)")
     bcompare.add_argument("--no-trend", action="store_true",
                           help="skip the trend sentinel")
     bcompare.add_argument("--trend-fail", action="store_true",

@@ -6,13 +6,15 @@ Three layers, one subsystem:
   threaded through the kernel dispatch loop, controller plan path,
   sweep runner, and sharded fleet; deterministic counter snapshots land
   in reports and ledger records, wall timings stay provenance-only.
-* :mod:`repro.perf.bench` — the unified benchmark registry behind
-  ``repro bench``: each ``benchmarks/bench_*.py`` registers its metrics
-  (direction + threshold), runs produce one canonical ``repro.bench/1``
-  document with a machine fingerprint, and every run appends to the
-  benchmark history ledger.
-* :mod:`repro.perf.check` — the regression sentinel
-  (``tools/check_bench.py``): per-metric direction-aware thresholds
+* :mod:`repro.perf.bench` — the benchmark registry behind
+  ``repro bench run``, the only runner of the registered benches: each
+  module in ``REGISTERED_MODULES`` registers its metrics (direction +
+  threshold), runs produce one canonical ``repro.bench/1`` document
+  with a machine fingerprint, and every run appends to the benchmark
+  history ledger.  The unregistered ``benchmarks/bench_*.py``
+  experiments are plain pytest tests.
+* :mod:`repro.perf.check` — the regression sentinel behind
+  ``repro bench compare``: per-metric direction-aware thresholds
   against committed baselines plus a Holt-linear forecast over the
   history that flags slow drifts before any single run trips a gate.
 """
@@ -38,6 +40,7 @@ from repro.perf.bench import (
 )
 from repro.perf.check import (
     CheckOutcome,
+    compare,
     evaluate_bench,
     evaluate_metric,
     trend_outcomes,
@@ -56,6 +59,7 @@ __all__ = [
     "RuntimeMeter",
     "append_history",
     "build_document",
+    "compare",
     "evaluate_bench",
     "evaluate_metric",
     "flat_payload",

@@ -1,9 +1,10 @@
 """The unified benchmark harness: registry, canonical document, history.
 
-Every ``benchmarks/bench_*.py`` registers itself with
-:func:`register_bench` (re-exported through ``benchmarks/_common.py``),
-declaring its metrics with direction and threshold.  ``repro bench run``
-then executes the registered suite and emits one canonical
+Each module in :data:`REGISTERED_MODULES` registers its ``run_*``
+entry point with :func:`register_bench` (re-exported through
+``benchmarks/_common.py``), declaring its metrics with direction and
+threshold.  ``repro bench run`` is the only runner of those benches: it
+executes the registered suite once and emits one canonical
 ``repro.bench/1`` document:
 
 * ``benches.<name>.checks`` — the machine-independent payload keys the
@@ -129,9 +130,6 @@ class BenchSpec:
     metrics: Tuple[MetricSpec, ...]
     deterministic: Tuple[str, ...] = ()
     module: str = ""
-    #: The metric a bare ``--threshold`` override applies to (the thin
-    #: wrapper compatibility hook for the legacy per-bench checkers).
-    primary: Optional[str] = None
 
 
 #: Name -> spec for every benchmark registered in this process.
@@ -149,7 +147,6 @@ def register_bench(
     *,
     metrics: Sequence[MetricSpec] = (),
     deterministic: Sequence[str] = (),
-    primary: Optional[str] = None,
 ) -> Callable:
     """Class decorator for a bench's ``run_*`` entry point.
 
@@ -165,7 +162,6 @@ def register_bench(
             metrics=tuple(metrics),
             deterministic=tuple(deterministic),
             module=getattr(runner, "__module__", ""),
-            primary=primary,
         )
         return runner
 

@@ -1,8 +1,7 @@
 """The regression sentinel: direction-aware checks plus trend forecasts.
 
-Generalizes the two historical per-bench checkers into one evaluator
-driven by each benchmark's registered :class:`~repro.perf.bench.MetricSpec`
-list:
+One evaluator, driven by each benchmark's registered
+:class:`~repro.perf.bench.MetricSpec` list:
 
 * **flag** — must be truthy (byte-identity gates fail unconditionally);
 * **min** / **max** — absolute floor/ceiling, optionally armed by a
@@ -22,23 +21,24 @@ its comparable-mode series is flagged before any individual run trips
 the hard gate.  Trend hits warn by default and fail with
 ``--trend-fail``.
 
-``tools/check_bench.py`` is the CLI shim over :func:`main`.
+:func:`compare` is the whole gate; ``repro bench compare`` calls it and
+exits with its return code.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.perf.bench import (
     BENCH_SCHEMA,
     REGISTRY,
     BenchSpec,
     MetricSpec,
+    default_bench_dir,
     flat_payload,
     history_series,
     load_registry,
@@ -48,11 +48,17 @@ from repro.perf.bench import (
 
 __all__ = [
     "CheckOutcome",
+    "compare",
     "evaluate_bench",
     "evaluate_metric",
-    "main",
     "trend_outcomes",
 ]
+
+#: Runs ahead the trend sentinel forecasts.
+TREND_STEPS = 3.0
+
+#: Fractional forecast drift, in the bad direction, that trips it.
+TREND_DRIFT = 0.2
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,9 @@ def evaluate_metric(
     spec: MetricSpec,
     fresh: Mapping[str, Any],
     committed: Optional[Mapping[str, Any]] = None,
-    threshold: Optional[float] = None,
 ) -> CheckOutcome:
-    """Judge one metric of one fresh payload against its spec.
-
-    ``threshold`` overrides the spec's registered threshold (the legacy
-    wrappers' ``--threshold`` hook); ``None`` keeps the registered one.
-    """
-    limit = spec.threshold if threshold is None else threshold
+    """Judge one metric of one fresh payload against its spec."""
+    limit = spec.threshold
     value = fresh.get(spec.name)
 
     if spec.kind == "flag":
@@ -192,24 +193,12 @@ def evaluate_bench(
     spec: BenchSpec,
     fresh: Mapping[str, Any],
     committed: Optional[Mapping[str, Any]] = None,
-    threshold: Optional[float] = None,
 ) -> List[CheckOutcome]:
-    """All metric verdicts for one bench.
-
-    A bare ``threshold`` override applies only to the bench's declared
-    ``primary`` metric — exactly the legacy wrappers' contract.
-    """
-    outcomes = []
-    for metric in spec.metrics:
-        override = (
-            threshold
-            if threshold is not None and metric.name == spec.primary
-            else None
-        )
-        outcomes.append(
-            evaluate_metric(spec.name, metric, fresh, committed, override)
-        )
-    return outcomes
+    """All metric verdicts for one bench."""
+    return [
+        evaluate_metric(spec.name, metric, fresh, committed)
+        for metric in spec.metrics
+    ]
 
 
 def trend_outcomes(
@@ -217,16 +206,14 @@ def trend_outcomes(
     fresh_mode: Optional[str],
     history: Sequence[Mapping[str, Any]],
     *,
-    steps: float = 3.0,
-    drift_threshold: float = 0.2,
     min_points: int = 4,
     fail: bool = False,
 ) -> List[CheckOutcome]:
     """Forecast each directional metric's comparable-mode history.
 
-    The Holt-linear forecast ``steps`` runs ahead is compared against
-    the *start* of the series; a projected drift past
-    ``drift_threshold`` in the bad direction flags the slow regression
+    The Holt-linear forecast :data:`TREND_STEPS` runs ahead is compared
+    against the *start* of the series; a projected drift past
+    :data:`TREND_DRIFT` in the bad direction flags the slow regression
     single-run thresholds miss.
     """
     from repro.remediate.forecast import forecast_ahead
@@ -243,19 +230,19 @@ def trend_outcomes(
         baseline = series[0]
         if baseline <= 0.0:
             continue
-        projected = forecast_ahead(series, steps=steps)
+        projected = forecast_ahead(series, steps=TREND_STEPS)
         if projected is None:
             continue
         drift = projected / baseline
         detail = (
-            f"forecast {projected:g} in {steps:g} runs is "
+            f"forecast {projected:g} in {TREND_STEPS:g} runs is "
             f"{100 * drift:.1f}% of the series start {baseline:g} "
             f"({len(series)} points)"
         )
         bad = (
-            drift < 1.0 - drift_threshold
+            drift < 1.0 - TREND_DRIFT
             if metric.direction == "higher"
-            else drift > 1.0 + drift_threshold
+            else drift > 1.0 + TREND_DRIFT
         )
         status = ("fail" if fail else "warn") if bad else "ok"
         outcomes.append(
@@ -265,120 +252,73 @@ def trend_outcomes(
 
 
 def _load_fresh(path: Path) -> Dict[str, Dict[str, Any]]:
-    """Fresh payloads by bench name, from a merged document or a legacy
-    single-bench summary file."""
+    """Fresh payloads by bench name, from a ``repro.bench/1`` document."""
     data = json.loads(path.read_text())
-    if data.get("schema") == BENCH_SCHEMA:
-        mode = data.get("mode")
-        payloads = {}
-        for name, entry in data.get("benches", {}).items():
-            payload = flat_payload(entry)
-            payload.setdefault("mode", mode)
-            payloads[name] = payload
-        return payloads
-    name = data.get("bench")
-    if not name:
-        raise SystemExit(
-            f"{path}: neither a {BENCH_SCHEMA} document nor a "
-            "single-bench summary (no 'bench' key)"
-        )
-    return {str(name): flat_payload(data)}
+    if data.get("schema") != BENCH_SCHEMA:
+        raise SystemExit(f"{path}: not a {BENCH_SCHEMA} document")
+    mode = data.get("mode")
+    payloads = {}
+    for name, entry in data.get("benches", {}).items():
+        payload = flat_payload(entry)
+        payload.setdefault("mode", mode)
+        payloads[name] = payload
+    return payloads
 
 
 def _load_committed(
-    name: str, explicit: Optional[Path], baseline_dir: Path
+    name: str, baseline_dir: Path
 ) -> Optional[Dict[str, Any]]:
-    path = explicit if explicit is not None else (
-        baseline_dir / f"BENCH_{name}.json"
-    )
+    path = baseline_dir / f"BENCH_{name}.json"
     if not path.exists():
         return None
     return flat_payload(json.loads(path.read_text()))
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    repo_root = Path(__file__).resolve().parents[3]
-    parser = argparse.ArgumentParser(
-        description="Check fresh benchmark results against committed "
-        "baselines and the benchmark history trend."
-    )
-    parser.add_argument(
-        "fresh", type=Path,
-        help="repro.bench/1 document or a single BENCH_<name>.json",
-    )
-    parser.add_argument(
-        "--bench", action="append", default=None,
-        help="restrict checking to this bench (repeatable)",
-    )
-    parser.add_argument(
-        "--committed", type=Path, default=None,
-        help="explicit committed baseline file (single-bench checks)",
-    )
-    parser.add_argument(
-        "--baseline-dir", type=Path,
-        default=repo_root / "benchmarks",
-        help="directory of committed BENCH_<name>.json baselines",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=None,
-        help="override the primary-metric threshold of each bench",
-    )
-    parser.add_argument(
-        "--history", default=None,
-        help="benchmark history ledger for the trend sentinel "
-        "(default: REPRO_BENCH_HISTORY or .repro_bench_history.jsonl)",
-    )
-    parser.add_argument(
-        "--no-trend", action="store_true",
-        help="skip the trend sentinel entirely",
-    )
-    parser.add_argument(
-        "--trend-fail", action="store_true",
-        help="treat trend drifts as failures instead of warnings",
-    )
-    parser.add_argument(
-        "--trend-threshold", type=float, default=0.2,
-        help="fractional forecast drift that trips the sentinel "
-        "(default 0.2)",
-    )
-    parser.add_argument(
-        "--trend-steps", type=float, default=3.0,
-        help="runs ahead to forecast (default 3)",
-    )
-    args = parser.parse_args(argv)
+def compare(
+    fresh: Union[str, Path],
+    *,
+    benches: Optional[Sequence[str]] = None,
+    baseline_dir: Union[str, Path, None] = None,
+    history: Optional[str] = None,
+    trend: bool = True,
+    trend_fail: bool = False,
+) -> int:
+    """Gate a fresh ``repro.bench/1`` document; returns the exit code.
 
+    Each selected bench (default: every bench in ``fresh``) is judged
+    against ``baseline_dir/BENCH_<name>.json`` (default: the repo's
+    ``benchmarks/``) and, unless ``trend`` is off, against the forecast
+    of the ``history`` ledger (resolved by
+    :func:`~repro.perf.bench.resolve_history_path`).  Prints one line per
+    verdict; returns 1 if any verdict failed, else 0.
+    """
+    baseline_dir = (
+        default_bench_dir() if baseline_dir is None else Path(baseline_dir)
+    )
     load_registry()
-    fresh_payloads = _load_fresh(args.fresh)
-    selected = args.bench or sorted(fresh_payloads)
+    fresh_payloads = _load_fresh(Path(fresh))
 
-    history = []
-    if not args.no_trend:
-        history_path = resolve_history_path(args.history)
+    entries: List[Dict[str, Any]] = []
+    if trend:
+        history_path = resolve_history_path(history)
         if history_path is not None:
-            history = read_history(history_path)
+            entries = read_history(history_path)
 
     failures = 0
-    for name in selected:
+    for name in benches or sorted(fresh_payloads):
         payload = fresh_payloads.get(name)
         if payload is None:
-            print(f"  SKIP  {name}: not present in {args.fresh}")
+            print(f"  SKIP  {name}: not present in {fresh}")
             continue
         spec = REGISTRY.get(name)
         if spec is None:
             print(f"  SKIP  {name}: not a registered benchmark")
             continue
-        committed = _load_committed(name, args.committed, args.baseline_dir)
-        outcomes = evaluate_bench(
-            spec, payload, committed, threshold=args.threshold
-        )
+        committed = _load_committed(name, baseline_dir)
+        outcomes = evaluate_bench(spec, payload, committed)
         outcomes.extend(
             trend_outcomes(
-                spec,
-                payload.get("mode"),
-                history,
-                steps=args.trend_steps,
-                drift_threshold=args.trend_threshold,
-                fail=args.trend_fail,
+                spec, payload.get("mode"), entries, fail=trend_fail
             )
         )
         for outcome in outcomes:
@@ -390,7 +330,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print("OK: all benchmark checks passed")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

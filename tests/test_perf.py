@@ -4,10 +4,12 @@ Three layers under test: the always-on :class:`RuntimeMeter` and its
 metering sites (kernel lanes, controller plan path, sweep cache), the
 unified benchmark harness (registry, canonical document, history
 ledger), and the regression sentinel (direction-aware metric checks,
-trend forecasts, and the thin legacy wrappers in ``tools/``).
+trend forecasts, and the ``repro bench compare`` gate).
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from repro.perf.bench import (
     scrub_volatile,
 )
 from repro.perf.check import (
-    evaluate_bench,
+    compare,
     evaluate_metric,
     trend_outcomes,
 )
@@ -44,7 +46,6 @@ from repro.sweep.spec import canonical_json
 from repro.telemetry.registry import LabeledMetricsRegistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-TOOLS_DIR = REPO_ROOT / "tools"
 
 
 class TestRuntimeMeter:
@@ -206,14 +207,12 @@ class TestBenchHarness:
             "XX",
             metrics=(MetricSpec("speed", kind="ratio"),),
             deterministic=("mode", "digest"),
-            primary="speed",
         )
         def run_xx():
             return None
 
         spec = REGISTRY["XX"]
         assert spec.runner is run_xx
-        assert spec.primary == "speed"
         assert spec.deterministic == ("mode", "digest")
         record_summary("XX", {"speed": 1.0})
         from repro.perf.bench import LAST_SUMMARIES
@@ -362,27 +361,6 @@ class TestEvaluateMetric:
         full = {"digest": "xyz", "mode": "full"}
         assert evaluate_metric("B", spec, fresh, full).status == "skip"
 
-    def test_threshold_override_hits_primary_only(self):
-        spec = BenchSpec(
-            name="B",
-            runner=lambda: None,
-            metrics=(
-                MetricSpec("speed", kind="ratio", threshold=0.2),
-                MetricSpec("other", kind="ratio", threshold=0.2),
-            ),
-            primary="speed",
-        )
-        fresh = {"speed": 60.0, "other": 60.0}
-        committed = {"speed": 100.0, "other": 100.0}
-        outcomes = {
-            o.metric: o
-            for o in evaluate_bench(spec, fresh, committed, threshold=0.5)
-        }
-        # 60% of committed: inside the overridden 50% floor for the
-        # primary, outside the registered 20% floor for the other.
-        assert outcomes["speed"].status == "ok"
-        assert outcomes["other"].failed
-
 
 class TestTrendSentinel:
     @staticmethod
@@ -437,12 +415,6 @@ class TestFreshLoaders:
         payloads = _load_fresh(path)
         assert payloads["O2"] == {"ops": 5, "wall_s": 0.1, "mode": "short"}
 
-    def test_load_fresh_legacy_single_bench(self, tmp_path):
-        path = tmp_path / "BENCH_O2.json"
-        path.write_text(json.dumps({"bench": "O2", "events_per_s_pure": 5}))
-        payloads = _load_fresh(path)
-        assert payloads == {"O2": {"bench": "O2", "events_per_s_pure": 5}}
-
     def test_load_fresh_rejects_unknown_shape(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"what": "ever"}))
@@ -450,50 +422,64 @@ class TestFreshLoaders:
             _load_fresh(path)
 
 
-def _import_tool(name):
-    if str(TOOLS_DIR) not in sys.path:
-        sys.path.insert(0, str(TOOLS_DIR))
-    import importlib
-
-    return importlib.import_module(name)
-
-
-def _legacy_o2(path, events_per_s):
-    path.write_text(json.dumps({
-        "bench": "O2",
-        "mode": "short",
-        "events_per_s_pure": events_per_s,
-    }))
+def _document(path, name, payload, mode="short"):
+    """Write a one-bench ``repro.bench/1`` document; returns its path."""
+    document = build_document({name: payload}, mode, fingerprint={})
+    path.write_text(json.dumps(document))
     return path
 
 
-class TestBenchCLI:
-    def test_unified_checker_shim_matches(self, tmp_path):
-        from repro.perf.check import main as check_main
+def _o2_baseline_dir(tmp_path, events_per_s):
+    """A baseline directory whose committed O2 runs at ``events_per_s``."""
+    baseline_dir = tmp_path / "baselines"
+    baseline_dir.mkdir()
+    (baseline_dir / "BENCH_O2.json").write_text(json.dumps({
+        "bench": "O2", "mode": "full", "events_per_s_pure": events_per_s,
+    }))
+    return baseline_dir
 
-        committed = _legacy_o2(tmp_path / "committed.json", 1000.0)
-        bad = _legacy_o2(tmp_path / "bad.json", 700.0)
-        assert check_main([
-            str(bad), "--bench", "O2",
-            "--committed", str(committed), "--no-trend",
+
+class TestBenchCLI:
+    def test_compare_fails_o2_drop_against_baseline_dir(self, tmp_path):
+        from repro.cli import main
+
+        baseline_dir = _o2_baseline_dir(tmp_path, 1000.0)
+        bad = _document(tmp_path / "bad.json", "O2",
+                        {"events_per_s_pure": 700.0})
+        assert compare(bad, baseline_dir=baseline_dir, trend=False) == 1
+        assert main([
+            "bench", "compare", str(bad), "--bench", "O2",
+            "--baseline-dir", str(baseline_dir), "--no-trend",
         ]) == 1
-        shim = _import_tool("check_bench")
-        assert shim.main is check_main
 
     def test_checker_gates_f10_byte_identity(self, tmp_path):
-        from repro.perf.check import main as check_main
-
         def f10(name, identical):
-            path = tmp_path / name
-            path.write_text(json.dumps({
-                "bench": "F10", "mode": "short",
+            return _document(tmp_path / name, "F10", {
                 "byte_identical": identical, "speedup_4w": 1.0, "cores": 1,
-            }))
-            return str(path)
+            })
 
-        argv = ["--bench", "F10", "--no-trend"]
-        assert check_main([f10("ok.json", True), *argv]) == 0
-        assert check_main([f10("bad.json", False), *argv]) == 1
+        assert compare(f10("ok.json", True), trend=False) == 0
+        assert compare(f10("bad.json", False), trend=False) == 1
+
+    def test_bench_compare_negative_control(self, tmp_path):
+        """The committed O2 baseline passes as-is and trips at 0.1x.
+
+        An order-of-magnitude pure-event throughput collapse must fail
+        the gate, or the gate is decorative.
+        """
+        from repro.cli import main
+
+        committed = flat_payload(json.loads(
+            (REPO_ROOT / "benchmarks" / "BENCH_O2.json").read_text()
+        ))
+        committed.pop("fingerprint")
+        mode = committed["mode"]
+        same = _document(tmp_path / "same.json", "O2", committed, mode)
+        committed["events_per_s_pure"] *= 0.1
+        slow = _document(tmp_path / "slow.json", "O2", committed, mode)
+        argv = ["--bench", "O2", "--no-trend"]
+        assert main(["bench", "compare", str(same), *argv]) == 0
+        assert main(["bench", "compare", str(slow), *argv]) == 1
 
     def test_bench_history_lists_entries(self, tmp_path, capsys,
                                          scratch_registry):
@@ -533,11 +519,12 @@ class TestBenchCLI:
     def test_bench_compare_delegates_to_checker(self, tmp_path, capsys):
         from repro.cli import main
 
-        committed = _legacy_o2(tmp_path / "committed.json", 1000.0)
-        ok = _legacy_o2(tmp_path / "ok.json", 950.0)
+        baseline_dir = _o2_baseline_dir(tmp_path, 1000.0)
+        ok = _document(tmp_path / "ok.json", "O2",
+                       {"events_per_s_pure": 950.0})
         assert main([
             "bench", "compare", str(ok), "--bench", "O2",
-            "--committed", str(committed), "--no-trend",
+            "--baseline-dir", str(baseline_dir), "--no-trend",
         ]) == 0
         assert "O2.events_per_s_pure" in capsys.readouterr().out
 
@@ -546,6 +533,35 @@ class TestBenchCLI:
 
         with pytest.raises(SystemExit, match="unknown benchmark"):
             main(["bench", "run", "--short", "--bench", "NOPE"])
+
+    @pytest.mark.parametrize(
+        "inherited, flags, mode",
+        [("1", [], "full"), ("true", [], "full"), (None, ["--short"], "short")],
+        ids=["inherited-1", "inherited-true", "short-flag"],
+    )
+    def test_bench_run_mode_matches_every_payload(
+        self, tmp_path, inherited, flags, mode
+    ):
+        # An inherited REPRO_BENCH_SHORT must not run the benches in a
+        # mode the document does not say: --short alone picks the mode.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        env.pop("REPRO_BENCH_SHORT", None)
+        if inherited is not None:
+            env["REPRO_BENCH_SHORT"] = inherited
+        out = tmp_path / "bench.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "run",
+             "--bench", "P1", "--bench", "R2",
+             "--out", str(out), "--history", "", *flags],
+            cwd=tmp_path, env=env, check=True, capture_output=True,
+            timeout=300,
+        )
+        document = json.loads(out.read_text())
+        assert document["mode"] == mode
+        assert [
+            flat_payload(entry)["mode"]
+            for entry in document["benches"].values()
+        ] == [mode, mode]
 
 
 class TestLedgerMeter:

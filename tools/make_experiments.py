@@ -4,9 +4,8 @@
 Usage:  python tools/make_experiments.py [output-path] [--workers N]
 
 Each experiment's table (and ASCII figure, where one exists) is captured
-from the same `run_*` functions the pytest-benchmark harness uses, so
-the document always matches `pytest benchmarks/ --benchmark-only`
-exactly.  The verdict prose lives here; when a model change shifts the
+from the same `run_*` functions that `pytest benchmarks/` and
+`repro bench run` call, so the document always matches them exactly.  The verdict prose lives here; when a model change shifts the
 numbers, update the prose alongside it.
 
 The sections are independent simulations, so they fan out across worker
@@ -39,8 +38,10 @@ experiment suite below was *defined by this reproduction* (DESIGN.md,
 the standard results of the surrounding literature the abstract builds
 on (MAUI-style partitioning, Lambda-style memory/pricing behaviour,
 serverless-vs-edge economics).  Every number below regenerates
-deterministically via `pytest benchmarks/ --benchmark-only`, any single
-`python benchmarks/bench_<id>_*.py`, or `python tools/make_experiments.py`.
+deterministically via `pytest benchmarks/` (the 25 unregistered
+experiments), `python -m repro bench run` (the 7 registered benches: O1–O3,
+P1, F10, F11, R2), any single `python benchmarks/bench_<id>_*.py`, or
+`python tools/make_experiments.py`.
 
 Shape verdicts: ✅ = the qualitative claim reproduces.
 
@@ -53,8 +54,9 @@ FOOTER = """---
 
 ```bash
 python setup.py develop          # offline env: pip lacks the wheel pkg
-pytest tests/                    # 720+ unit/integration/property tests
-pytest benchmarks/ --benchmark-only   # all 26 experiments + shape asserts
+pytest tests/                    # 1,400+ unit/integration/property tests
+pytest benchmarks/               # the 25 unregistered experiments + shape asserts
+python -m repro bench run        # the 7 registered benches + shape asserts
 python benchmarks/bench_f1_bandwidth.py   # any single experiment
 python tools/make_experiments.py          # regenerate this document
 ```
@@ -475,7 +477,7 @@ def build_sections():
             "(`tests/test_kernel_fastlane.py`), and a tracemalloc "
             "per-job allocation budget (`tests/test_alloc_budget.py`).  "
             "CI gates every commit against the committed "
-            "`benchmarks/BENCH_O2.json` via `tools/check_bench.py --bench O2`.  "
+            "`benchmarks/BENCH_O2.json` via `repro bench compare`.  "
             "Wall-clock columns are non-deterministic; the speedup "
             "column is meaningful on comparable hardware only.",
         ),
@@ -504,7 +506,7 @@ def build_sections():
             "peak pinned O(1) by the trace ring "
             "(`tests/test_alloc_budget.py`).  CI gates against the "
             "committed `benchmarks/BENCH_O3.json` via "
-            "`tools/check_bench.py`.",
+            "`repro bench compare`.",
         ),
     ]
 
