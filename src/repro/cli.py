@@ -43,6 +43,7 @@ from repro.core.scheduler import (
 from repro.apps.jobs import Job
 from repro.metrics import Table
 from repro.network.profiles import CONNECTIVITY_PROFILES
+from repro.sweep.spec import write_atomic
 
 
 def _resolve_app(name: str):
@@ -366,11 +367,7 @@ def _cmd_run_body(args: argparse.Namespace, config, started) -> int:
         else:
             print("action log: empty (no remediation action applied)")
         if args.actions_out:
-            from pathlib import Path
-
-            Path(args.actions_out).write_text(
-                plane.remediation.action_log()
-            )
+            write_atomic(args.actions_out, plane.remediation.action_log())
             print(f"action log written to {args.actions_out}")
     metrics = {
         "deadline_miss_rate": report.deadline_miss_rate,
@@ -517,10 +514,9 @@ def _render_diff(result, threshold: float, out: Optional[str] = None) -> int:
     print(table)
     if out:
         import json
-        from pathlib import Path
 
-        Path(out).write_text(
-            json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+        write_atomic(
+            out, json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
         )
         print(f"diff written to {out}")
     if result.ok:
@@ -584,7 +580,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import os
     import time
-    from pathlib import Path
 
     from repro.sweep import SweepRunner, SweepSpec, canonical_json
 
@@ -622,10 +617,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     wall_s = time.perf_counter() - started
 
     if args.out:
-        Path(args.out).write_text(result.merged_json())
+        write_atomic(args.out, result.merged_json())
         print(f"merged results written to {args.out}")
     if args.manifest:
-        Path(args.manifest).write_text(canonical_json(result.manifest()) + "\n")
+        write_atomic(args.manifest, canonical_json(result.manifest()) + "\n")
         print(f"manifest written to {args.manifest}")
 
     table = Table(["metric", "value"], title="Sweep summary", precision=2)
@@ -691,7 +686,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_fleet_body(args, topology, spec, config, started) -> int:
     import os
     import time
-    from pathlib import Path
 
     from repro.fleet.sharded import run_sharded
 
@@ -726,10 +720,10 @@ def _cmd_fleet_body(args, topology, spec, config, started) -> int:
     wall_s = time.perf_counter() - started
 
     if args.out:
-        Path(args.out).write_text(result.merged_json())
+        write_atomic(args.out, result.merged_json())
         print(f"merged fleet report written to {args.out}")
     if args.health_out:
-        Path(args.health_out).write_text(result.health_json())
+        write_atomic(args.health_out, result.health_json())
         print(f"fleet health report written to {args.health_out}")
 
     aggregates = result.aggregates
@@ -750,8 +744,7 @@ def _cmd_fleet_body(args, topology, spec, config, started) -> int:
     table.add_row("platform bill $", aggregates["platform_usd"])
     table.add_row("cold-start %", 100 * aggregates["cold_start_fraction"])
     table.add_row("sim events", aggregates["sim_events"])
-    if result.meter is not None:
-        table.add_row("merge bytes", result.meter.merge_bytes)
+    table.add_row("merge bytes", result.meter.merge_bytes)
     if result.health is not None:
         fleet_rollup = result.health["fleet"]
         table.add_row("fleet status", fleet_rollup["status"])
@@ -778,7 +771,7 @@ def _cmd_fleet_body(args, topology, spec, config, started) -> int:
         else:
             print("action log: empty (no remediation action applied)")
         if args.actions_out:
-            Path(args.actions_out).write_text(result.action_log)
+            write_atomic(args.actions_out, result.action_log)
             print(f"action log written to {args.actions_out}")
     if result.error_bound is not None:
         bound = result.error_bound
@@ -812,9 +805,7 @@ def _cmd_fleet_body(args, topology, spec, config, started) -> int:
         wall_s=wall_s,
         metrics=metrics,
         artifacts=(args.out, args.health_out, args.actions_out),
-        meter=(
-            _meter_payload(result.meter) if result.meter is not None else None
-        ),
+        meter=_meter_payload(result.meter),
     )
     return 0 if not aggregates["failures"] else 1
 
@@ -918,11 +909,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
           "call-count-ranked and reproducible; times are wall-clock.")
     if args.out:
         import json as _json
-        from pathlib import Path
 
-        Path(args.out).write_text(
+        write_atomic(
+            args.out,
             _json.dumps(result.to_dict(), sort_keys=True, indent=2,
-                        default=str) + "\n"
+                        default=str) + "\n",
         )
         print(f"profile written to {args.out}")
     return 0
@@ -954,7 +945,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     import os
     import time
-    from pathlib import Path
 
     from repro.perf import bench as perf_bench
 
@@ -999,7 +989,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.out:
             from repro.sweep.spec import canonical_json
 
-            Path(args.out).write_text(canonical_json(document) + "\n")
+            write_atomic(args.out, canonical_json(document) + "\n")
             print(f"bench document written to {args.out}")
         history_path = perf_bench.resolve_history_path(args.history)
         if history_path is not None:
@@ -1253,8 +1243,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(byte-identical across shard/worker counts "
                             "when the merge is exact)")
     fleet.add_argument("--monitor", action="store_true",
-                       help="attach a monitor shard to every coupling "
-                            "group and merge the snapshots")
+                       help="attach a monitor to every coupling group "
+                            "and merge them into one fleet monitor")
     fleet.add_argument("--chaos", default="none",
                        choices=["none", "uplink-outage", "uplink-degraded"],
                        help="deterministic fault schedule injected into "

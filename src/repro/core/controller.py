@@ -27,6 +27,7 @@ from typing import (
     Dict,
     Generator,
     Hashable,
+    Iterable,
     List,
     Optional,
     Tuple,
@@ -313,6 +314,47 @@ class ControllerReport:
 PlanMemo = Dict[
     Tuple[Hashable, ...], Tuple[Partition, Dict[str, AllocationDecision]]
 ]
+
+
+def release_jobs(
+    sim: Simulator,
+    submit: Callable[[Job], Event],
+    jobs: Iterable[Job],
+    report: ControllerReport,
+) -> List[Event]:
+    """Spawn one driver per job and return the drivers, without running.
+
+    Each driver waits until its job's ``released_at``, submits it and
+    appends the outcome to ``report`` (a result, or a :class:`JobFailure`
+    when the job's process fails).  Results land in completion order;
+    callers sort them once the simulation has finished.
+    """
+
+    def release(job: Job) -> Generator[Event, Any, None]:
+        if job.released_at > sim.now:
+            yield sim.timeout(job.released_at - sim.now)
+        process = submit(job)
+        try:
+            result = yield process
+        except BaseException as error:  # noqa: BLE001 - record, don't crash
+            report.failures.append(
+                JobFailure(job=job, failed_at=sim.now, error=error)
+            )
+        else:
+            report.results.append(result)
+
+    return [sim.spawn(release(job)) for job in jobs]
+
+
+def run_jobs(
+    sim: Simulator, submit: Callable[[Job], Event], jobs: Iterable[Job]
+) -> ControllerReport:
+    """Release ``jobs`` through ``submit``, run ``sim`` until every job
+    has finished, and return the report, results sorted by finish time."""
+    report = ControllerReport()
+    sim.run(until=sim.all_of(release_jobs(sim, submit, jobs, report)))
+    report.results.sort(key=lambda r: r.finished_at)
+    return report
 
 
 class OffloadController:
@@ -1137,37 +1179,9 @@ class OffloadController:
 
     # -- workload driver ----------------------------------------------------
 
-    def run_workload(
-        self,
-        jobs: List[Job],
-        until: Optional[float] = None,
-    ) -> ControllerReport:
+    def run_workload(self, jobs: List[Job]) -> ControllerReport:
         """Release each job at its ``released_at`` and run to completion."""
-        report = ControllerReport()
-        sim = self.env.sim
-
-        def release(job: Job) -> Generator[Event, Any, None]:
-            if job.released_at > sim.now:
-                yield sim.timeout(job.released_at - sim.now)
-            process = self.submit(job)
-            try:
-                result = yield process
-            except BaseException as error:  # noqa: BLE001 - record, don't crash
-                report.failures.append(
-                    JobFailure(job=job, failed_at=sim.now, error=error)
-                )
-            else:
-                report.results.append(result)
-
-        drivers = [
-            sim.spawn(release(job), name=f"release.job{job.job_id}") for job in jobs
-        ]
-        if until is not None:
-            sim.run(until=until)
-        else:
-            sim.run(until=sim.all_of(drivers))
-        report.results.sort(key=lambda r: r.finished_at)
-        return report
+        return run_jobs(self.env.sim, self.submit, jobs)
 
 
 __all__ = [
@@ -1176,4 +1190,6 @@ __all__ = [
     "JobFailure",
     "JobRejectedError",
     "OffloadController",
+    "release_jobs",
+    "run_jobs",
 ]

@@ -22,7 +22,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.apps.graph import AppGraph
 from repro.apps.jobs import Job, JobResult
-from repro.core.controller import ControllerReport, Environment, JobFailure
+from repro.core.controller import ControllerReport, Environment, run_jobs
 from repro.core.partitioning import Partition
 from repro.serverless.function import FunctionSpec
 from repro.serverless.retry import RetryPolicy
@@ -279,23 +279,7 @@ class WorkflowOffloadRunner:
 
     def run_workload(self, jobs: List[Job]) -> ControllerReport:
         """Release each job at its ``released_at`` and run to completion."""
-        report = ControllerReport()
-        sim = self.env.sim
-
-        def release(job: Job) -> Generator[Event, Any, None]:
-            if job.released_at > sim.now:
-                yield sim.timeout(job.released_at - sim.now)
-            try:
-                result = yield self.submit(job)
-            except BaseException as error:  # noqa: BLE001 - recorded
-                report.failures.append(JobFailure(job, sim.now, error))
-            else:
-                report.results.append(result)
-
-        drivers = [sim.spawn(release(job)) for job in jobs]
-        sim.run(until=sim.all_of(drivers))
-        report.results.sort(key=lambda r: r.finished_at)
-        return report
+        return run_jobs(self.env.sim, self.submit, jobs)
 
 
 __all__ = ["WorkflowOffloadRunner", "is_phase_shaped"]

@@ -5,10 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
     Dict,
-    Generator,
     Iterable,
     List,
     Optional,
@@ -22,9 +20,9 @@ from repro.core.allocation import MemoryAllocator
 from repro.core.controller import (
     ControllerReport,
     Environment,
-    JobFailure,
     OffloadController,
     PlanMemo,
+    release_jobs,
 )
 from repro.core.demand import DemandModel, RegressionEstimator
 from repro.core.partitioning import (
@@ -268,31 +266,18 @@ class FleetController:
             per_device={index: ControllerReport() for index in jobs_by_device}
         )
         sim = self.env.sim
-
-        def release(
-            controller: OffloadController,
-            job: Job,
-            device_report: ControllerReport,
-        ) -> Generator[Event, Any, None]:
-            if job.released_at > sim.now:
-                yield sim.timeout(job.released_at - sim.now)
-            try:
-                result = yield controller.submit(job)
-            except BaseException as error:  # noqa: BLE001 - recorded
-                device_report.failures.append(JobFailure(job, sim.now, error))
-            else:
-                device_report.results.append(result)
-
-        drivers = []
+        drivers: List[Event] = []
         for index, jobs in jobs_by_device.items():
             if not 0 <= index < len(self.controllers):
                 raise IndexError(f"no device {index} in this fleet")
-            controller = self.controllers[index]
-            device_report = report.per_device[index]
-            for job in jobs:
-                drivers.append(
-                    sim.spawn(release(controller, job, device_report))
+            drivers.extend(
+                release_jobs(
+                    sim,
+                    self.controllers[index].submit,
+                    jobs,
+                    report.per_device[index],
                 )
+            )
         return report, drivers
 
     def run(self, jobs_by_device: Dict[int, List[Job]]) -> FleetReport:

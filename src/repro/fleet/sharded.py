@@ -87,14 +87,12 @@ from repro.fleet.topology import (
 )
 from repro.metrics import MetricRegistry
 from repro.monitor.fleet import (
+    FLEET_EVAL_INTERVAL_S,
     FLEET_HEALTH_SCHEMA,
-    FLEET_RULES,
-    FleetSLOEngine,
-    MonitorSnapshot,
     merge_snapshots,
+    replay_fleet_slos,
 )
 from repro.monitor.monitor import Monitor
-from repro.monitor.slo import SLO, BurnRateRule
 from repro.network.profiles import cloud_path, profile as connectivity_profile
 from repro.perf.meter import RuntimeMeter
 from repro.serverless.platform import PlatformConfig, ServerlessPlatform
@@ -261,10 +259,14 @@ def _group_label(names: Sequence[str]) -> str:
     return "+".join(names)
 
 
-def _empty_snapshot(spec: "ShardedFleetSpec", names: Sequence[str]
-                    ) -> MonitorSnapshot:
-    return MonitorSnapshot(
-        zone=_group_label(names), horizon_s=_monitor_horizon_s(spec)
+def _group_monitor(
+    spec: "ShardedFleetSpec", names: Sequence[str], clock: Any
+) -> Monitor:
+    """One coupling group's monitor: zones sharing a warm pool share
+    fate, and spans carry no zone identity, so the group is the finest
+    deterministic attribution unit."""
+    return Monitor(
+        clock, zone=_group_label(names), horizon_s=_monitor_horizon_s(spec)
     )
 
 
@@ -378,7 +380,10 @@ def _simulate_group(
         record["ues"] = _zero_ue_records(spec, zones)
         record["meter"] = RuntimeMeter().snapshot()
         if spec.monitor:
-            record["monitor"] = _empty_snapshot(spec, names).to_dict()
+            # No simulator and no sim time: nothing reads the clock.
+            record["monitor"] = _group_monitor(spec, names, None).to_dict(
+                end_s=0.0
+            )
         if spec.remediate:
             record["actions"] = []
         return record
@@ -388,15 +393,9 @@ def _simulate_group(
     metrics = MetricRegistry()
     monitor: Optional[Monitor] = None
     if spec.monitor:
-        # One monitor per coupling group: zones sharing a warm pool
-        # share fate, and spans carry no zone identity, so the group is
-        # the finest deterministic attribution unit.
+        # Subscribed before any span ends, so it sees the whole run.
         sim.tracer = Tracer(sim)
-        monitor = Monitor(
-            sim,
-            zone=_group_label(names),
-            horizon_s=_monitor_horizon_s(spec),
-        )
+        monitor = _group_monitor(spec, names, sim)
         sim.tracer.subscribe(monitor)
     chaos = fleet_chaos_schedule(spec)
     platform_registry = SeedSequenceRegistry(
@@ -464,36 +463,15 @@ def _simulate_group(
         # One live engine + remediation loop per coupling group: the
         # group is the atomic sim unit, so its action log depends only
         # on the group itself — never on the shard layout around it.
-        from repro.monitor.fleet import (
-            default_fleet_rule_overrides,
-            live_fleet_slos,
-        )
-        from repro.monitor.slo import SLOEngine
-        from repro.remediate import (
-            ControllerActuator,
-            LinkForecaster,
-            RemediationEngine,
-        )
+        from repro.remediate import attach_remediation
 
-        assert monitor is not None
-        slos = live_fleet_slos(_group_label(names))
-        engine = SLOEngine(
-            monitor,
-            slos,
-            rules=FLEET_RULES,
-            eval_interval_s=60.0,
-            rule_overrides=default_fleet_rule_overrides(slos),
-        )
-        engine.attach(sim)
-        remediation = RemediationEngine(
-            engine,
-            ControllerActuator(
-                [c for _zone, fleet, _jobs in fleets
-                 for c in fleet.controllers]
-            ),
-            forecasters=(LinkForecaster(monitor),),
-        )
-        remediation.attach(sim)
+        remediation = attach_remediation(
+            fleets[0][1].env,  # any zone's: they share the simulator
+            [c for _zone, fleet, _jobs in fleets for c in fleet.controllers],
+            zone=_group_label(names),
+            eval_interval_s=FLEET_EVAL_INTERVAL_S,
+            monitor=monitor,
+        ).remediation
 
     launched = []
     drivers = []
@@ -544,7 +522,7 @@ def _simulate_group(
         # A side channel like ``windows``: rides the shard result, is
         # merged via merge_snapshots, and never enters the merged fleet
         # document itself.
-        record["monitor"] = monitor.snapshot(end_s=float(sim.now)).to_dict()
+        record["monitor"] = monitor.to_dict(end_s=float(sim.now))
     if remediation is not None:
         # Also a side channel: per-group action-log lines, concatenated
         # in group order at merge time.  The live engine finalizes so a
@@ -800,32 +778,22 @@ def compute_error_bound(
 def build_fleet_health(
     spec: ShardedFleetSpec,
     document: Mapping[str, Any],
-    snapshot: MonitorSnapshot,
-    slos: Optional[Sequence[SLO]] = None,
-    rules: Sequence[BurnRateRule] = FLEET_RULES,
-    eval_interval_s: float = 60.0,
-    rule_overrides: Optional[Mapping[str, Sequence[BurnRateRule]]] = None,
+    merged: Monitor,
     action_log: Optional[Sequence[str]] = None,
 ) -> Dict[str, Any]:
     """The merged fleet health document (schema ``repro.monitor.fleet/1``).
 
-    Composes the offline SLO replay over the merged snapshot
-    (:class:`~repro.monitor.fleet.FleetSLOEngine`) with per-zone rollups
-    derived from the merged fleet document.  A zone inherits the health
-    status of its coupling-group entity (the attribution unit — shared
-    warm pool, shared fate); numeric rollups come from its own UE
+    Composes the offline SLO replay over the merged group monitors
+    (:func:`~repro.monitor.fleet.replay_fleet_slos`) with per-zone
+    rollups derived from the merged fleet document.  A zone inherits the
+    health status of its coupling-group entity (the attribution unit —
+    shared warm pool, shared fate); numeric rollups come from its own UE
     records.  Every fold walks zones and UEs in sorted order, so the
     document is byte-deterministic whenever the inputs are.
     """
-    engine = FleetSLOEngine(
-        snapshot,
-        slos=slos,
-        rules=rules,
-        eval_interval_s=eval_interval_s,
-        rule_overrides=rule_overrides,
-    )
-    engine_report = engine.report()
-    entity_health = engine_report["health"]
+    engine = replay_fleet_slos(merged)
+    end_s = merged.clock.now
+    entity_health = engine.health(end_s)
 
     zones: Dict[str, Dict[str, Any]] = {}
     for group in document["groups"]:
@@ -873,7 +841,9 @@ def build_fleet_health(
             "groups": len(document["groups"]),
             "alerts_fired": len(engine.alerts),
             "alerts_active": alerts_active,
-            "monitored_events": snapshot.total_events,
+            "monitored_events": sum(
+                merged.series(*key).total_count for key in merged.entities()
+            ),
         },
         "counters": {
             "jobs_submitted": aggregates["jobs_submitted"],
@@ -890,12 +860,12 @@ def build_fleet_health(
         "meter": dict(document.get("meter", {})),
         "zones": dict(sorted(zones.items())),
         "entities": entity_health,
-        "evaluated_at": engine_report["evaluated_at"],
-        "eval_interval_s": engine_report["eval_interval_s"],
-        "slos": engine_report["slos"],
-        "alerts": engine_report["alerts"],
-        "log": engine_report["log"],
-        "stats": engine_report["stats"],
+        "evaluated_at": end_s,
+        "eval_interval_s": engine.eval_interval_s,
+        "slos": [slo.name for slo in engine.slos],
+        "alerts": [alert.to_dict() for alert in engine.alerts],
+        "log": list(engine.log),
+        "stats": merged.stats(end_s),
     }
     if action_log is not None:
         # Remediated runs carry their merged (group-ordered) action log
@@ -903,17 +873,6 @@ def build_fleet_health(
         # unremediated health documents keep their exact bytes.
         out["actions"] = list(action_log)
     return out
-
-
-def snapshots_from_group_records(
-    group_records: Sequence[Mapping[str, Any]],
-) -> List[MonitorSnapshot]:
-    """Deserialize every group record's monitor side channel."""
-    return [
-        MonitorSnapshot.from_dict(group["monitor"])
-        for group in group_records
-        if "monitor" in group
-    ]
 
 
 def actions_from_group_records(
@@ -932,6 +891,23 @@ def actions_from_group_records(
     ]
 
 
+def _fleet_health(
+    spec: ShardedFleetSpec,
+    document: Mapping[str, Any],
+    group_records: Sequence[Mapping[str, Any]],
+) -> Dict[str, Any]:
+    """Merge the group monitors and build the health document: the tail
+    :func:`run_sharded` and :func:`reference_health` share."""
+    merged = merge_snapshots(group["monitor"] for group in group_records)
+    return build_fleet_health(
+        spec, document, merged,
+        action_log=(
+            actions_from_group_records(group_records)
+            if spec.remediate else None
+        ),
+    )
+
+
 # -- drivers ----------------------------------------------------------------
 
 
@@ -943,14 +919,14 @@ class ShardedFleetResult:
     spec: ShardedFleetSpec
     plan: ShardPlan
     document: Dict[str, Any]
-    error_bound: Optional[Dict[str, Any]] = None
-    health: Optional[Dict[str, Any]] = None
     #: Host-side meter: the folded group counters plus the fan-out/merge
     #: stats only the driver can see (shard runs, merge bytes/seconds).
-    meter: Optional[RuntimeMeter] = None
+    meter: RuntimeMeter
     #: The merged document's canonical text, serialised once at merge
     #: time (it is also what ``merge_bytes`` measured).
-    merged_text: Optional[str] = None
+    merged_text: str
+    error_bound: Optional[Dict[str, Any]] = None
+    health: Optional[Dict[str, Any]] = None
 
     @property
     def aggregates(self) -> Dict[str, Any]:
@@ -965,9 +941,7 @@ class ShardedFleetResult:
         """Canonical JSON of the merged document, newline-terminated —
         byte-identical across shard counts and worker counts whenever
         :attr:`exact` holds."""
-        if self.merged_text is not None:
-            return self.merged_text
-        return canonical_json(self.document) + "\n"
+        return self.merged_text
 
     def health_json(self) -> str:
         """Canonical JSON of the health document, newline-terminated.
@@ -1014,7 +988,7 @@ def run_sharded(
     order cannot influence the merge, and a ``cache_dir`` turns repeat
     runs of unchanged shards into cache hits.  ``progress`` receives one
     :class:`~repro.sweep.runner.SweepProgress` per finished shard (live
-    heartbeats); when ``spec.monitor`` is set, the shard snapshots are
+    heartbeats); when ``spec.monitor`` is set, the group monitors are
     merged and the health document attached to the result.
     """
     plan = partition_topology(spec.topology, n_shards, split_coupled)
@@ -1048,18 +1022,9 @@ def run_sharded(
     meter.absorb(runner.meter)
     meter.absorb_snapshot(document["meter"])
     bound = compute_error_bound(spec, plan, group_records)
-    health = None
-    if spec.monitor:
-        merged_snapshot = merge_snapshots(
-            snapshots_from_group_records(group_records)
-        )
-        health = build_fleet_health(
-            spec, document, merged_snapshot,
-            action_log=(
-                actions_from_group_records(group_records)
-                if spec.remediate else None
-            ),
-        )
+    health = (
+        _fleet_health(spec, document, group_records) if spec.monitor else None
+    )
     return ShardedFleetResult(
         spec=spec, plan=plan, document=document, error_bound=bound,
         health=health, meter=meter, merged_text=merged_text,
@@ -1087,7 +1052,7 @@ def reference_health(spec: ShardedFleetSpec) -> Dict[str, Any]:
     """The single-process reference health document.
 
     Simulates every coupling group in-process (``spec.monitor`` must be
-    set), merges the snapshots, and builds the same health document as
+    set), merges the group monitors, and builds the same health document as
     :func:`run_sharded` — the differential baseline for fleet
     observability byte-identity tests.
     """
@@ -1097,14 +1062,7 @@ def reference_health(spec: ShardedFleetSpec) -> Dict[str, Any]:
         _simulate_group(spec, group)
         for group in spec.topology.coupling_groups()
     ]
-    document = merge_group_records(spec, records)
-    merged = merge_snapshots(snapshots_from_group_records(records))
-    return build_fleet_health(
-        spec, document, merged,
-        action_log=(
-            actions_from_group_records(records) if spec.remediate else None
-        ),
-    )
+    return _fleet_health(spec, merge_group_records(spec, records), records)
 
 
 __all__ = [
@@ -1122,5 +1080,4 @@ __all__ = [
     "reference_report",
     "run_sharded",
     "shard_run",
-    "snapshots_from_group_records",
 ]

@@ -26,12 +26,10 @@ from repro.monitor.diff import (
 from repro.monitor.fleet import (
     FLEET_HEALTH_SCHEMA,
     FLEET_RULES,
-    FleetSLOEngine,
-    MonitorSnapshot,
     default_fleet_slos,
     fleet_health_to_prometheus,
     merge_snapshots,
-    restore_monitor,
+    replay_fleet_slos,
 )
 from repro.monitor.monitor import Monitor, ObservedExecution, attach_monitor
 from repro.monitor.observed import ObservedDemandFeed, observations_from_history
@@ -61,10 +59,8 @@ __all__ = [
     "DiffRow",
     "FLEET_HEALTH_SCHEMA",
     "FLEET_RULES",
-    "FleetSLOEngine",
     "LatencySLO",
     "Monitor",
-    "MonitorSnapshot",
     "MonitoringPlane",
     "ObservedDemandFeed",
     "ObservedExecution",
@@ -83,5 +79,5 @@ __all__ = [
     "load_profile",
     "merge_snapshots",
     "observations_from_history",
-    "restore_monitor",
+    "replay_fleet_slos",
 ]

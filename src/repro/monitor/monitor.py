@@ -31,7 +31,7 @@ demand feed (:mod:`repro.monitor.observed`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.monitor.window import WindowAggregate, WindowedSeries
 from repro.telemetry.tracer import (
@@ -52,6 +52,18 @@ KIND_LINK = "link"
 
 #: One series identity: (kind, entity name, signal).
 SeriesId = Tuple[str, str, str]
+
+#: Schema tag of one serialized monitor (a group's wire dict).
+SNAPSHOT_SCHEMA = "repro.monitor.snapshot/1"
+
+
+class _FrozenClock:
+    """The clock of a deserialized monitor: pinned at its end time."""
+
+    __slots__ = ("now",)
+
+    def __init__(self, now: float) -> None:
+        self.now = now
 
 
 @dataclass(frozen=True)
@@ -254,7 +266,7 @@ class Monitor:
         elif name == "fallback_local":
             self.series(KIND_ZONE, self.zone, "fallbacks").observe(at)
 
-    # -- snapshots ---------------------------------------------------------
+    # -- reading -----------------------------------------------------------
 
     def stats(
         self, now: float, window_s: Optional[float] = None
@@ -286,16 +298,55 @@ class Monitor:
             out[f"{kind}/{name}/{signal}"] = entry
         return out
 
-    def snapshot(self, end_s: Optional[float] = None) -> "Any":
-        """Freeze this monitor's state as a mergeable `MonitorSnapshot`.
+    # -- wire format -------------------------------------------------------
 
-        ``end_s`` defaults to the clock's current time; it records how
-        far simulated time had advanced (needed to replay SLO
-        evaluation offline), which can exceed the last observation.
+    def to_dict(self, end_s: float) -> Dict[str, Any]:
+        """The wire dict (schema ``repro.monitor.snapshot/1``).
+
+        ``end_s`` records how far simulated time had advanced (the SLO
+        replay needs it), which can exceed the last observation.  Series
+        are keyed ``kind/name/signal``, sorted.
         """
-        from repro.monitor.fleet import MonitorSnapshot
+        return {
+            "schema": SNAPSHOT_SCHEMA,
+            "zone": self.zone,
+            "bucket_s": self.bucket_s,
+            "horizon_s": self.horizon_s,
+            "alpha": self.alpha,
+            "end_s": end_s,
+            "series": {
+                "/".join(key): self._series[key].to_dict()
+                for key in sorted(self._series)
+            },
+        }
 
-        return MonitorSnapshot.capture(self, end_s=end_s)
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "Monitor":
+        """A read-only monitor rebuilt from :meth:`to_dict` output.
+
+        Its clock is frozen at the dict's ``end_s``; it is meant for
+        offline queries (aggregate / stats / SLO replay), never for a
+        live tracer.
+        """
+        schema = data.get("schema", SNAPSHOT_SCHEMA)
+        if schema != SNAPSHOT_SCHEMA:
+            raise ValueError(f"not a monitor snapshot: schema {schema!r}")
+        monitor = cls(
+            _FrozenClock(float(data.get("end_s", 0.0))),
+            zone=str(data["zone"]),
+            bucket_s=float(data["bucket_s"]),
+            horizon_s=float(data["horizon_s"]),
+            alpha=float(data["alpha"]),
+        )
+        series: Mapping[str, Mapping[str, Any]] = data.get("series", {})
+        for key_text in series:
+            parts = key_text.split("/")
+            if len(parts) != 3:
+                raise ValueError(f"bad series key {key_text!r}")
+            monitor._series[(parts[0], parts[1], parts[2])] = (
+                WindowedSeries.from_dict(series[key_text])
+            )
+        return monitor
 
 
 def attach_monitor(env: Any, monitor: Optional[Monitor] = None) -> Monitor:

@@ -70,16 +70,6 @@ class QuantileSketch:
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count
 
-    def copy(self) -> "QuantileSketch":
-        """An independent copy (used when snapshotting a series)."""
-        twin = QuantileSketch.__new__(QuantileSketch)
-        twin.alpha = self.alpha
-        twin._gamma = self._gamma
-        twin._log_gamma = self._log_gamma
-        twin._zero_count = self._zero_count
-        twin._buckets = dict(self._buckets)
-        return twin
-
     @classmethod
     def merged(cls, sketches: Iterable["QuantileSketch"], alpha: float = 0.01
                ) -> "QuantileSketch":

@@ -42,20 +42,6 @@ class _Bucket:
         self.extras: Dict[str, float] = {}
         self.extras_max: Dict[str, float] = {}
 
-    def copy(self) -> "_Bucket":
-        """An independent copy, with ``from_dict``'s value types.
-
-        Sums start from ``0.0`` and so are floats already; only maxed
-        extras keep the type they were observed with.
-        """
-        twin = _Bucket(self.sketch.copy())
-        twin.count = self.count
-        twin.bad = self.bad
-        twin.value_sum = self.value_sum
-        twin.extras = self.extras.copy()
-        twin.extras_max = {k: float(v) for k, v in self.extras_max.items()}
-        return twin
-
 
 class WindowAggregate:
     """The fold of every bucket intersecting one query window.
@@ -271,25 +257,14 @@ class WindowedSeries:
                     bucket.extras_max[name] = theirs.extras_max[name]
         self.total_count += other.total_count
 
-    def copy(self) -> "WindowedSeries":
-        """An independent deep copy, equal to a serialization round trip."""
-        twin = WindowedSeries(
-            bucket_s=float(self.bucket_s),
-            horizon_s=float(self.horizon_s),
-            alpha=float(self.alpha),
-        )
-        twin.total_count = self.total_count
-        for index in sorted(self._buckets):
-            twin._buckets[index] = self._buckets[index].copy()
-        return twin
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe state; bucket keys are stringified indices.
 
-        Extras maps are emitted key-sorted so the canonical JSON of two
-        equal series is byte-identical.
+        Extras maps are emitted key-sorted, and the geometry and maxed
+        extras as floats (the types :meth:`from_dict` restores), so the
+        canonical JSON of two equal series is byte-identical.
         """
         buckets: Dict[str, object] = {}
         for index in sorted(self._buckets):
@@ -306,13 +281,14 @@ class WindowedSeries:
                 }
             if bucket.extras_max:
                 entry["extras_max"] = {
-                    k: bucket.extras_max[k] for k in sorted(bucket.extras_max)
+                    k: float(bucket.extras_max[k])
+                    for k in sorted(bucket.extras_max)
                 }
             buckets[str(index)] = entry
         return {
-            "bucket_s": self.bucket_s,
-            "horizon_s": self.horizon_s,
-            "alpha": self.alpha,
+            "bucket_s": float(self.bucket_s),
+            "horizon_s": float(self.horizon_s),
+            "alpha": float(self.alpha),
             "total_count": self.total_count,
             "buckets": buckets,
         }

@@ -361,13 +361,16 @@ def attach_remediation(
 ) -> RemediationPlane:
     """Wire monitor → SLO engine → remediation onto one environment.
 
-    The environment must already carry a recording tracer.  SLOs use the
-    fleet vocabulary (``availability:<zone>``, ``uplink-stall``, …) with
-    the fleet rule set, so single-run and fleet policies match the same
-    table.  A goodput forecaster on the uplink feeds proactive
-    re-planning.
+    The environment must already carry a recording tracer.  ``monitor``
+    is one already subscribed to it (a fleet group subscribes its own
+    before any span ends); by default a new one is subscribed here.
+    SLOs use the fleet vocabulary (``availability:<zone>``,
+    ``uplink-stall``, …) with the fleet rule set, so single-run and
+    fleet policies match the same table.  A goodput forecaster on the
+    uplink feeds proactive re-planning.
     """
-    monitor = attach_monitor(env, monitor)
+    if monitor is None:
+        monitor = attach_monitor(env)
     slos = live_fleet_slos(zone)
     engine = SLOEngine(
         monitor,

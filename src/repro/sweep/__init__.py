@@ -38,6 +38,7 @@ from repro.sweep.spec import (
     config_key,
     resolve_scenario,
     scenario_ref,
+    write_atomic,
 )
 
 __all__ = [
@@ -53,4 +54,5 @@ __all__ = [
     "resolve_scenario",
     "run_sweep",
     "scenario_ref",
+    "write_atomic",
 ]

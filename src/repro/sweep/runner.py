@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from repro.sweep.spec import (
     config_key,
     resolve_scenario,
     scenario_ref,
+    write_atomic,
 )
 
 #: Default on-disk cache location (relative to the working directory).
@@ -345,9 +345,8 @@ class SweepRunner:
             {"scenario": self.spec.scenario_name, "config": dict(config),
              "result": result}
         )
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(payload + "\n")
-        tmp.replace(path)  # atomic: concurrent sweeps never see partials
+        # Atomic: concurrent sweeps never see partials.
+        write_atomic(path, payload + "\n")
 
 
 def run_sweep(

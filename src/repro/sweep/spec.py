@@ -23,6 +23,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Union
@@ -35,6 +36,23 @@ def canonical_json(value: Any) -> str:
     separators, non-finite floats rejected.  Byte-identical for equal
     values regardless of dict insertion order."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def write_atomic(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``.
+
+    Readers see the previous file or the new one, never a partial
+    write: on any failure the temp file is removed and ``path`` is left
+    as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def config_key(config: Mapping[str, Any]) -> str:
@@ -192,4 +210,5 @@ __all__ = [
     "config_key",
     "resolve_scenario",
     "scenario_ref",
+    "write_atomic",
 ]

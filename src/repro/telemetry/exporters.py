@@ -105,9 +105,11 @@ def write_chrome_trace(
     tracer: Tracer,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Write the trace document to ``path``; returns the path written."""
+    """Write the trace document to ``path`` atomically; returns the path."""
+    from repro.sweep.spec import write_atomic
+
     target = Path(path)
-    target.write_text(dumps_chrome_trace(tracer, metadata), encoding="utf-8")
+    write_atomic(target, dumps_chrome_trace(tracer, metadata))
     return target
 
 

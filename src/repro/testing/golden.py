@@ -17,7 +17,7 @@ behaviour, and let the diff document exactly what moved.
 from __future__ import annotations
 
 import hashlib
-from typing import List
+from typing import Dict, List
 
 from repro.apps.catalog import photo_backup_app
 from repro.apps.jobs import Job
@@ -194,6 +194,44 @@ def trace_digest(lines: List[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+def golden_fleet_spec(couple: str, remediate: bool):
+    """The pinned fleet of the fleet fixtures.
+
+    The CI fleet smokes' configuration (4 zones x 2 UEs, 600 s release
+    window, 1200 s slack, ``uplink-outage`` chaos, every other knob at
+    its ``repro fleet`` default), monitored, optionally remediated.
+    """
+    from repro.fleet import FleetTopology, ShardedFleetSpec
+
+    return ShardedFleetSpec(
+        topology=FleetTopology.uniform(
+            n_zones=4, ues_per_zone=2, couple=couple
+        ),
+        window_s=600.0,
+        slack_s=1200.0,
+        monitor=True,
+        chaos="uplink-outage",
+        remediate=remediate,
+    )
+
+
+def run_golden_fleet(couple: str, remediate: bool) -> Dict[str, str]:
+    """The exact text of a pinned fleet run's three artifacts.
+
+    ``merged`` and ``health`` are what ``repro fleet --out`` and
+    ``--health-out`` write, ``actions`` what ``--actions-out`` writes
+    (empty when not remediated).
+    """
+    from repro.fleet import run_sharded
+
+    result = run_sharded(golden_fleet_spec(couple, remediate))
+    return {
+        "merged": result.merged_json(),
+        "health": result.health_json(),
+        "actions": result.action_log,
+    }
+
+
 def monitoring_chaos_schedule() -> FaultSchedule:
     """The R1-style chaos campaign of the *monitored* scenario.
 
@@ -319,10 +357,12 @@ __all__ = [
     "GOLDEN_SEED",
     "TRACE_SCHEMA",
     "golden_fault_schedule",
+    "golden_fleet_spec",
     "golden_monitoring_rule_overrides",
     "golden_monitoring_rules",
     "golden_monitoring_slos",
     "monitoring_chaos_schedule",
+    "run_golden_fleet",
     "run_golden_scenario",
     "run_monitored_scenario",
     "trace_digest",

@@ -73,7 +73,9 @@ def save_workload(path: "str | Path", jobs: Sequence[Job]) -> None:
         "version": TRACE_VERSION,
         "jobs": [job_to_record(job) for job in jobs],
     }
-    Path(path).write_text(json.dumps(payload, indent=2))
+    from repro.sweep.spec import write_atomic
+
+    write_atomic(path, json.dumps(payload, indent=2))
 
 
 def load_workload(path: "str | Path", resolve: AppResolver) -> List[Job]:
@@ -136,7 +138,9 @@ def save_report(path: "str | Path", report) -> None:
             for failure in report.failures
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2))
+    from repro.sweep.spec import write_atomic
+
+    write_atomic(path, json.dumps(payload, indent=2))
 
 
 def load_report_summary(path: "str | Path") -> dict:

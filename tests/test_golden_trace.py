@@ -13,14 +13,17 @@ and commit the fixture diff so review sees exactly which numbers moved.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.sweep import canonical_json
 from repro.testing.golden import (
     GOLDEN_SEED,
     TRACE_SCHEMA,
+    run_golden_fleet,
     run_golden_scenario,
     trace_digest,
 )
@@ -38,6 +41,12 @@ VARIANTS = [
 ]
 
 TRACED_FIXTURE = "pipeline_traced.json"
+
+#: (fixture, coupling, remediated): the two CI fleet smoke configurations.
+FLEET_VARIANTS = [
+    ("fleet_monitored.json", "ring", False),
+    ("fleet_remediated.json", "pairs", True),
+]
 
 
 def _load(filename: str) -> dict:
@@ -136,3 +145,42 @@ def test_fault_variant_actually_injects_faults():
     ):
         assert marker in joined, f"expected fault marker {marker!r} in trace"
     assert not any(line.startswith("metric faults") for line in baseline["lines"])
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("filename,couple,remediate", FLEET_VARIANTS)
+def test_fleet_artifacts_match_committed_fixture(filename, couple, remediate):
+    """The merged fleet document, the health document and the action log
+    of the pinned fleet replay byte for byte: the parsed documents give a
+    readable diff, the digests pin the exact text."""
+    fixture = _load(filename)
+    assert fixture["schema"] == TRACE_SCHEMA
+    assert fixture["couple"] == couple
+    assert fixture["remediate"] is remediate
+
+    texts = run_golden_fleet(couple, remediate)
+    assert json.loads(texts["merged"]) == fixture["merged"], REGEN_HINT
+    assert json.loads(texts["health"]) == fixture["health"], REGEN_HINT
+    assert texts["actions"].splitlines() == fixture["actions"], REGEN_HINT
+    assert {
+        name: _sha256(text) for name, text in texts.items()
+    } == fixture["digests"], REGEN_HINT
+
+
+@pytest.mark.parametrize("filename,couple,remediate", FLEET_VARIANTS)
+def test_fleet_fixture_digests_are_self_consistent(filename, couple, remediate):
+    """The stored digests are those of the stored documents' canonical
+    text (fixtures not hand-edited), and the fixtures exercise what they
+    guard: an alert fires, and the remediated fleet acts on it."""
+    fixture = _load(filename)
+    lines = fixture["actions"]
+    assert fixture["digests"] == {
+        "actions": _sha256("\n".join(lines) + ("\n" if lines else "")),
+        "health": _sha256(canonical_json(fixture["health"]) + "\n"),
+        "merged": _sha256(canonical_json(fixture["merged"]) + "\n"),
+    }
+    assert fixture["health"]["fleet"]["alerts_fired"] >= 1
+    assert bool(lines) is remediate

@@ -105,14 +105,6 @@ class TestMerge:
         with pytest.raises(ValueError):
             QuantileSketch(0.01).merge(QuantileSketch(0.02))
 
-    def test_copy_is_independent(self):
-        a = QuantileSketch()
-        a.add(1.0)
-        b = a.copy()
-        b.add(100.0)
-        assert a.count == 1
-        assert b.count == 2
-
     def test_merged_classmethod(self):
         a, b = QuantileSketch(), QuantileSketch()
         a.add(1.0)

@@ -1,10 +1,10 @@
-"""Serialization and merge tests for monitor snapshots.
+"""Serialization and merge tests for monitor wire dicts.
 
 The core claims: ``to_dict``/``from_dict`` are exact inverses for
-sketches, windowed series, and whole-monitor snapshots; merging
-snapshots is equivalent to having observed every event on one monitor;
-and the canonical JSON of a merge is independent of how the events were
-partitioned into shards.
+sketches, windowed series, and whole monitors (the fleet's per-group
+wire dict); merging group wire dicts is equivalent to having observed
+every event on one monitor; and the canonical JSON of a merge is
+independent of how the events were partitioned into shards.
 """
 
 import json
@@ -13,12 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor import QuantileSketch
-from repro.monitor.fleet import (
-    FleetSLOEngine,
-    MonitorSnapshot,
-    merge_snapshots,
-    restore_monitor,
-)
+from repro.monitor.fleet import merge_snapshots, replay_fleet_slos
 from repro.monitor.monitor import Monitor
 from repro.monitor.window import WindowedSeries
 from repro.sweep import canonical_json
@@ -97,31 +92,11 @@ class TestSeriesRoundTripAndMerge:
         left.merge(right)
         assert left.to_dict() == combined.to_dict()
 
-    @given(obs=observations(), horizon_s=st.sampled_from([30.0, 3600.0]))
-    @settings(max_examples=25)
-    def test_copy_equals_to_dict_and_is_independent(self, obs, horizon_s):
-        series = WindowedSeries(bucket_s=10.0, horizon_s=horizon_s)
-        for at, value, bad in obs:
-            series.observe(
-                at, value=value, bad=bad, extras={"bytes": value},
-                extras_max={"depth": value},
-            )
-        twin = series.copy()
-        assert twin.to_dict() == series.to_dict()
-        before = canonical_json(series.to_dict())
-        twin.observe(599.0, value=3.0, extras={"bytes": 1.0})
-        for bucket in twin._buckets.values():
-            bucket.count += 1
-            bucket.sketch.add(1.0)
-            bucket.extras["bytes"] = -1.0
-            bucket.extras_max["depth"] = -1.0
-        assert canonical_json(series.to_dict()) == before
-
-    def test_copy_types_values_like_a_round_trip(self):
+    def test_to_dict_types_values_like_a_round_trip(self):
         series = WindowedSeries(bucket_s=10, horizon_s=60)
         series.observe(5.0, value=2, extras_max={"depth": 3})
         round_trip = WindowedSeries.from_dict(series.to_dict())
-        assert canonical_json(series.copy().to_dict()) == canonical_json(
+        assert canonical_json(series.to_dict()) == canonical_json(
             round_trip.to_dict()
         )
 
@@ -156,106 +131,122 @@ def _linked_monitor(events, zone="z0"):
     return monitor
 
 
+def _replay_view(engine):
+    """Everything a fleet health document takes from a replay."""
+    end_s = engine.monitor.clock.now
+    return {
+        "slos": [slo.name for slo in engine.slos],
+        "alerts": [alert.to_dict() for alert in engine.alerts],
+        "log": list(engine.log),
+        "health": engine.health(end_s),
+        "stats": engine.monitor.stats(end_s),
+    }
+
+
 class TestSnapshot:
     @given(obs=observations())
     @settings(max_examples=15)
     def test_capture_restore_round_trip(self, obs):
         monitor = _populated_monitor(obs)
-        snapshot = monitor.snapshot(end_s=600.0)
-        clone = MonitorSnapshot.from_dict(snapshot.to_dict())
-        assert clone.to_dict() == snapshot.to_dict()
-        restored = restore_monitor(snapshot)
+        wire = monitor.to_dict(end_s=600.0)
+        restored = Monitor.from_dict(json.loads(canonical_json(wire)))
         assert restored.zone == monitor.zone
-        assert restored.snapshot(end_s=600.0).to_dict() == snapshot.to_dict()
-
-    def test_capture_is_a_deep_copy(self):
-        monitor = _populated_monitor([(5.0, 1.0, False)])
-        snapshot = monitor.snapshot(end_s=10.0)
-        before = canonical_json(snapshot.to_dict())
-        monitor.series("function", "resize", "invoke").observe(7.0, value=2.0)
-        assert canonical_json(snapshot.to_dict()) == before
+        assert restored.clock.now == 600.0
+        assert canonical_json(restored.to_dict(end_s=600.0)) == canonical_json(
+            wire
+        )
+        assert restored.stats(600.0) == monitor.stats(600.0)
 
     def test_from_dict_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
-            MonitorSnapshot.from_dict({"schema": "bogus/9"})
+            Monitor.from_dict({"schema": "bogus/9"})
+        with pytest.raises(ValueError):
+            merge_snapshots([{"schema": "bogus/9"}])
 
     @given(obs=observations(), n_shards=st.sampled_from([1, 2, 4]))
     @settings(max_examples=15)
     def test_sharded_merge_matches_single_monitor(self, obs, n_shards):
-        whole = _populated_monitor(obs).snapshot(end_s=600.0)
+        whole = _populated_monitor(obs).to_dict(end_s=600.0)
         shards = [
             _populated_monitor(obs[i::n_shards]) for i in range(n_shards)
         ]
-        merged = merge_snapshots(
-            [m.snapshot(end_s=600.0) for m in shards], zone="z0"
-        )
-        assert canonical_json(merged.to_dict()) == canonical_json(
-            whole.to_dict()
+        merged = merge_snapshots([m.to_dict(end_s=600.0) for m in shards])
+        assert merged.zone == "fleet"
+        assert canonical_json(merged.to_dict(end_s=600.0)) == canonical_json(
+            {**whole, "zone": "fleet"}
         )
 
     @given(obs=observations(), n_shards=st.sampled_from([2, 3]))
     @settings(max_examples=15)
     def test_merge_leaves_inputs_unchanged(self, obs, n_shards):
         shards = [
-            _populated_monitor(obs[i::n_shards], zone=f"z{i % 2}").snapshot(
+            _populated_monitor(obs[i::n_shards], zone=f"z{i % 2}").to_dict(
                 end_s=600.0
             )
             for i in range(n_shards)
         ]
-        before = [canonical_json(s.to_dict()) for s in shards]
+        before = [canonical_json(s) for s in shards]
         merged = merge_snapshots(shards)
-        merged.merge(_populated_monitor(obs).snapshot(end_s=600.0))
-        for series in merged.series.values():
-            series.observe(599.0, value=1.0, bad=True)
-        assert [canonical_json(s.to_dict()) for s in shards] == before
+        for key in merged.entities():
+            merged.series(*key).observe(599.0, value=1.0, bad=True)
+        assert [canonical_json(s) for s in shards] == before
 
     @given(obs=observations())
     @settings(max_examples=15)
     def test_fleet_replay_leaves_merged_snapshot_unchanged(self, obs):
         shards = [
-            _linked_monitor(obs[i::2], zone=f"z{i}").snapshot(end_s=600.0)
+            _linked_monitor(obs[i::2], zone=f"z{i}").to_dict(end_s=600.0)
             for i in range(2)
         ]
         merged = merge_snapshots(shards)
-        before = canonical_json(merged.to_dict())
-        engine = FleetSLOEngine(merged)
-        report = engine.report()
-        assert canonical_json(merged.to_dict()) == before
-        # The replay reads the snapshot's own series, not copies.
-        for key, series in merged.series.items():
-            assert engine.monitor._series[key] is series
-        # Asking the view for an unknown series never adds it to the
-        # snapshot.
-        engine.monitor.series("zone", "nowhere", "availability")
-        assert canonical_json(merged.to_dict()) == before
-        assert report == FleetSLOEngine(
-            MonitorSnapshot.from_dict(merged.to_dict())
-        ).report()
+        before = canonical_json(merged.to_dict(end_s=600.0))
+        engine = replay_fleet_slos(merged)
+        view = _replay_view(engine)
+        # The replay reads the merged monitor itself, and adds nothing
+        # to it (not even an empty series).
+        assert engine.monitor is merged
+        assert canonical_json(merged.to_dict(end_s=600.0)) == before
+        assert view == _replay_view(
+            replay_fleet_slos(Monitor.from_dict(json.loads(before)))
+        )
 
     def test_fleet_replay_of_a_stall_fires_and_keeps_bytes(self):
         stalls = [(float(t), 60.0, False) for t in range(200, 320, 10)]
-        merged = merge_snapshots(
-            [_linked_monitor(stalls).snapshot(end_s=900.0)]
-        )
-        before = canonical_json(merged.to_dict())
-        report = FleetSLOEngine(merged).report()
-        assert any(a["slo"] == "uplink-stall" for a in report["alerts"])
-        assert canonical_json(merged.to_dict()) == before
+        merged = merge_snapshots([_linked_monitor(stalls).to_dict(end_s=900.0)])
+        before = canonical_json(merged.to_dict(end_s=900.0))
+        engine = replay_fleet_slos(merged)
+        assert any(a.slo == "uplink-stall" for a in engine.alerts)
+        assert canonical_json(merged.to_dict(end_s=900.0)) == before
 
     def test_merge_order_independent(self):
-        a = _populated_monitor([(1.0, 1.0, False)], zone="za").snapshot(10.0)
-        b = _populated_monitor([(2.0, 2.0, True)], zone="zb").snapshot(10.0)
+        a = _populated_monitor([(1.0, 1.0, False)], zone="za").to_dict(10.0)
+        b = _populated_monitor([(2.0, 2.0, True)], zone="zb").to_dict(10.0)
         ab = merge_snapshots([a, b])
         ba = merge_snapshots([b, a])
-        assert canonical_json(ab.to_dict()) == canonical_json(ba.to_dict())
+        assert canonical_json(ab.to_dict(10.0)) == canonical_json(
+            ba.to_dict(10.0)
+        )
 
     def test_empty_merge_is_an_empty_snapshot(self):
         merged = merge_snapshots([])
-        assert merged.total_events == 0
-        json.loads(canonical_json(merged.to_dict()))  # serializable
+        assert merged.entities() == []
+        assert merged.zone == "fleet"
+        assert merged.clock.now == 0.0
+        json.loads(canonical_json(merged.to_dict(end_s=0.0)))  # serializable
+
+    def test_merge_extends_horizon_and_end_time(self):
+        a = Monitor(_Clock(), zone="za", horizon_s=3600.0).to_dict(end_s=60.0)
+        b = Monitor(_Clock(), zone="zb", horizon_s=7200.0).to_dict(end_s=90.0)
+        for inputs in ([a, b], [b, a]):
+            merged = merge_snapshots(inputs)
+            assert merged.horizon_s == 7200.0
+            assert merged.clock.now == 90.0
 
     def test_merge_rejects_mismatched_geometry(self):
-        a = Monitor(_Clock(), bucket_s=10.0).snapshot(end_s=0.0)
-        b = Monitor(_Clock(), bucket_s=5.0).snapshot(end_s=0.0)
+        a = Monitor(_Clock(), bucket_s=10.0).to_dict(end_s=0.0)
+        b = Monitor(_Clock(), bucket_s=5.0).to_dict(end_s=0.0)
+        c = Monitor(_Clock(), alpha=0.02).to_dict(end_s=0.0)
         with pytest.raises(ValueError):
             merge_snapshots([a, b])
+        with pytest.raises(ValueError):
+            merge_snapshots([a, c])

@@ -14,6 +14,7 @@ fixtures are stale, without writing anything (useful in CI).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.testing.golden import (  # noqa: E402 - path bootstrap above
     GOLDEN_SEED,
     TRACE_SCHEMA,
+    run_golden_fleet,
     run_golden_scenario,
     trace_digest,
 )
@@ -33,6 +35,11 @@ VARIANTS = {
     "pipeline_baseline.json": {"with_faults": False},
     "pipeline_faults.json": {"with_faults": True},
     "pipeline_traced.json": {"with_faults": True, "traced": True},
+}
+#: The two CI fleet smokes: monitored ring, remediated pairs.
+FLEET_VARIANTS = {
+    "fleet_monitored.json": {"couple": "ring", "remediate": False},
+    "fleet_remediated.json": {"couple": "pairs", "remediate": True},
 }
 
 
@@ -52,6 +59,24 @@ def render(with_faults: bool, traced: bool = False) -> dict:
     return doc
 
 
+def render_fleet(couple: str, remediate: bool) -> dict:
+    """The fleet artifacts as JSON, plus the SHA-256 of their exact text
+    (the parsed documents alone would not see an int turn into a float)."""
+    texts = run_golden_fleet(couple, remediate)
+    return {
+        "schema": TRACE_SCHEMA,
+        "couple": couple,
+        "remediate": remediate,
+        "digests": {
+            name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for name, text in sorted(texts.items())
+        },
+        "merged": json.loads(texts["merged"]),
+        "health": json.loads(texts["health"]),
+        "actions": texts["actions"].splitlines(),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -63,18 +88,23 @@ def main() -> int:
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     stale = []
-    for filename, kwargs in VARIANTS.items():
+    renders = [(name, render, kwargs) for name, kwargs in VARIANTS.items()]
+    renders += [
+        (name, render_fleet, kwargs) for name, kwargs in FLEET_VARIANTS.items()
+    ]
+    for filename, renderer, kwargs in renders:
         path = GOLDEN_DIR / filename
-        fresh = render(**kwargs)
+        fresh = renderer(**kwargs)
+        digest = fresh.get("digest") or fresh["digests"]["health"]
         if args.check:
             current = json.loads(path.read_text()) if path.exists() else None
             if current != fresh:
                 stale.append(filename)
                 continue
-            print(f"ok       {filename}  digest={fresh['digest'][:16]}…")
+            print(f"ok       {filename}  digest={digest[:16]}…")
         else:
             path.write_text(json.dumps(fresh, indent=1) + "\n")
-            print(f"written  {filename}  digest={fresh['digest'][:16]}…")
+            print(f"written  {filename}  digest={digest[:16]}…")
     if stale:
         print(f"STALE fixtures: {', '.join(stale)} — rerun without --check")
         return 1
