@@ -1,30 +1,25 @@
-"""O1 — Observability overhead: disabled tracer and meter cost nothing.
+"""O1 — Observability overhead: a disabled tracer costs nothing.
 
 The telemetry layer's contract (see ``repro.telemetry.tracer``) is that
 an uninstrumented run pays one hoisted attribute read per instrumented
-operation and nothing per kernel event; the runtime meter
-(``repro.perf.meter``) makes the same promise for its wall-clock
-metering sites.  This bench measures the kernel event loop under four
-configurations and asserts both contracts:
+operation and nothing per kernel event.  This bench measures the kernel
+event loop under three configurations and asserts that contract:
 
 * **baseline** — a plain event loop with no tracer reference at all;
 * **disabled** — the instrumented loop shape (hoisted ``sim.tracer``,
   ``if tracer.enabled:`` guard per operation) against the default
   :data:`~repro.telemetry.tracer.NULL_TRACER`;
-* **meter** — the meter-instrumented loop shape: a hoisted
-  :data:`~repro.perf.meter.NULL_METER` with one ``if meter.enabled:``
-  guard per operation (the counter increments themselves ride inside
-  the kernel in every configuration — they *are* the event count);
 * **enabled** — the tracer loop with a recording
   :class:`~repro.telemetry.tracer.Tracer` attached, one span per event.
 
-Rounds are interleaved (baseline, disabled, meter, enabled, repeat) so
+Rounds are interleaved (baseline, disabled, enabled, repeat) so
 slow drift in the host machine hits every configuration equally, and
 each configuration is scored by its *minimum* over the repeats — the
 best observed time is the least noise-contaminated estimate of the true
 cost.  The wall-clock columns are the only non-deterministic output in
-the benchmark suite besides F6's; the shape assertions (disabled and
-meter within 2% of baseline) are what CI enforces.
+the benchmark suite besides F6's; the shape assertion (disabled within 2%
+of baseline) is what CI enforces.  The runtime meter's counters ride
+inside the kernel in every configuration (they *are* the event count).
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro.metrics import Table
-from repro.perf.meter import NULL_METER
 from repro.sim import Simulator
 from repro.telemetry import attach_tracer
 from repro.telemetry.tracer import PHASE_EXECUTE
@@ -50,9 +44,9 @@ from _common import (
 #: needs enough rounds to shed scheduler noise at any size.
 N_EVENTS = 100_000 if SHORT else 200_000
 REPEATS = 5
-MAX_DISABLED_OVERHEAD = 0.02  # disabled tracer/meter ≤ 2% over baseline
+MAX_DISABLED_OVERHEAD = 0.02  # disabled tracer ≤ 2% over baseline
 
-CONFIGS = ("baseline", "disabled", "meter", "enabled")
+CONFIGS = ("baseline", "disabled", "enabled")
 
 
 def _plain_proc(sim, n):
@@ -85,24 +79,6 @@ def _instrumented_proc(sim, n):
             yield timeout(1.0)
 
 
-def _metered_proc(sim, n):
-    """The loop as a meter-instrumented subsystem writes it.
-
-    The wall-clock metering sites (controller plan, sweep, merge) hoist
-    the meter once and guard their ``perf_counter()`` calls on
-    ``meter.enabled``; with :data:`NULL_METER` installed the residue is
-    one local bool test per operation — the same shape as the disabled
-    tracer path.
-    """
-    meter = NULL_METER
-    enabled = meter.enabled
-    timeout = sim.timeout
-    for _ in range(n):
-        if enabled:  # the per-operation wall-clock guard being measured
-            pass
-        yield timeout(1.0)
-
-
 class SimpleEnv:
     """The minimal ``env`` shape :func:`attach_tracer` needs."""
 
@@ -115,8 +91,6 @@ def _run_once(config: str, n: int = N_EVENTS) -> float:
     sim = Simulator()
     if config == "baseline":
         proc = _plain_proc(sim, n)
-    elif config == "meter":
-        proc = _metered_proc(sim, n)
     else:
         if config == "enabled":
             attach_tracer(SimpleEnv(sim))
@@ -167,7 +141,6 @@ def _overhead_ratio(samples: dict, config: str) -> float:
     "O1",
     metrics=(
         MetricSpec("disabled_overhead_pct", kind="max", threshold=2.0),
-        MetricSpec("meter_overhead_pct", kind="max", threshold=2.0),
     ),
     deterministic=("mode", "events", "repeats", "budget_pct"),
 )
@@ -191,11 +164,6 @@ def run_o1() -> Table:
         f"disabled tracer costs {100 * (disabled_ratio - 1):.2f}% "
         f"over baseline (budget {100 * MAX_DISABLED_OVERHEAD:.0f}%)"
     )
-    meter_ratio = _overhead_ratio(samples, "meter")
-    assert meter_ratio <= 1.0 + MAX_DISABLED_OVERHEAD, (
-        f"disabled meter costs {100 * (meter_ratio - 1):.2f}% "
-        f"over baseline (budget {100 * MAX_DISABLED_OVERHEAD:.0f}%)"
-    )
     # Recording is allowed to cost real time; it must at least have
     # actually recorded (sanity that the enabled row measured tracing).
     assert best["enabled"] >= best["disabled"]
@@ -207,7 +175,6 @@ def run_o1() -> Table:
             "repeats": REPEATS,
             "wall_s": {config: best[config] for config in CONFIGS},
             "disabled_overhead_pct": 100.0 * (disabled_ratio - 1.0),
-            "meter_overhead_pct": 100.0 * (meter_ratio - 1.0),
             "budget_pct": 100.0 * MAX_DISABLED_OVERHEAD,
         },
     )

@@ -15,8 +15,8 @@ are memo hits: context build, key lookup, deploy check and metering.
 Deterministic checks: the runtime meter's ``plans_computed`` counter
 must equal the number of plan calls (the plan path is a metered hot
 path), and the final partition digest regenerates bit-identically.
-Plans/second itself is host-dependent and tracked as a trend via the
-bench history ledger rather than hard-gated.
+Plans/second itself is host-dependent and tracked as a trend over the
+run ledger's ``bench`` rows rather than hard-gated.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def _plan_burst(controller: OffloadController, n: int) -> float:
 @register_bench(
     "P1",
     metrics=(
-        # Host-dependent throughput: report-only, trend-tracked via the
-        # bench history ledger.
+        # Host-dependent throughput: report-only, trend-tracked over the
+        # run ledger's bench rows.
         MetricSpec("plans_per_s", kind="ratio", direction="higher",
                    threshold=None),
         MetricSpec("partition_digest", kind="equal", same_mode=True),

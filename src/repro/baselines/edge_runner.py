@@ -16,7 +16,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.apps.graph import AppGraph
 from repro.apps.jobs import Job, JobResult
-from repro.core.controller import ControllerReport, run_jobs
+from repro.core.controller import ControllerReport, Environment, run_jobs
 from repro.core.partitioning import Partition
 from repro.device.ue import DeviceSpec, UserEquipment
 from repro.edge.node import EdgeNode, EdgeNodeSpec
@@ -49,6 +49,10 @@ class EdgeEnvironment:
         self.rng = rng
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.execution_noise_sigma = execution_noise_sigma
+
+    #: Run-to-run execution noise, drawn exactly as the controller's
+    #: :class:`~repro.core.controller.Environment` draws it.
+    actual_work = Environment.actual_work
 
     @staticmethod
     def build(
@@ -90,12 +94,6 @@ class EdgeJobRunner:
         self.partition.validate(app)
         self._exec_rng = env.rng.stream(f"edge_runner.{app.name}.exec")
 
-    def _actual_work(self, nominal: float) -> float:
-        sigma = self.env.execution_noise_sigma
-        if sigma <= 0 or nominal <= 0:
-            return nominal
-        return nominal * self._exec_rng.lognormal_bounded(1.0, sigma, low=0.2, high=5.0)
-
     def submit(self, job: Job) -> Event:
         """Execute one job immediately; process yields a JobResult."""
         if job.app.name != self.app.name:
@@ -129,7 +127,9 @@ class EdgeJobRunner:
             incoming = [edge_done[(p, name)] for p in app.predecessors(name)]
             if incoming:
                 yield sim.all_of(incoming)
-            actual = self._actual_work(job.component_work(name))
+            actual = self.env.actual_work(
+                job.component_work(name), self._exec_rng
+            )
             if partition.is_cloud(name):  # "cloud" side = the edge node here
                 execution = yield self.env.edge.execute(actual)
                 charge(

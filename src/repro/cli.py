@@ -18,9 +18,9 @@ Exposes the library's main flows without writing code::
 Every command is deterministic for a given ``--seed``; ``sweep`` output
 is additionally byte-identical regardless of ``--workers``, and
 ``fleet --health-out`` is byte-identical across shard/worker counts when
-the merge is exact.  ``run``/``sweep``/``fleet`` invocations append one
-line to the run ledger (``.repro_ledger.jsonl`` by default; disable
-with ``--no-ledger`` or ``REPRO_LEDGER=""``).
+the merge is exact.  ``run``/``sweep``/``fleet``/``bench run``
+invocations append one line to the run ledger (``.repro_ledger.jsonl``
+by default; disable with ``--no-ledger`` or ``REPRO_LEDGER=""``).
 """
 
 from __future__ import annotations
@@ -856,12 +856,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
             for _, entry in indexed:
                 print(canonical_json(entry.to_dict()))
             return 0
-        print(
-            render_entries(
-                [e for _, e in indexed], indices=[i for i, _ in indexed]
-            ),
-            end="",
-        )
+        print(render_entries(indexed), end="")
         return 0
 
     # diff
@@ -969,91 +964,60 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
             ordered = [spec for spec in ordered if spec.name in set(args.bench)]
         mode = "short" if args.short else "full"
-        results = {}
-        table = Table(["bench", "wall s"], title="Benchmark run", precision=3)
-        for spec in ordered:
-            started = time.perf_counter()
-            spec.runner()
-            wall = time.perf_counter() - started
-            payload = perf_bench.LAST_SUMMARIES.get(spec.name)
-            if payload is None:
-                raise SystemExit(
-                    f"benchmark {spec.name!r} ran but recorded no summary "
-                    "(its runner must call write_bench_summary)"
-                )
-            results[spec.name] = payload
-            table.add_row(spec.name, wall)
-        document = perf_bench.build_document(results, mode)
-        print(table)
-        print(f"mode: {mode}; {len(results)} benchmark(s) executed")
-        if args.out:
-            from repro.sweep.spec import canonical_json
+        config = {"mode": mode, "benches": [spec.name for spec in ordered]}
+        started = time.perf_counter()
+        with _ledger_guard(args, "bench", config, started):
+            return _cmd_bench_run_body(args, ordered, config, started)
 
-            write_atomic(args.out, canonical_json(document) + "\n")
-            print(f"bench document written to {args.out}")
-        history_path = perf_bench.resolve_history_path(args.history)
-        if history_path is not None:
-            try:
-                index = perf_bench.append_history(history_path, document)
-            except OSError as error:
-                print(f"warning: history append failed: {error}",
-                      file=sys.stderr)
-            else:
-                print(f"history: entry #{index} -> {history_path}",
-                      file=sys.stderr)
-        return 0
+    from repro.perf.check import compare
 
-    if args.bench_command == "compare":
-        from repro.perf.check import compare
-
-        return compare(
-            args.fresh,
-            benches=args.bench,
-            baseline_dir=args.baseline_dir,
-            history=args.history,
-            trend=not args.no_trend,
-            trend_fail=args.trend_fail,
-        )
-
-    # history
-    path = perf_bench.resolve_history_path(args.history)
-    if path is None:
-        print("error: bench history is disabled (empty path)",
-              file=sys.stderr)
-        return 2
-    entries = perf_bench.read_history(path)
-    if not entries:
-        print(f"bench history {path}: no entries")
-        return 0
-    if args.metric:
-        series = perf_bench.history_series(entries, args.metric,
-                                           mode=args.mode)
-        if not series:
-            print(f"bench history {path}: no values for {args.metric!r}")
-            return 0
-        for value in series:
-            print(value)
-        return 0
-    if args.last:
-        entries = entries[-args.last:]
-    table = Table(
-        ["#", "recorded_at", "mode", "git", "metrics"],
-        title=f"Bench history ({path})",
+    return compare(
+        args.fresh,
+        benches=args.bench,
+        baseline_dir=args.baseline_dir,
+        ledger=args.ledger,
+        trend=not args.no_trend,
+        trend_fail=args.trend_fail,
     )
-    for index, entry in enumerate(entries):
-        fingerprint = entry.get("fingerprint", {})
-        metrics = entry.get("metrics", {})
-        brief = ", ".join(
-            f"{key}={metrics[key]}" for key in sorted(metrics)[:3]
-        )
-        table.add_row(
-            index,
-            fingerprint.get("recorded_at", "?"),
-            entry.get("mode", "?"),
-            fingerprint.get("git_rev") or "-",
-            brief,
-        )
+
+
+def _cmd_bench_run_body(args: argparse.Namespace, ordered, config,
+                        started) -> int:
+    import time
+
+    from repro.perf import bench as perf_bench
+
+    mode = config["mode"]
+    results = {}
+    table = Table(["bench", "wall s"], title="Benchmark run", precision=3)
+    for spec in ordered:
+        bench_started = time.perf_counter()
+        spec.runner()
+        wall = time.perf_counter() - bench_started
+        payload = perf_bench.LAST_SUMMARIES.get(spec.name)
+        if payload is None:
+            raise SystemExit(
+                f"benchmark {spec.name!r} ran but recorded no summary "
+                "(its runner must call write_bench_summary)"
+            )
+        results[spec.name] = payload
+        table.add_row(spec.name, wall)
+    document = perf_bench.build_document(results, mode)
     print(table)
+    print(f"mode: {mode}; {len(results)} benchmark(s) executed")
+    if args.out:
+        from repro.sweep.spec import canonical_json
+
+        write_atomic(args.out, canonical_json(document) + "\n")
+        print(f"bench document written to {args.out}")
+    _ledger_record(
+        args,
+        command="bench",
+        config=config,
+        wall_s=time.perf_counter() - started,
+        metrics=perf_bench.history_metrics(document),
+        artifacts=(args.out,),
+    )
     return 0
 
 
@@ -1282,10 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "default: the full registered suite")
     brun.add_argument("--out", default=None,
                       help="write the canonical repro.bench/1 document here")
-    brun.add_argument("--history", default=None,
-                      help="bench-history JSONL path (default "
-                           ".repro_bench_history.jsonl; REPRO_BENCH_HISTORY "
-                           "env overrides; empty string disables)")
+    ledger_flags(brun)
     bcompare = bsub.add_parser(
         "compare",
         help="check a fresh bench document against committed baselines",
@@ -1297,28 +1258,14 @@ def build_parser() -> argparse.ArgumentParser:
     bcompare.add_argument("--baseline-dir", default=None,
                           help="directory of committed BENCH_<name>.json "
                                "baselines (default: repo benchmarks/)")
-    bcompare.add_argument("--history", default=None,
-                          help="bench-history JSONL for trend analysis "
-                               "(default .repro_bench_history.jsonl; "
-                               "REPRO_BENCH_HISTORY env overrides)")
+    bcompare.add_argument("--ledger", default=None,
+                          help="run ledger whose bench rows feed the trend "
+                               "sentinel (default .repro_ledger.jsonl; "
+                               "REPRO_LEDGER env overrides)")
     bcompare.add_argument("--no-trend", action="store_true",
                           help="skip the trend sentinel")
     bcompare.add_argument("--trend-fail", action="store_true",
                           help="trend drifts fail instead of warn")
-    bhistory = bsub.add_parser(
-        "history", help="show the benchmark history ledger"
-    )
-    bhistory.add_argument("--history", default=None,
-                          help="bench-history JSONL path (default "
-                               ".repro_bench_history.jsonl)")
-    bhistory.add_argument("--last", type=int, default=0,
-                          help="only the last N entries")
-    bhistory.add_argument("--metric", default=None,
-                          help="print one '<bench>.<metric>' series, "
-                               "one value per line, oldest first")
-    bhistory.add_argument("--mode", default=None,
-                          help="with --metric: only entries of this mode "
-                               "(short | full)")
 
     ledger = sub.add_parser(
         "ledger", help="inspect the append-only run ledger"
@@ -1332,7 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="only the last N matching entries")
     show.add_argument("--command", dest="filter_command", default=None,
                       help="only entries recorded by this command "
-                           "(run | sweep | fleet)")
+                           "(run | sweep | fleet | bench)")
     show.add_argument("--index", type=int, default=None,
                       help="print one entry in full (negative counts "
                            "from the end)")

@@ -56,6 +56,7 @@ from repro.serverless.function import FunctionSpec, InvocationRequest
 from repro.serverless.retry import (
     RetriesExhaustedError,
     RetryPolicy,
+    guard_event,
     invoke_hedged,
     invoke_with_retries,
 )
@@ -572,7 +573,7 @@ class OffloadController:
         self._planned_input_mb = input_mb
         tracer = self.env.sim.tracer
         meter = self.env.sim.meter
-        plan_started = perf_counter() if meter.enabled else 0.0
+        plan_started = perf_counter()
         plan_span = tracer.start_span(
             "plan", category=PHASE_PLAN, app=self.app.name, input_mb=input_mb
         )
@@ -599,8 +600,7 @@ class OffloadController:
             n_local=len(self.app.component_names) - len(partition.cloud),
         )
         meter.plans_computed += 1
-        if meter.enabled:
-            meter.plan_wall_s += perf_counter() - plan_started
+        meter.plan_wall_s += perf_counter() - plan_started
         return partition
 
     def _solve(
@@ -1068,15 +1068,7 @@ class OffloadController:
             hedge_after_s=degradation.hedge_after_s,
             outage_aware=degradation.outage_aware_backoff,
         )
-
-        def guarded() -> Generator[Event, Any, tuple]:
-            try:
-                value = yield episode
-            except BaseException as error:  # noqa: BLE001 - relayed below
-                return (False, error)
-            return (True, value)
-
-        guard = sim.spawn(guarded(), name=f"{self.app.name}.cloud.guard")
+        guard = guard_event(self.env.platform, episode)
         budget = degradation.fallback_budget(entered, job.deadline)
         if budget is None:
             ok, payload = yield guard

@@ -1005,19 +1005,17 @@ def run_sharded(
     )
     meter = RuntimeMeter()
     meter.shard_runs += len(configs)
-    fanout_started = perf_counter() if meter.enabled else 0.0
+    fanout_started = perf_counter()
     result = runner.run()
-    if meter.enabled:
-        meter.shard_wall_s += perf_counter() - fanout_started
+    meter.shard_wall_s += perf_counter() - fanout_started
     shard_results = result.results_for(configs)
     group_records = [
         group for shard in shard_results for group in shard["groups"]
     ]
-    merge_started = perf_counter() if meter.enabled else 0.0
+    merge_started = perf_counter()
     document = merge_group_records(spec, group_records)
     merged_text = canonical_json(document) + "\n"
-    if meter.enabled:
-        meter.merge_wall_s += perf_counter() - merge_started
+    meter.merge_wall_s += perf_counter() - merge_started
     meter.merge_bytes += len(merged_text.encode("utf-8"))
     meter.absorb(runner.meter)
     meter.absorb_snapshot(document["meter"])

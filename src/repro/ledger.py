@@ -1,13 +1,14 @@
 """The run ledger: an append-only JSONL record of every invocation.
 
-Every ``repro run`` / ``sweep`` / ``fleet`` invocation appends one line:
-what ran (command + argv), the SHA-256 of its canonical-JSON config,
-the git revision of the working tree, wall time, a few key metrics, and
-the artifact paths it wrote.  The ledger is the queryable trajectory of
-an experiment series — ``repro ledger show`` lists it, ``repro ledger
-show --index N`` replays one entry's full config, and ``repro ledger
-diff A B`` compares two entries' metrics with the same direction-aware
-threshold logic as ``repro diff``.
+Every ``repro run`` / ``sweep`` / ``fleet`` / ``bench run`` invocation
+appends one line: what ran (command + argv), the SHA-256 of its
+canonical-JSON config, the git revision of the working tree, wall time,
+a few key metrics, and the artifact paths it wrote.  The ledger is the
+one record of what ran — ``repro ledger show`` lists it, ``repro ledger
+show --index N`` replays one entry's full config, ``repro ledger diff
+A B`` compares two entries' metrics with the same direction-aware
+threshold logic as ``repro diff``, and the trend sentinel of ``repro
+bench compare`` forecasts over its ``bench`` rows.
 
 Design constraints:
 
@@ -36,7 +37,7 @@ import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sweep.spec import canonical_json
 
@@ -211,24 +212,13 @@ def read_ledger(path: Path) -> List[LedgerEntry]:
     return entries
 
 
-def render_entries(
-    entries: Sequence[LedgerEntry],
-    start_index: int = 0,
-    indices: Optional[Sequence[int]] = None,
-) -> str:
-    """A compact fixed-order table of ledger entries for the terminal.
-
-    ``indices`` carries the original ledger positions of a filtered
-    subset; without it rows number contiguously from ``start_index``.
-    """
+def render_entries(indexed: Sequence[Tuple[int, LedgerEntry]]) -> str:
+    """A compact terminal table of ``(ledger index, entry)`` pairs."""
     lines = [
         f"{'#':>4}  {'recorded_at':<20} {'command':<7} {'status':<6} "
         f"{'config':<12} {'git':<9} {'wall_s':>8}  metrics"
     ]
-    for offset, entry in enumerate(entries):
-        index = indices[offset] if indices is not None else (
-            start_index + offset
-        )
+    for index, entry in indexed:
         brief = ", ".join(
             f"{key}={entry.metrics[key]}" for key in sorted(entry.metrics)[:4]
         )
@@ -247,13 +237,19 @@ def diff_entries(a: LedgerEntry, b: LedgerEntry, threshold: float = 0.05):
     Returns a :class:`~repro.monitor.diff.TraceDiff`; direction-aware
     regressions follow the same higher-is-better table ``repro diff``
     uses.  Raises ``ValueError`` when the entries ran different
-    commands (their metrics would not be comparable).
+    commands (their metrics would not be comparable) or are ``bench``
+    rows, whose throughput metrics that table would read backwards.
     """
     from repro.monitor.diff import Profile, diff_profiles
 
     if a.command != b.command:
         raise ValueError(
             f"cannot diff a {a.command!r} run against a {b.command!r} run"
+        )
+    if a.command == "bench":
+        raise ValueError(
+            "bench rows carry per-metric directions the ledger diff does "
+            "not know; judge them with 'repro bench compare'"
         )
 
     def numeric(entry: LedgerEntry) -> Dict[str, float]:

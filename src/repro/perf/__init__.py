@@ -10,32 +10,27 @@ Three layers, one subsystem:
   ``repro bench run``, the only runner of the registered benches: each
   module in ``REGISTERED_MODULES`` registers its metrics (direction +
   threshold), runs produce one canonical ``repro.bench/1`` document
-  with a machine fingerprint, and every run appends to the benchmark
-  history ledger.  The unregistered ``benchmarks/bench_*.py``
+  with a machine fingerprint, and every run appends one ``bench`` row
+  to the run ledger (:mod:`repro.ledger`).  The unregistered ``benchmarks/bench_*.py``
   experiments are plain pytest tests.
 * :mod:`repro.perf.check` — the regression sentinel behind
   ``repro bench compare``: per-metric direction-aware thresholds
   against committed baselines plus a Holt-linear forecast over the
-  history that flags slow drifts before any single run trips a gate.
+  ledger's ``bench`` rows that flags slow drifts before any single run trips a gate.
 """
 
 from repro.perf.bench import (
     BENCH_SCHEMA,
     BenchSpec,
-    HISTORY_SCHEMA,
     MetricSpec,
     REGISTERED_MODULES,
-    append_history,
     build_document,
     flat_payload,
     history_metrics,
-    history_series,
     load_registry,
     machine_fingerprint,
-    read_history,
     record_summary,
     register_bench,
-    resolve_history_path,
     scrub_volatile,
 )
 from repro.perf.check import (
@@ -45,32 +40,25 @@ from repro.perf.check import (
     evaluate_metric,
     trend_outcomes,
 )
-from repro.perf.meter import NULL_METER, NullRuntimeMeter, RuntimeMeter
+from repro.perf.meter import RuntimeMeter
 
 __all__ = [
     "BENCH_SCHEMA",
     "BenchSpec",
     "CheckOutcome",
-    "HISTORY_SCHEMA",
     "MetricSpec",
-    "NULL_METER",
-    "NullRuntimeMeter",
     "REGISTERED_MODULES",
     "RuntimeMeter",
-    "append_history",
     "build_document",
     "compare",
     "evaluate_bench",
     "evaluate_metric",
     "flat_payload",
     "history_metrics",
-    "history_series",
     "load_registry",
     "machine_fingerprint",
-    "read_history",
     "record_summary",
     "register_bench",
-    "resolve_history_path",
     "scrub_volatile",
     "trend_outcomes",
 ]

@@ -1,4 +1,4 @@
-"""The unified benchmark harness: registry, canonical document, history.
+"""The unified benchmark harness: registry and canonical document.
 
 Each module in :data:`REGISTERED_MODULES` registers its ``run_*``
 entry point with :func:`register_bench` (re-exported through
@@ -18,9 +18,10 @@ executes the registered suite once and emits one canonical
 
 :func:`scrub_volatile` strips the fingerprint and timing blocks; the
 canonical JSON of what remains is the document's byte-stability
-contract.  Each ``repro bench run`` also appends one flattened line to
-an on-disk history ledger (``repro.bench.history/1``), which is the
-series the trend sentinel in :mod:`repro.perf.check` forecasts over.
+contract.  Each ``repro bench run`` also appends one ``bench`` row to
+the run ledger (:mod:`repro.ledger`) whose ``metrics`` are
+:func:`history_metrics` of the document; those rows are the series the
+trend sentinel in :mod:`repro.perf.check` forecasts over.
 """
 
 from __future__ import annotations
@@ -37,47 +38,29 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.sweep.spec import canonical_json
-
 __all__ = [
     "BENCH_SCHEMA",
     "BenchSpec",
-    "DEFAULT_HISTORY_PATH",
-    "HISTORY_SCHEMA",
     "MetricSpec",
     "REGISTERED_MODULES",
-    "append_history",
     "build_document",
     "flat_payload",
     "history_metrics",
-    "history_series",
     "load_registry",
     "machine_fingerprint",
-    "read_history",
     "record_summary",
     "register_bench",
-    "resolve_history_path",
     "scrub_volatile",
 ]
 
 #: Schema tag of the merged benchmark document.
 BENCH_SCHEMA = "repro.bench/1"
-
-#: Schema tag of each benchmark-history ledger line.
-HISTORY_SCHEMA = "repro.bench.history/1"
-
-#: Default history ledger, relative to the working directory.
-DEFAULT_HISTORY_PATH = ".repro_bench_history.jsonl"
-
-#: Environment variable overriding the history path ("" disables).
-HISTORY_ENV = "REPRO_BENCH_HISTORY"
 
 #: The benchmark modules the harness imports to populate the registry.
 #: Order is presentation order for ``repro bench run``.
@@ -271,8 +254,10 @@ def flat_payload(entry: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def history_metrics(document: Mapping[str, Any]) -> Dict[str, float]:
-    """The flat ``<bench>.<metric>`` numeric series a document feeds
-    into the history ledger (registered metrics only)."""
+    """The document's registered metrics as flat ``<bench>.<metric>`` numbers.
+
+    These are the ``metrics`` of the run-ledger ``bench`` row.
+    """
     out: Dict[str, float] = {}
     for name, entry in sorted(document.get("benches", {}).items()):
         spec = REGISTRY.get(name)
@@ -281,80 +266,7 @@ def history_metrics(document: Mapping[str, Any]) -> Dict[str, float]:
         payload = flat_payload(entry)
         for metric in spec.metrics:
             value = payload.get(metric.name)
-            if isinstance(value, bool):
-                out[f"{name}.{metric.name}"] = float(value)
-            elif isinstance(value, (int, float)):
+            if isinstance(value, (int, float)):  # bool flags count as 0/1
                 out[f"{name}.{metric.name}"] = float(value)
     return out
 
-
-def resolve_history_path(explicit: Optional[str] = None) -> Optional[Path]:
-    """The history ledger to use, or ``None`` when disabled.
-
-    Precedence mirrors the run ledger: explicit argument >
-    ``REPRO_BENCH_HISTORY`` env var > default; empty string disables.
-    """
-    if explicit is not None:
-        return Path(explicit) if explicit else None
-    env = os.environ.get(HISTORY_ENV)
-    if env is not None:
-        return Path(env) if env else None
-    return Path(DEFAULT_HISTORY_PATH)
-
-
-def append_history(path: Path, document: Mapping[str, Any]) -> int:
-    """Append one flattened history line; returns its index."""
-    line = {
-        "schema": HISTORY_SCHEMA,
-        "mode": document.get("mode"),
-        "fingerprint": dict(document.get("fingerprint", {})),
-        "metrics": history_metrics(document),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    index = 0
-    if path.exists():
-        with path.open("r") as handle:
-            index = sum(1 for raw in handle if raw.strip())
-    with path.open("a") as handle:
-        handle.write(canonical_json(line) + "\n")
-    return index
-
-
-def read_history(path: Path) -> List[Dict[str, Any]]:
-    """Every parsable history line in file order (corrupt lines skipped)."""
-    if not path.exists():
-        return []
-    entries: List[Dict[str, Any]] = []
-    with path.open("r") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                data = json.loads(raw)
-            except ValueError:
-                continue
-            if data.get("schema") != HISTORY_SCHEMA:
-                continue
-            entries.append(data)
-    return entries
-
-
-def history_series(
-    entries: Sequence[Mapping[str, Any]],
-    key: str,
-    mode: Optional[str] = None,
-) -> List[float]:
-    """One metric's value series across history entries, oldest first.
-
-    ``key`` is ``<bench>.<metric>``; ``mode`` filters to comparable runs
-    (short-mode op counts are not comparable to full-mode ones).
-    """
-    series: List[float] = []
-    for entry in entries:
-        if mode is not None and entry.get("mode") != mode:
-            continue
-        value = entry.get("metrics", {}).get(key)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            series.append(float(value))
-    return series

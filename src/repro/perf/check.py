@@ -15,7 +15,8 @@ One evaluator, driven by each benchmark's registered
 
 On top of the single-run thresholds, the **trend sentinel** reuses
 :func:`repro.remediate.forecast.forecast_ahead` (Holt's linear method)
-over the benchmark history ledger: a metric whose *forecast* — not yet
+over the run ledger's successful ``bench`` rows (see
+:mod:`repro.ledger`): a metric whose *forecast* — not yet
 its latest sample — drifts past the threshold relative to the start of
 its comparable-mode series is flagged before any individual run trips
 the hard gate.  Trend hits warn by default and fail with
@@ -31,7 +32,16 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.perf.bench import (
     BENCH_SCHEMA,
@@ -40,11 +50,11 @@ from repro.perf.bench import (
     MetricSpec,
     default_bench_dir,
     flat_payload,
-    history_series,
     load_registry,
-    read_history,
-    resolve_history_path,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.ledger import LedgerEntry
 
 __all__ = [
     "CheckOutcome",
@@ -204,27 +214,40 @@ def evaluate_bench(
 def trend_outcomes(
     spec: BenchSpec,
     fresh_mode: Optional[str],
-    history: Sequence[Mapping[str, Any]],
+    entries: Sequence[LedgerEntry],
     *,
     min_points: int = 4,
     fail: bool = False,
 ) -> List[CheckOutcome]:
-    """Forecast each directional metric's comparable-mode history.
+    """Forecast each directional metric over the comparable ledger rows.
 
-    The Holt-linear forecast :data:`TREND_STEPS` runs ahead is compared
+    The series is the metric's value in every ``bench`` row of
+    ``entries`` that finished ``ok`` in ``fresh_mode``, oldest first
+    (short-mode op counts are not comparable to full-mode ones).  The
+    Holt-linear forecast :data:`TREND_STEPS` runs ahead is compared
     against the *start* of the series; a projected drift past
     :data:`TREND_DRIFT` in the bad direction flags the slow regression
     single-run thresholds miss.
     """
     from repro.remediate.forecast import forecast_ahead
 
+    rows = [
+        entry.metrics
+        for entry in entries
+        if entry.command == "bench"
+        and entry.status == "ok"
+        and entry.config.get("mode") == fresh_mode
+    ]
     outcomes: List[CheckOutcome] = []
     for metric in spec.metrics:
         if metric.kind not in ("ratio", "min", "max"):
             continue
-        series = history_series(
-            history, f"{spec.name}.{metric.name}", mode=fresh_mode
-        )
+        key = f"{spec.name}.{metric.name}"
+        series = [
+            float(row[key])
+            for row in rows
+            if isinstance(row.get(key), (int, float))
+        ]
         if len(series) < min_points:
             continue
         baseline = series[0]
@@ -279,7 +302,7 @@ def compare(
     *,
     benches: Optional[Sequence[str]] = None,
     baseline_dir: Union[str, Path, None] = None,
-    history: Optional[str] = None,
+    ledger: Optional[str] = None,
     trend: bool = True,
     trend_fail: bool = False,
 ) -> int:
@@ -288,8 +311,8 @@ def compare(
     Each selected bench (default: every bench in ``fresh``) is judged
     against ``baseline_dir/BENCH_<name>.json`` (default: the repo's
     ``benchmarks/``) and, unless ``trend`` is off, against the forecast
-    of the ``history`` ledger (resolved by
-    :func:`~repro.perf.bench.resolve_history_path`).  Prints one line per
+    over the ``bench`` rows of the run ledger (resolved by
+    :func:`~repro.ledger.resolve_ledger_path`).  Prints one line per
     verdict; returns 1 if any verdict failed, else 0.
     """
     baseline_dir = (
@@ -298,11 +321,13 @@ def compare(
     load_registry()
     fresh_payloads = _load_fresh(Path(fresh))
 
-    entries: List[Dict[str, Any]] = []
+    entries: List[LedgerEntry] = []
     if trend:
-        history_path = resolve_history_path(history)
-        if history_path is not None:
-            entries = read_history(history_path)
+        from repro.ledger import read_ledger, resolve_ledger_path
+
+        ledger_path = resolve_ledger_path(ledger)
+        if ledger_path is not None:
+            entries = read_ledger(ledger_path)
 
     failures = 0
     for name in benches or sorted(fresh_payloads):

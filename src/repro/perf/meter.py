@@ -15,19 +15,17 @@ constraints shape it:
   measurements (plan wall, sweep wall, merge seconds) live in the
   separate :meth:`timings` view and never enter byte-compared documents.
 
-The **disabled path** follows the telemetry tracer's null-object
-pattern: sites that would call ``perf_counter()`` guard on the hoisted
-``meter.enabled`` flag, and :data:`NULL_METER` (a shared
-:class:`NullRuntimeMeter`) turns that guard into a single local bool
-test — the ≤2% overhead budget asserted by the O1 benchmark.  The
-counter increments themselves are always on; they *are* the metric.
+Every wall-clock metering site runs once per ``plan``/``run``/sweep/
+merge call, never per event, so it always takes its two
+``perf_counter()`` reads.  The counter increments are always on too;
+they *are* the metric.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
-__all__ = ["NULL_METER", "NullRuntimeMeter", "RuntimeMeter"]
+__all__ = ["RuntimeMeter"]
 
 #: Integer counter slots, in snapshot order.  Deterministic: each is a
 #: function of the simulated/submitted work, never of the host.
@@ -70,10 +68,6 @@ class RuntimeMeter:
     """
 
     __slots__ = _COUNTER_SLOTS + _TIMING_SLOTS
-
-    #: Wall-clock metering sites guard on this before calling
-    #: ``perf_counter()``; hoist it like ``tracer.enabled``.
-    enabled = True
 
     def __init__(self) -> None:
         for name in _COUNTER_SLOTS:
@@ -154,22 +148,3 @@ class RuntimeMeter:
             f"<RuntimeMeter events={self.events_dispatched} "
             f"plans={self.plans_computed}>"
         )
-
-
-class NullRuntimeMeter(RuntimeMeter):
-    """The disabled path: same slots, ``enabled`` False.
-
-    Counter increments still land (they cost one int add and *are* the
-    semantics — ``events_processed`` reads them), but every wall-clock
-    metering site sees ``enabled`` False and skips its ``perf_counter``
-    calls, leaving one hoisted bool test per metered operation.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-
-#: Shared disabled meter, analogous to ``NULL_TRACER``: install it where
-#: even the wall-clock metering guard must cost nothing.
-NULL_METER = NullRuntimeMeter()

@@ -204,7 +204,7 @@ class HedgedInvocation:
         return self.invocation.cost + self.wasted_usd
 
 
-def _guard(platform: ServerlessPlatform, event: Event) -> Event:
+def guard_event(platform: ServerlessPlatform, event: Event) -> Event:
     """Wrap ``event`` in a process that never fails: it returns
     ``(True, value)`` on success and ``(False, error)`` on failure, so
     races over it can distinguish outcomes without AnyOf's all-must-fail
@@ -267,7 +267,7 @@ def _hedged_proc(
             hedged=False,
         )
 
-    primary = _guard(platform, lane())
+    primary = guard_event(platform, lane())
     yield sim.any_of([primary, sim.timeout(hedge_after_s)])
     if primary.triggered:
         ok, payload = primary.value
@@ -288,7 +288,7 @@ def _hedged_proc(
         function=request.function,
         after_s=hedge_after_s,
     )
-    lanes = [primary, _guard(platform, lane())]
+    lanes = [primary, guard_event(platform, lane())]
     while True:
         finished_ok = [g for g in lanes if g.triggered and g.value[0]]
         if finished_ok:
@@ -337,6 +337,7 @@ __all__ = [
     "RetriedInvocation",
     "RetriesExhaustedError",
     "RetryPolicy",
+    "guard_event",
     "invoke_hedged",
     "invoke_with_retries",
 ]

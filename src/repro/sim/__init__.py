@@ -31,7 +31,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.kernel import Process, SimulationError, Simulator
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Container, Resource
 from repro.sim.rng import RngStream, SeedSequenceRegistry
 
 __all__ = [
@@ -41,13 +41,11 @@ __all__ = [
     "Event",
     "EventAlreadyTriggered",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "RngStream",
     "SeedSequenceRegistry",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
 ]

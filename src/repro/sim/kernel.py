@@ -475,7 +475,7 @@ class Simulator:
         meter = self.meter
         lane = 0  # every fast-lane dispatch in run() is part of a batch
         heap_hits = 0
-        started = perf_counter() if meter.enabled else 0.0
+        started = perf_counter()
 
         try:
             while True:
@@ -535,8 +535,7 @@ class Simulator:
             meter.fast_lane_hits += lane
             meter.batched_events += lane
             meter.heap_hits += heap_hits
-            if meter.enabled:
-                meter.kernel_flush_wall_s += perf_counter() - started
+            meter.kernel_flush_wall_s += perf_counter() - started
         if until._ok:
             return until._value
         raise until._value

@@ -1,12 +1,9 @@
 """Contended resources for the discrete-event kernel.
 
-Three classic primitives:
+Two classic primitives:
 
 * :class:`Resource` — a counted server pool with a FIFO wait queue
   (models CPUs, network links treated as slot-limited, concurrency limits);
-* :class:`PriorityResource` — the same with a priority queue;
-* :class:`Store` — a buffer of discrete items with blocking put/get
-  (models job queues and mailboxes);
 * :class:`Container` — a continuous level with blocking put/get
   (models battery charge and byte budgets).
 
@@ -16,9 +13,8 @@ deterministic.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque
 
 from repro.sim.events import Event
 
@@ -108,138 +104,6 @@ class Resource:
             nxt = self._queue.popleft()
             self._users.add(nxt)
             nxt.succeed(nxt)
-
-
-class PriorityRequest(Request):
-    """A :class:`Request` carrying a priority (lower value = served first)."""
-
-    __slots__ = ("priority", "_order")
-
-    def __init__(
-        self, sim: "Simulator", resource: "PriorityResource", priority: float, order: int
-    ) -> None:
-        super().__init__(sim, resource)
-        self.priority = priority
-        self._order = order
-
-    def _sort_key(self) -> tuple[float, int]:
-        return (self.priority, self._order)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by priority."""
-
-    __slots__ = ("_pqueue", "_order")
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        super().__init__(sim, capacity)
-        self._pqueue: list[tuple[float, int, PriorityRequest]] = []
-        self._order = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
-        self._order += 1
-        req = PriorityRequest(self.sim, self, priority, self._order)
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            req.succeed(req)
-        else:
-            heapq.heappush(self._pqueue, (priority, self._order, req))
-        return req
-
-    def release(self, request: Request) -> None:  # type: ignore[override]
-        if request in self._users:
-            self._users.remove(request)
-            self._grant_next()
-        else:
-            # Lazy cancellation: mark and skip when popped.
-            for i, (_p, _o, queued) in enumerate(self._pqueue):
-                if queued is request:
-                    del self._pqueue[i]
-                    heapq.heapify(self._pqueue)
-                    return
-            raise RuntimeError(
-                "release() called with a request unknown to this resource"
-            )
-
-    def _grant_next(self) -> None:
-        while self._pqueue and len(self._users) < self.capacity:
-            _p, _o, nxt = heapq.heappop(self._pqueue)
-            self._users.add(nxt)
-            nxt.succeed(nxt)
-
-
-class Store:
-    """A buffer of discrete items with blocking ``put``/``get``.
-
-    ``capacity`` bounds the number of buffered items; ``put`` blocks when
-    full, ``get`` blocks when empty.  Items are delivered FIFO.
-    """
-
-    __slots__ = ("sim", "capacity", "items", "_getters", "_putters")
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def put(self, item: Any) -> Event:
-        """Deposit ``item``; the returned event fires once it is buffered.
-
-        Uncontended fast path: with buffer space and no waiting getter the
-        item is buffered inline, skipping the putter-queue round trip.
-        (``_settle`` keeps the invariant that waiting putters imply a full
-        buffer, so space also implies an empty putter queue.)
-        """
-        event = Event(self.sim)
-        if not self._getters and len(self.items) < self.capacity:
-            self.items.append(item)
-            event.succeed(None)
-        else:
-            self._putters.append((event, item))
-            self._settle()
-        return event
-
-    def get(self) -> Event:
-        """Withdraw one item; the returned event fires with the item.
-
-        Uncontended fast path: with items buffered (which implies no
-        waiting getter) the head item is delivered inline; a freed slot
-        may then admit one waiting putter, same as the general path.
-        """
-        event = Event(self.sim)
-        if self.items:
-            event.succeed(self.items.popleft())
-            if self._putters:
-                self._settle()
-        else:
-            self._getters.append(event)
-            self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and len(self.items) < self.capacity:
-                event, item = self._putters.popleft()
-                self.items.append(item)
-                event.succeed(None)
-                progress = True
-            if self._getters and self.items:
-                event = self._getters.popleft()
-                event.succeed(self.items.popleft())
-                progress = True
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 class Container:
@@ -338,9 +202,6 @@ class Container:
 
 __all__ = [
     "Container",
-    "PriorityRequest",
-    "PriorityResource",
     "Request",
     "Resource",
-    "Store",
 ]

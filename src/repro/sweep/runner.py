@@ -276,8 +276,7 @@ class SweepRunner:
             )
             for key, digest, config in keyed
         ]
-        if meter.enabled:
-            meter.sweep_wall_s += time.perf_counter() - started
+        meter.sweep_wall_s += time.perf_counter() - started
         return SweepResult(ref, entries, meter=meter)
 
     # -- execution ---------------------------------------------------------

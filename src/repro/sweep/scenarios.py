@@ -180,17 +180,4 @@ def kernel_smoke(config: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def fleet_shard(config: Dict[str, Any]) -> Dict[str, Any]:
-    """One fleet shard as a sweep cell (alias for the sharded runner's
-    scenario, so ``repro sweep`` can address shards directly).
-
-    Config keys: ``spec`` (a ``ShardedFleetSpec.to_dict()``), ``zones``
-    (zone names on this shard), ``shard`` (index).  See
-    :func:`repro.fleet.sharded.shard_run`.
-    """
-    from repro.fleet.sharded import shard_run
-
-    return shard_run(config)
-
-
-__all__ = ["fleet_shard", "kernel_smoke", "monitored_run", "offload_run"]
+__all__ = ["kernel_smoke", "monitored_run", "offload_run"]

@@ -164,7 +164,7 @@ class TestDifferential:
 
         assert resolve_scenario("repro.fleet.sharded:shard_run") is shard_run
         assert (
-            resolve_scenario("repro.sweep.scenarios:fleet_shard")({
+            resolve_scenario("repro.fleet.sharded:shard_run")({
                 "spec": small_spec(
                     topology=FleetTopology.uniform(1, 1, seed=1)
                 ).to_dict(),

@@ -96,7 +96,7 @@ class TestRenderAndDiff:
 
     def test_render_uses_given_indices(self):
         entries = [self._entry(jobs_completed=4), self._entry(failures=1)]
-        text = render_entries(entries, indices=[3, 9])
+        text = render_entries(list(zip([3, 9], entries)))
         assert "   3  " in text and "   9  " in text
 
     def test_diff_direction_aware(self):
@@ -175,6 +175,16 @@ class TestCli:
         self._run(ledger, capsys)
         with pytest.raises(SystemExit):
             main(["ledger", "diff", "0", "7", "--ledger", str(ledger)])
+
+    def test_ledger_diff_refuses_bench_rows(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        for speed in (10.0, 20.0):
+            append_entry(ledger, make_entry(
+                "bench", {"mode": "short", "benches": ["P1"]}, wall_s=1.0,
+                metrics={"P1.plans_per_s": speed},
+            ))
+        assert main(["ledger", "diff", "0", "1", "--ledger", str(ledger)]) == 2
+        assert "repro bench compare" in capsys.readouterr().err
 
     def test_no_ledger_skips_append(self, tmp_path, capsys):
         code = main([
@@ -291,7 +301,7 @@ class TestErrorStatus:
         )
         clone = LedgerEntry.from_dict(entry.to_dict())
         assert clone.status == "error"
-        text = render_entries([entry])
+        text = render_entries([(0, entry)])
         assert "error" in text
         # Legacy records without the field read back as ok.
         payload = entry.to_dict()

@@ -2,11 +2,12 @@
 
 Three layers under test: the always-on :class:`RuntimeMeter` and its
 metering sites (kernel lanes, controller plan path, sweep cache), the
-unified benchmark harness (registry, canonical document, history
-ledger), and the regression sentinel (direction-aware metric checks,
-trend forecasts, and the ``repro bench compare`` gate).
+unified benchmark harness (registry, canonical document, and the run
+ledger's ``bench`` rows), and the regression sentinel (direction-aware
+metric checks, trend forecasts, and the ``repro bench compare`` gate).
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,22 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.ledger import LedgerEntry, make_entry
+from repro.ledger import LedgerEntry, append_entry, make_entry, read_ledger
 from repro.perf.bench import (
     BENCH_SCHEMA,
-    HISTORY_SCHEMA,
     REGISTRY,
     BenchSpec,
     MetricSpec,
-    append_history,
     build_document,
     flat_payload,
     history_metrics,
-    history_series,
-    read_history,
+    load_registry,
     record_summary,
     register_bench,
-    resolve_history_path,
     scrub_volatile,
 )
 from repro.perf.check import (
@@ -39,7 +36,7 @@ from repro.perf.check import (
     trend_outcomes,
 )
 from repro.perf.check import _load_fresh
-from repro.perf.meter import NULL_METER, NullRuntimeMeter, RuntimeMeter
+from repro.perf.meter import RuntimeMeter
 from repro.sim import Simulator
 from repro.sweep import SweepRunner, SweepSpec
 from repro.sweep.spec import canonical_json
@@ -138,13 +135,6 @@ class TestRuntimeMeter:
         text = registry.to_prometheus()
         assert "repro_meter_fast_lane_hits_total 1" in text
         assert "repro_meter_wall_seconds" not in text
-
-    def test_null_meter_is_disabled_but_still_counts(self):
-        assert RuntimeMeter.enabled is True
-        assert NULL_METER.enabled is False
-        null = NullRuntimeMeter()
-        null.fast_lane_hits += 1
-        assert null.events_dispatched == 1
 
 
 class TestMeterSites:
@@ -271,34 +261,6 @@ class TestBenchHarness:
         metrics = history_metrics(document)
         assert metrics == {"XX.speed": 2.5, "XX.ok": 1.0}
 
-    def test_resolve_history_path_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", "env.jsonl")
-        assert resolve_history_path("mine.jsonl").name == "mine.jsonl"
-        assert resolve_history_path().name == "env.jsonl"
-        assert resolve_history_path("") is None
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", "")
-        assert resolve_history_path() is None
-        monkeypatch.delenv("REPRO_BENCH_HISTORY")
-        assert resolve_history_path().name == ".repro_bench_history.jsonl"
-
-    def test_history_append_read_series(self, tmp_path, scratch_registry):
-        register_bench(
-            "XX", metrics=(MetricSpec("speed", kind="ratio"),)
-        )(lambda: None)
-        path = tmp_path / "history.jsonl"
-        for mode, speed in (("short", 1.0), ("full", 9.0), ("short", 2.0)):
-            document = build_document(
-                {"XX": {"speed": speed}}, mode, fingerprint={}
-            )
-            append_history(path, document)
-        path.write_text(path.read_text() + "not json\n")
-        entries = read_history(path)
-        assert len(entries) == 3
-        assert all(e["schema"] == HISTORY_SCHEMA for e in entries)
-        assert history_series(entries, "XX.speed") == [1.0, 9.0, 2.0]
-        assert history_series(entries, "XX.speed", mode="short") == [1.0, 2.0]
-        assert history_series(entries, "XX.nope") == []
-
 
 class TestEvaluateMetric:
     def test_flag(self):
@@ -362,14 +324,23 @@ class TestEvaluateMetric:
         assert evaluate_metric("B", spec, fresh, full).status == "skip"
 
 
+def _bench_row(metrics, mode="short", command="bench", status="ok"):
+    """A run-ledger row as ``repro bench run`` records it."""
+    return LedgerEntry(
+        command=command,
+        config={"mode": mode, "benches": ["B"]},
+        config_sha256="",
+        recorded_at="",
+        wall_s=0.0,
+        metrics=metrics,
+        status=status,
+    )
+
+
 class TestTrendSentinel:
     @staticmethod
     def _history(values, mode="short"):
-        return [
-            {"schema": HISTORY_SCHEMA, "mode": mode,
-             "metrics": {"B.speed": value}}
-            for value in values
-        ]
+        return [_bench_row({"B.speed": value}, mode) for value in values]
 
     @staticmethod
     def _spec():
@@ -398,6 +369,20 @@ class TestTrendSentinel:
         ) == []
         history = self._history([100.0, 80.0, 60.0, 40.0], mode="full")
         assert trend_outcomes(self._spec(), "short", history) == []
+
+    def test_only_ok_bench_rows_of_the_fresh_mode_count(self):
+        collapsed = {"B.speed": 1.0}
+        history = [
+            _bench_row(collapsed, status="error"),
+            _bench_row(collapsed, command="run"),
+            _bench_row(collapsed, mode="full"),
+        ]
+        for value in (100.0, 101.0, 99.0, 100.0):
+            history.extend(self._history([value]))
+            history.append(_bench_row(collapsed, status="error"))
+        outcome, = trend_outcomes(self._spec(), "short", history)
+        assert outcome.status == "ok"
+        assert "(4 points)" in outcome.detail
 
 
 class TestFreshLoaders:
@@ -437,6 +422,26 @@ def _o2_baseline_dir(tmp_path, events_per_s):
         "bench": "O2", "mode": "full", "events_per_s_pure": events_per_s,
     }))
     return baseline_dir
+
+
+@pytest.fixture
+def install_p1(monkeypatch):
+    """Install a runner as the registered P1 bench for one test."""
+    monkeypatch.setenv("REPRO_BENCH_SHORT", "1")
+    real = load_registry()["P1"]
+
+    def install(runner):
+        monkeypatch.setitem(
+            REGISTRY, "P1", dataclasses.replace(real, runner=runner)
+        )
+
+    return install
+
+
+def _instant_p1():
+    record_summary("P1", {
+        "mode": "short", "plans_per_s": 250.0, "partition_digest": "abc",
+    })
 
 
 class TestBenchCLI:
@@ -481,41 +486,6 @@ class TestBenchCLI:
         assert main(["bench", "compare", str(same), *argv]) == 0
         assert main(["bench", "compare", str(slow), *argv]) == 1
 
-    def test_bench_history_lists_entries(self, tmp_path, capsys,
-                                         scratch_registry):
-        from repro.cli import main
-
-        register_bench(
-            "XX", metrics=(MetricSpec("speed", kind="ratio"),)
-        )(lambda: None)
-        path = tmp_path / "history.jsonl"
-        for speed in (1.0, 2.0):
-            append_history(path, build_document(
-                {"XX": {"speed": speed}}, "short", fingerprint={}
-            ))
-        assert main(["bench", "history", "--history", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "Bench history" in out
-        assert "XX.speed=1.0" in out
-
-    def test_bench_history_metric_series(self, tmp_path, capsys,
-                                         scratch_registry):
-        from repro.cli import main
-
-        register_bench(
-            "XX", metrics=(MetricSpec("speed", kind="ratio"),)
-        )(lambda: None)
-        path = tmp_path / "history.jsonl"
-        for speed in (1.0, 2.0):
-            append_history(path, build_document(
-                {"XX": {"speed": speed}}, "short", fingerprint={}
-            ))
-        assert main([
-            "bench", "history", "--history", str(path),
-            "--metric", "XX.speed",
-        ]) == 0
-        assert capsys.readouterr().out.splitlines() == ["1.0", "2.0"]
-
     def test_bench_compare_delegates_to_checker(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -533,6 +503,91 @@ class TestBenchCLI:
 
         with pytest.raises(SystemExit, match="unknown benchmark"):
             main(["bench", "run", "--short", "--bench", "NOPE"])
+
+    def test_bench_run_records_one_ledger_row(self, tmp_path, install_p1):
+        from repro.cli import main
+
+        install_p1(_instant_p1)
+        ledger = tmp_path / "ledger.jsonl"
+        out = tmp_path / "bench.json"
+        assert main([
+            "bench", "run", "--short", "--bench", "P1",
+            "--out", str(out), "--ledger", str(ledger),
+        ]) == 0
+        row, = read_ledger(ledger)
+        assert row.command == "bench"
+        assert row.status == "ok"
+        assert row.config == {"mode": "short", "benches": ["P1"]}
+        assert row.metrics == history_metrics(json.loads(out.read_text()))
+        assert row.metrics == {"P1.plans_per_s": 250.0}
+        assert row.artifacts == [str(out)]
+        assert row.meter == {}
+
+    def test_bench_run_honours_env_and_no_ledger(
+        self, tmp_path, monkeypatch, install_p1
+    ):
+        from repro.cli import main
+
+        install_p1(_instant_p1)
+        monkeypatch.chdir(tmp_path)
+        ledger = tmp_path / "env.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        argv = ["bench", "run", "--short", "--bench", "P1"]
+        assert main(argv) == 0
+        assert main([*argv, "--no-ledger"]) == 0
+        assert [row.command for row in read_ledger(ledger)] == ["bench"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env.jsonl"]
+
+    def test_ledger_show_lists_bench_rows(
+        self, tmp_path, capsys, install_p1
+    ):
+        from repro.cli import main
+
+        install_p1(_instant_p1)
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["--ledger", str(ledger)]
+        for _ in range(2):
+            main(["bench", "run", "--short", "--bench", "P1", *argv])
+        main(["run", "--app", "photo_backup", "--jobs", "1", *argv])
+        capsys.readouterr()
+        assert main(["ledger", "show", "--command", "bench", *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["0", "1"]
+        assert all(" bench " in row for row in rows)
+        assert all("P1.plans_per_s=250.0" in row for row in rows)
+
+    def test_crashed_bench_run_records_one_error_row(
+        self, tmp_path, install_p1
+    ):
+        from repro.cli import main
+
+        def broken():
+            raise RuntimeError("bench blew up")
+
+        install_p1(broken)
+        ledger = tmp_path / "ledger.jsonl"
+        with pytest.raises(RuntimeError, match="bench blew up"):
+            main([
+                "bench", "run", "--short", "--bench", "P1",
+                "--ledger", str(ledger),
+            ])
+        row, = read_ledger(ledger)
+        assert (row.command, row.status) == ("bench", "error")
+        assert row.config == {"mode": "short", "benches": ["P1"]}
+        assert row.metrics == {"error": "RuntimeError"}
+
+    def test_compare_trend_reads_ledger_bench_rows(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        for speed in (100.0, 80.0, 60.0, 40.0):
+            append_entry(ledger, make_entry(
+                "bench", {"mode": "short", "benches": ["P1"]}, wall_s=1.0,
+                metrics={"P1.plans_per_s": speed},
+            ))
+        fresh = _document(tmp_path / "fresh.json", "P1", {"plans_per_s": 40.0})
+        assert compare(
+            fresh, baseline_dir=tmp_path, ledger=str(ledger), trend_fail=True
+        ) == 1
+        assert "FAIL  P1.plans_per_s~trend" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "inherited, flags, mode",
@@ -552,7 +607,7 @@ class TestBenchCLI:
         subprocess.run(
             [sys.executable, "-m", "repro", "bench", "run",
              "--bench", "P1", "--bench", "R2",
-             "--out", str(out), "--history", "", *flags],
+             "--out", str(out), "--no-ledger", *flags],
             cwd=tmp_path, env=env, check=True, capture_output=True,
             timeout=300,
         )

@@ -1,8 +1,8 @@
-"""Unit tests for sim resources (Resource, PriorityResource, Store, Container)."""
+"""Unit tests for sim resources (Resource, Container)."""
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulator, Store
+from repro.sim import Container, Resource, Simulator
 
 
 @pytest.fixture
@@ -66,115 +66,6 @@ class TestResource:
 
         process = sim.spawn(worker(sim))
         assert sim.run(until=process) == 0
-
-
-class TestPriorityResource:
-    def test_serves_lowest_priority_value_first(self, sim):
-        resource = PriorityResource(sim, capacity=1)
-        order = []
-
-        def holder(sim):
-            request = resource.request(priority=0)
-            yield request
-            yield sim.timeout(1.0)
-            resource.release(request)
-
-        def worker(sim, tag, priority):
-            yield sim.timeout(0.1)  # ensure holder got the slot first
-            request = resource.request(priority=priority)
-            yield request
-            order.append(tag)
-            resource.release(request)
-
-        sim.spawn(holder(sim))
-        sim.spawn(worker(sim, "low-urgency", 5.0))
-        sim.spawn(worker(sim, "high-urgency", 1.0))
-        sim.run()
-        assert order == ["high-urgency", "low-urgency"]
-
-    def test_ties_broken_by_arrival(self, sim):
-        resource = PriorityResource(sim, capacity=1)
-        blocker = resource.request(priority=0)
-        first = resource.request(priority=2)
-        second = resource.request(priority=2)
-        resource.release(blocker)
-        sim.run()
-        assert first.triggered
-        assert not second.triggered
-
-    def test_cancel_queued_priority_request(self, sim):
-        resource = PriorityResource(sim, capacity=1)
-        blocker = resource.request()
-        queued = resource.request(priority=1)
-        resource.release(queued)
-        assert resource.queue_length == 0
-        resource.release(blocker)
-
-
-class TestStore:
-    def test_put_get_fifo(self, sim):
-        store = Store(sim)
-        got = []
-
-        def producer(sim):
-            for item in ("x", "y"):
-                yield store.put(item)
-
-        def consumer(sim):
-            for _ in range(2):
-                item = yield store.get()
-                got.append(item)
-
-        sim.spawn(producer(sim))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert got == ["x", "y"]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        moments = []
-
-        def consumer(sim):
-            item = yield store.get()
-            moments.append((sim.now, item))
-
-        def producer(sim):
-            yield sim.timeout(5.0)
-            yield store.put("late")
-
-        sim.spawn(consumer(sim))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert moments == [(5.0, "late")]
-
-    def test_put_blocks_when_full(self, sim):
-        store = Store(sim, capacity=1)
-        events = []
-
-        def producer(sim):
-            yield store.put(1)
-            events.append(("put1", sim.now))
-            yield store.put(2)
-            events.append(("put2", sim.now))
-
-        def consumer(sim):
-            yield sim.timeout(3.0)
-            yield store.get()
-
-        sim.spawn(producer(sim))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert events == [("put1", 0.0), ("put2", 3.0)]
-
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
-    def test_len_reports_buffered(self, sim):
-        store = Store(sim)
-        store.put("a")
-        sim.run()
-        assert len(store) == 1
 
 
 class TestContainer:
