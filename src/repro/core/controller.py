@@ -58,7 +58,7 @@ from repro.serverless.retry import (
     RetryPolicy,
     guard_event,
     invoke_hedged,
-    invoke_with_retries,
+    retry_body,
 )
 from repro.serverless.platform import (
     InvocationFailedError,
@@ -778,7 +778,15 @@ class OffloadController:
     ) -> Generator[Event, Any, JobResult]:
         sim = self.env.sim
         tracer = sim.tracer
-        estimate = self.estimate_completion(job)
+        if self.scheduler.needs_estimate:
+            estimate = self.estimate_completion(job)
+        else:
+            # The estimate would go unread, but its planning context
+            # refreshes the last-known-good link rates that outage
+            # planning falls back on; keep that refresh.
+            self._usable_rate(self.env.uplink, "uplink")
+            self._usable_rate(self.env.downlink, "downlink")
+            estimate = math.nan
         decision = self.scheduler.decide(job, sim.now, estimate)
         if decision.dispatch_at > sim.now:
             wait_span = tracer.start_span(
@@ -822,7 +830,9 @@ class OffloadController:
         def component_proc(name: str) -> Generator[Event, Any, None]:
             nonlocal cost_usd
             incoming = [edge_done[(pred, name)] for pred in app.predecessors(name)]
-            if incoming:
+            if len(incoming) == 1:
+                yield incoming[0]
+            elif incoming:
                 yield sim.all_of(incoming)
             nominal = job.component_work(name)
             actual = self.env.actual_work(nominal, self._exec_rng)
@@ -849,11 +859,11 @@ class OffloadController:
                 )
                 if self.degradation is None:
                     entered = sim.now
-                    outcome = yield invoke_with_retries(
+                    outcome = yield from retry_body(
                         self.env.platform,
                         request,
-                        policy=self.retry_policy,
-                        rng=self._exec_rng,
+                        self.retry_policy,
+                        self._exec_rng,
                     )
                     cost_usd += outcome.total_cost
                     if self.observed_signals:
@@ -881,8 +891,8 @@ class OffloadController:
                     parent=comp_span,
                     tier="local",
                 )
-                execution = yield self.env.ue.execute(
-                    actual, frequency_fraction=frequency
+                execution = yield from self.env.ue.execute_body(
+                    actual, frequency
                 )
                 tracer.end_span(exec_span, energy_j=execution.energy_j)
                 charge("compute", execution.energy_j)
@@ -927,8 +937,8 @@ class OffloadController:
                     parent=job_span,
                     bytes=nbytes,
                 )
-                result = yield self.env.ue.transmit(
-                    nbytes, self.env.uplink, parent=up_span
+                result = yield from self.env.ue.radio_body(
+                    nbytes, self.env.uplink, transmit=True, parent=up_span
                 )
                 tracer.end_span(up_span, radio_s=result.radio_seconds)
                 charge(
@@ -973,8 +983,8 @@ class OffloadController:
                     parent=job_span,
                     bytes=nbytes,
                 )
-                result = yield self.env.ue.receive(
-                    nbytes, self.env.downlink, parent=down_span
+                result = yield from self.env.ue.radio_body(
+                    nbytes, self.env.downlink, transmit=False, parent=down_span
                 )
                 tracer.end_span(down_span, radio_s=result.radio_seconds)
                 charge(
@@ -1003,13 +1013,30 @@ class OffloadController:
                 store.delete(key)
             edge_done[(src, dst)].succeed(None)
 
+        def moves_data(src: str, dst: str) -> bool:
+            """Whether the edge transfers or stages bytes; one that does
+            not only orders ``dst`` after ``src``."""
+            src_cloud = partition.is_cloud(src)
+            if src_cloud != partition.is_cloud(dst):
+                return True
+            return src_cloud and self.env.storage is not None
+
         processes = []
         for flow in app.flows:
             edge_done[(flow.src, flow.dst)] = sim.event()
         for flow in app.flows:
-            processes.append(
-                sim.spawn(edge_proc(flow.src, flow.dst), name=f"edge.{flow.src}->{flow.dst}")
-            )
+            src, dst = flow.src, flow.dst
+            if moves_data(src, dst):
+                processes.append(
+                    sim.spawn(edge_proc(src, dst), name=f"edge.{src}->{dst}")
+                )
+            else:
+                # Nothing to move: the edge only orders dst after src,
+                # which a callback on src's completion does without a
+                # process, a bootstrap and a resumption of its own.
+                component_done[src].callbacks.append(
+                    lambda _event, done=edge_done[(src, dst)]: done.succeed(None)
+                )
         for name in app.component_names:
             processes.append(sim.spawn(component_proc(name), name=f"comp.{name}"))
         yield sim.all_of(processes)

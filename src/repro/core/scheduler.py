@@ -37,7 +37,6 @@ class ScheduleDecision:
     job_id: int
     dispatch_at: float
     priority: float = 0.0
-    latest_safe_start: float = math.inf
 
     def __post_init__(self) -> None:
         if math.isnan(self.dispatch_at):
@@ -53,6 +52,10 @@ class Scheduler(ABC):
     """
 
     name: str = "scheduler"
+
+    #: Whether :meth:`decide` reads ``estimate_completion_s``.  When
+    #: False the controller skips the estimate and passes ``nan``.
+    needs_estimate: bool = True
 
     #: Multiplier applied to the completion estimate before computing the
     #: latest safe start; absorbs estimation error and queueing.
@@ -77,10 +80,7 @@ class Scheduler(ABC):
         dispatch = min(target, latest)
         dispatch = max(dispatch, now)
         return ScheduleDecision(
-            job_id=job.job_id,
-            dispatch_at=dispatch,
-            priority=job.deadline,
-            latest_safe_start=latest,
+            job_id=job.job_id, dispatch_at=dispatch, priority=job.deadline
         )
 
 
@@ -88,15 +88,13 @@ class EagerScheduler(Scheduler):
     """Dispatch the instant a job is released (FIFO priority)."""
 
     name = "eager"
+    needs_estimate = False
 
     def decide(
         self, job: Job, now: float, estimate_completion_s: float
     ) -> ScheduleDecision:
         return ScheduleDecision(
-            job_id=job.job_id,
-            dispatch_at=now,
-            priority=now,  # FIFO
-            latest_safe_start=self.latest_safe_start(job, estimate_completion_s),
+            job_id=job.job_id, dispatch_at=now, priority=now  # FIFO
         )
 
 
@@ -104,15 +102,13 @@ class EdfScheduler(Scheduler):
     """Dispatch immediately; contended resources serve earliest deadline first."""
 
     name = "edf"
+    needs_estimate = False
 
     def decide(
         self, job: Job, now: float, estimate_completion_s: float
     ) -> ScheduleDecision:
         return ScheduleDecision(
-            job_id=job.job_id,
-            dispatch_at=now,
-            priority=job.deadline,
-            latest_safe_start=self.latest_safe_start(job, estimate_completion_s),
+            job_id=job.job_id, dispatch_at=now, priority=job.deadline
         )
 
 

@@ -187,13 +187,14 @@ class UserEquipment:
         Queues when all cores are busy; drains compute energy.
         """
         return self.sim.spawn(
-            self._execute_proc(work_gcycles, frequency_fraction),
+            self.execute_body(work_gcycles, frequency_fraction),
             name=f"{self.spec.name}.exec",
         )
 
-    def _execute_proc(
+    def execute_body(
         self, work_gcycles: float, frequency_fraction: float = 1.0
     ) -> Generator[Event, object, LocalExecution]:
+        """The body of :meth:`execute`, to delegate into with ``yield from``."""
         started = self.sim.now
         request = self._cpu.request()
         yield request
@@ -226,7 +227,7 @@ class UserEquipment:
         path's transfer span.
         """
         return self.sim.spawn(
-            self._radio_proc(nbytes, path, transmit=True, parent=parent),
+            self.radio_body(nbytes, path, transmit=True, parent=parent),
             name=f"{self.spec.name}.tx",
         )
 
@@ -235,17 +236,22 @@ class UserEquipment:
     ) -> Event:
         """Fetch ``nbytes`` down ``path``, draining receive energy."""
         return self.sim.spawn(
-            self._radio_proc(nbytes, path, transmit=False, parent=parent),
+            self.radio_body(nbytes, path, transmit=False, parent=parent),
             name=f"{self.spec.name}.rx",
         )
 
-    def _radio_proc(
+    def radio_body(
         self,
         nbytes: float,
         path: NetworkPath,
         transmit: bool,
         parent: Optional[object] = None,
     ) -> Generator[Event, object, TransferResult]:
+        """The body of :meth:`transmit` (``transmit=True``) and :meth:`receive`.
+
+        Delegate into it with ``yield from``; the path transfer itself
+        stays a process of its own.
+        """
         result: TransferResult = yield path.transfer(nbytes, parent=parent)
         model = self.spec.energy
         if transmit:

@@ -151,11 +151,15 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self.sim.spawn(self._transfer_proc(nbytes), name=f"{self.name}.xfer")
+        return self.sim.spawn(self.transfer_body(nbytes), name=f"{self.name}.xfer")
 
-    def _transfer_proc(
+    def transfer_body(
         self, nbytes: float
     ) -> Generator[Event, object, TransferResult]:
+        """The body of :meth:`transfer`, to delegate into with ``yield from``.
+
+        The caller has checked ``nbytes >= 0``.
+        """
         started = self.sim.now
         request = self._channels.request()
         yield request
@@ -227,13 +231,20 @@ class NetworkPath:
         caller's telemetry span; when tracing is enabled the whole-path
         transfer records a ``transfer`` span beneath it.
         """
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         return self.sim.spawn(
-            self._transfer_proc(nbytes, parent), name=f"{self.name}.xfer"
+            self.transfer_body(nbytes, parent), name=f"{self.name}.xfer"
         )
 
-    def _transfer_proc(
+    def transfer_body(
         self, nbytes: float, parent: Optional[object] = None
     ) -> Generator[Event, object, TransferResult]:
+        """The body of :meth:`transfer`, to delegate into with ``yield from``.
+
+        Each hop's :meth:`Link.transfer_body` runs inline in the same
+        process.  The caller has checked ``nbytes >= 0``.
+        """
         started = self.sim.now
         tracer = self.sim.tracer
         span = tracer.start_span(
@@ -242,7 +253,7 @@ class NetworkPath:
         active = 0.0
         radio = 0.0
         for index, link in enumerate(self.links):
-            hop: TransferResult = yield link.transfer(nbytes)
+            hop: TransferResult = yield from link.transfer_body(nbytes)
             active += hop.active_seconds
             if index == 0:
                 radio = hop.active_seconds

@@ -109,18 +109,22 @@ def invoke_with_retries(
     """
     policy = policy if policy is not None else RetryPolicy()
     return platform.sim.spawn(
-        _retry_proc(platform, request, policy, rng, outage_aware),
+        retry_body(platform, request, policy, rng, outage_aware),
         name=f"{platform.name}.retry.{request.function}",
     )
 
 
-def _retry_proc(
+def retry_body(
     platform: ServerlessPlatform,
     request: InvocationRequest,
     policy: RetryPolicy,
     rng: Optional[RngStream],
     outage_aware: bool = False,
 ) -> Generator[Event, object, RetriedInvocation]:
+    """The retry loop of :func:`invoke_with_retries`, for ``yield from``.
+
+    Each attempt stays a platform invocation process of its own.
+    """
     wasted = 0.0
     backoff_total = 0.0
     last_error: Optional[InvocationFailedError] = None
@@ -340,4 +344,5 @@ __all__ = [
     "guard_event",
     "invoke_hedged",
     "invoke_with_retries",
+    "retry_body",
 ]

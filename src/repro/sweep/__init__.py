@@ -34,6 +34,7 @@ from repro.sweep.runner import (
 from repro.sweep.spec import (
     SweepSpec,
     canonical_json,
+    code_digest,
     config_hash,
     config_key,
     resolve_scenario,
@@ -49,6 +50,7 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "canonical_json",
+    "code_digest",
     "config_hash",
     "config_key",
     "resolve_scenario",

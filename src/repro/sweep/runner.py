@@ -10,7 +10,10 @@ Results are JSON-normalised (round-tripped through canonical JSON) the
 moment they arrive, so a result served from the on-disk cache is
 indistinguishable from a freshly executed one.  The cache keys one file
 per config under ``cache_dir`` by :func:`~repro.sweep.spec.config_hash`;
-re-running a grown grid executes only the delta.
+re-running a grown grid executes only the delta.  Each entry also holds
+the :func:`~repro.sweep.spec.code_digest` of the code that wrote it, and
+an entry of other code, of another scenario or config, or one that does
+not parse is a miss: the config runs again and its entry is rewritten.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.perf.meter import RuntimeMeter
 from repro.sweep.spec import (
     SweepSpec,
     canonical_json,
+    code_digest,
     config_hash,
     config_key,
     resolve_scenario,
@@ -88,8 +92,12 @@ class SweepResult:
         scenario: str,
         entries: Iterable[SweepEntry],
         meter: Optional[RuntimeMeter] = None,
+        code: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
+        #: The code digest cache entries were checked against (``None``
+        #: without a cache); like the meter, kept out of :meth:`merged`.
+        self.code = code
         self.entries: List[SweepEntry] = sorted(entries, key=lambda e: e.key)
         self._by_key = {entry.key: entry for entry in self.entries}
         #: The runner's self-metering (cache hits/misses, wall).  Kept out
@@ -143,6 +151,7 @@ class SweepResult:
         meter = self.meter
         return {
             "scenario": self.scenario,
+            "code": self.code,
             "total": len(self.entries),
             "executed": self.executed,
             "cached": self.cached,
@@ -242,11 +251,12 @@ class SweepRunner:
 
         meter = self.meter
         meter.sweep_configs += total
+        code = code_digest() if self.cache_dir is not None else None
         results: Dict[str, Any] = {}
         cached_keys: set[str] = set()
         pending: List[Tuple[str, str, Dict[str, Any]]] = []
         for key, digest, config in keyed:
-            hit = self._cache_load(digest)
+            hit = self._cache_load(digest, ref, key, code)
             if hit is not _MISS:
                 results[key] = hit
                 cached_keys.add(key)
@@ -264,7 +274,7 @@ class SweepRunner:
             )
             for key, digest, config in pending:
                 results[key] = fresh[key]
-                self._cache_store(digest, config, fresh[key])
+                self._cache_store(digest, config, fresh[key], code)
 
         entries = [
             SweepEntry(
@@ -277,7 +287,7 @@ class SweepRunner:
             for key, digest, config in keyed
         ]
         meter.sweep_wall_s += time.perf_counter() - started
-        return SweepResult(ref, entries, meter=meter)
+        return SweepResult(ref, entries, meter=meter, code=code)
 
     # -- execution ---------------------------------------------------------
 
@@ -324,17 +334,32 @@ class SweepRunner:
             return None
         return self.cache_dir / f"{digest}.json"
 
-    def _cache_load(self, digest: str) -> Any:
+    def _cache_load(
+        self, digest: str, scenario: str, key: str, code: Optional[str]
+    ) -> Any:
+        """The cached result of one config, or ``_MISS`` unless the entry
+        parses and was written by this code for this scenario and config."""
         path = self._cache_path(digest)
         if path is None or not path.exists():
             return _MISS
         try:
-            return json.loads(path.read_text())["result"]
-        except (OSError, ValueError, KeyError):
+            entry = json.loads(path.read_text())
+            if (
+                entry["code"] != code
+                or entry["scenario"] != scenario
+                or config_key(entry["config"]) != key
+            ):
+                return _MISS
+            return entry["result"]
+        except (OSError, ValueError, KeyError, TypeError):
             return _MISS  # unreadable entries are re-executed, not fatal
 
     def _cache_store(
-        self, digest: str, config: Mapping[str, Any], result: Any
+        self,
+        digest: str,
+        config: Mapping[str, Any],
+        result: Any,
+        code: Optional[str],
     ) -> None:
         path = self._cache_path(digest)
         if path is None:
@@ -342,7 +367,7 @@ class SweepRunner:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = canonical_json(
             {"scenario": self.spec.scenario_name, "config": dict(config),
-             "result": result}
+             "code": code, "result": result}
         )
         # Atomic: concurrent sweeps never see partials.
         write_atomic(path, payload + "\n")

@@ -31,8 +31,24 @@ def offload_run(config: Dict[str, Any]) -> Dict[str, Any]:
     (``eager`` | ``edf`` | ``batcher``), ``window_s``, ``weights``
     (``balanced`` | ``interactive`` | ``non-time-critical``).
     """
+    from repro.core.controller import Environment
+
+    env = Environment.build(
+        seed=int(config.get("seed", 0)),
+        connectivity=config.get("connectivity", "4g"),
+    )
+    return offload_report(env, config)
+
+
+def offload_report(env, config: Dict[str, Any]) -> Dict[str, Any]:
+    """The body of :func:`offload_run` on an already built environment.
+
+    Reads every config key of :func:`offload_run` except ``seed`` and
+    ``connectivity``, which only shape the environment; callers that
+    need a non-standard world (an object store, say) build it themselves.
+    """
     from repro.apps.catalog import CATALOG
-    from repro.core.controller import Environment, OffloadController
+    from repro.core.controller import OffloadController
     from repro.core.partitioning import ObjectiveWeights
     from repro.core.scheduler import DeadlineBatcher, EagerScheduler, EdfScheduler
     from repro.apps.jobs import Job
@@ -40,7 +56,6 @@ def offload_run(config: Dict[str, Any]) -> Dict[str, Any]:
     app_name = config.get("app", "photo_backup")
     if app_name not in CATALOG:
         raise ValueError(f"unknown app {app_name!r}; choose from {sorted(CATALOG)}")
-    seed = int(config.get("seed", 0))
     input_mb = float(config.get("input_mb", 4.0))
     n_jobs = int(config.get("jobs", 5))
     spacing_s = float(config.get("spacing_s", 60.0))
@@ -70,9 +85,6 @@ def offload_run(config: Dict[str, Any]) -> Dict[str, Any]:
             f"unknown weights {weights_name!r}; choose from {sorted(weights)}"
         )
 
-    env = Environment.build(
-        seed=seed, connectivity=config.get("connectivity", "4g")
-    )
     controller = OffloadController(
         env,
         CATALOG[app_name](),
@@ -180,4 +192,4 @@ def kernel_smoke(config: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-__all__ = ["kernel_smoke", "monitored_run", "offload_run"]
+__all__ = ["kernel_smoke", "monitored_run", "offload_report", "offload_run"]

@@ -9,7 +9,9 @@ replication count.  Everything is canonicalised:
 * :func:`config_key` — the canonical JSON of a config, the sweep's sort
   and merge key (completion order never leaks into output);
 * :func:`config_hash` — SHA-256 over scenario name + config key, the
-  on-disk cache key, so re-running a grown grid only executes the delta.
+  on-disk cache key, so re-running a grown grid only executes the delta;
+* :func:`code_digest` — SHA-256 over the ``repro`` package's sources,
+  stored in every cache entry so results of other code never hit.
 
 Scenario functions referenced as ``"package.module:function"`` strings
 stay importable from worker processes; bare callables are accepted for
@@ -26,7 +28,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 ScenarioRef = Union[str, Callable[[Dict[str, Any]], Any]]
 
@@ -67,6 +69,30 @@ def config_hash(scenario: str, config: Mapping[str, Any]) -> str:
     digest.update(b"\n")
     digest.update(config_key(config).encode("utf-8"))
     return digest.hexdigest()
+
+
+_CODE_DIGEST: Optional[str] = None
+
+
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` package's sources, once per process.
+
+    Covers every ``.py`` file's relative path and bytes, in sorted path
+    order.  A cached result is only as good as the code that produced
+    it: the sweep cache stores this digest with each entry and treats an
+    entry written by other code as a miss.
+    """
+    global _CODE_DIGEST
+    if _CODE_DIGEST is None:
+        root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        _CODE_DIGEST = digest.hexdigest()
+    return _CODE_DIGEST
 
 
 def scenario_ref(scenario: ScenarioRef) -> str:
@@ -206,6 +232,7 @@ class SweepSpec:
 __all__ = [
     "SweepSpec",
     "canonical_json",
+    "code_digest",
     "config_hash",
     "config_key",
     "resolve_scenario",

@@ -232,6 +232,52 @@ def run_golden_fleet(couple: str, remediate: bool) -> Dict[str, str]:
     }
 
 
+#: The offload matrix's shared workload: 30 jobs released 20 s apart
+#: (each runs longer than that, so jobs overlap and contend) with 900 s
+#: of slack, on seed 3.
+OFFLOAD_MATRIX_WORKLOAD = {
+    "jobs": 30, "spacing_s": 20.0, "slack_s": 900.0, "seed": 3,
+}
+
+
+def run_offload_matrix() -> Dict[str, str]:
+    """Canonical JSON of ``offload_run`` over the pinned matrix.
+
+    One cell per catalog app x connectivity x scheduler, plus one
+    ``storage`` cell (photo_backup, 4g, eager) on an environment with an
+    object store, so store-staged edges are covered too.  Each result
+    drops ``sim_events``: the matrix pins what the offloading system did
+    in sim time, not how many kernel events the simulator took to do it.
+    """
+    from repro.apps.catalog import CATALOG
+    from repro.sweep import canonical_json
+    from repro.sweep.scenarios import offload_report, offload_run
+
+    def render(result: Dict) -> str:
+        result.pop("sim_events")
+        return canonical_json(result)
+
+    cells: Dict[str, str] = {}
+    for app in sorted(CATALOG):
+        for connectivity in ("4g", "wifi", "3g"):
+            for scheduler in ("eager", "edf", "batcher"):
+                config = dict(
+                    OFFLOAD_MATRIX_WORKLOAD, app=app,
+                    connectivity=connectivity, scheduler=scheduler,
+                )
+                cells[f"{app}/{connectivity}/{scheduler}"] = render(
+                    offload_run(config)
+                )
+    env = Environment.build(
+        seed=OFFLOAD_MATRIX_WORKLOAD["seed"], connectivity="4g",
+        with_storage=True,
+    )
+    cells["photo_backup/4g/eager/storage"] = render(
+        offload_report(env, dict(OFFLOAD_MATRIX_WORKLOAD))
+    )
+    return cells
+
+
 def monitoring_chaos_schedule() -> FaultSchedule:
     """The R1-style chaos campaign of the *monitored* scenario.
 
@@ -355,6 +401,7 @@ def run_monitored_scenario(with_faults: bool, seed: int = GOLDEN_SEED):
 
 __all__ = [
     "GOLDEN_SEED",
+    "OFFLOAD_MATRIX_WORKLOAD",
     "TRACE_SCHEMA",
     "golden_fault_schedule",
     "golden_fleet_spec",
@@ -365,5 +412,6 @@ __all__ = [
     "run_golden_fleet",
     "run_golden_scenario",
     "run_monitored_scenario",
+    "run_offload_matrix",
     "trace_digest",
 ]

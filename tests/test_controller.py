@@ -1,6 +1,8 @@
 """Tests for the end-to-end offloading controller."""
 
 import math
+import re
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -38,6 +40,7 @@ from repro.fleet import FleetController, FleetEnvironment
 from repro.fleet.sharded import ShardedFleetSpec, run_sharded
 from repro.fleet.topology import FleetTopology
 from repro.profiling.profiler import DemandObservation
+from repro.sim import Simulator
 from repro.sim.rng import RngStream
 
 
@@ -505,6 +508,129 @@ class TestExecution:
         assert report.jobs_completed == 8
         finishes = [r.finished_at for r in report.results]
         assert finishes == sorted(finishes)
+
+
+#: Processes one photo_backup job (4g, eager) spawns, by name with digits
+#: stripped.  Only what a caller races, interrupts or joins is a process:
+#: the release driver, the job, its components, the two cross-tier edges,
+#: each platform invocation and each path transfer.  Link hops, UE radio
+#: and execution bodies, the retry loop and same-tier edges run inline.
+JOB_PROCESS_BUDGET = {
+    "release": 1,
+    "job.photo_backup": 1,
+    "comp.capture": 1,
+    "comp.dedup_hash": 1,
+    "comp.feature_extract": 1,
+    "comp.index_update": 1,
+    "comp.notify": 1,
+    "comp.thumbnail": 1,
+    "comp.transcode": 1,
+    "edge.capture->transcode": 1,
+    "edge.index_update->notify": 1,
+    "faas.photo_backup.dedup_hash": 1,
+    "faas.photo_backup.feature_extract": 1,
+    "faas.photo_backup.index_update": 1,
+    "faas.photo_backup.thumbnail": 1,
+    "faas.photo_backup.transcode": 1,
+    "g.cloud.down.xfer": 1,
+    "g.cloud.up.xfer": 1,
+}
+
+
+class TestJobBudget:
+    def test_job_process_budget(self, monkeypatch):
+        """20 jobs spawn exactly the budgeted processes and dispatch the
+        pinned number of kernel events: a wrapper process that comes back
+        (a spawn-and-wait layer, a no-op edge) fails here by name."""
+        controller = make_controller(scheduler=EagerScheduler())
+        controller.profile_offline()
+        controller.plan(input_mb=4.0)
+        spawned = Counter()
+        spawn = Simulator.spawn
+
+        def counting_spawn(sim, generator, name=None):
+            process = spawn(sim, generator, name)
+            spawned[re.sub(r"\d+", "", process.name)] += 1
+            return process
+
+        monkeypatch.setattr(Simulator, "spawn", counting_spawn)
+        jobs = [
+            Job(controller.app, input_mb=4.0, released_at=60.0 * i,
+                deadline=60.0 * i + 3600.0)
+            for i in range(20)
+        ]
+        report = controller.run_workload(jobs)
+        assert report.jobs_completed == 20
+        assert dict(spawned) == {
+            name: 20 * count for name, count in JOB_PROCESS_BUDGET.items()
+        }
+        assert controller.env.sim.events_processed == 1485
+
+    def test_negative_path_transfer_raises(self):
+        env = Environment.build(seed=0, connectivity="4g")
+        with pytest.raises(ValueError, match="nbytes"):
+            env.uplink.transfer(-1)
+
+    def test_exhausted_retries_fail_as_before_and_free_resources(self):
+        """The retry loop runs inside the component process; a job whose
+        cloud component runs out of attempts still fails at the same
+        instant with the same error, and leaves no core or channel held."""
+        from repro.serverless import PlatformConfig, RetriesExhaustedError
+        from repro.serverless import RetryPolicy
+
+        env = Environment.build(
+            seed=5, platform_config=PlatformConfig(failure_probability=0.97)
+        )
+        controller = OffloadController(
+            env,
+            photo_backup_app(),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.1),
+        )
+        controller.profile_offline()
+        controller.plan(input_mb=3.0)
+        report = controller.run_workload(
+            [Job(controller.app, input_mb=3.0, deadline=3600.0)]
+        )
+        (failure,) = report.failures
+        assert isinstance(failure.error, RetriesExhaustedError)
+        assert str(failure.error) == (
+            "photo_backup.transcode: 2 attempts failed ($1.47e-04 billed)"
+        )
+        assert failure.failed_at == 8.837014797757831
+        metrics = env.metrics.snapshot()
+        assert metrics["faas.failures"] == 2.0
+        assert metrics["faas.cost_usd"] == 0.00014707099976757815
+        assert env.ue._cpu.in_use == 0
+        for link in env.uplink.links + env.downlink.links:
+            assert link._channels.in_use == 0
+            assert link.queue_length == 0
+
+    @pytest.mark.parametrize("scheduler", ["eager", "batcher"])
+    def test_estimate_only_when_the_scheduler_reads_it(
+        self, scheduler, monkeypatch
+    ):
+        """Eager dispatch never computes the completion estimate, yet
+        still refreshes the last-known-good link rates outage planning
+        falls back on; a deferring scheduler gets its estimate."""
+        chosen = EagerScheduler() if scheduler == "eager" else DeadlineBatcher()
+        controller = make_controller(scheduler=chosen)
+        controller.profile_offline()
+        controller.plan(input_mb=2.0)
+        calls = []
+        estimate = controller.estimate_completion
+
+        def counted(job, frequency_fraction=1.0):
+            calls.append(job.job_id)
+            return estimate(job, frequency_fraction)
+
+        monkeypatch.setattr(controller, "estimate_completion", counted)
+        controller._last_rates.clear()
+        report = controller.run_workload(
+            [Job(controller.app, input_mb=2.0, deadline=3600.0)]
+        )
+        assert report.jobs_completed == 1
+        assert len(calls) == chosen.needs_estimate
+        assert set(controller._last_rates) == {"uplink", "downlink"}
 
 
 class TestScheduling:

@@ -23,8 +23,10 @@ from repro.sweep import canonical_json
 from repro.testing.golden import (
     GOLDEN_SEED,
     TRACE_SCHEMA,
+    OFFLOAD_MATRIX_WORKLOAD,
     run_golden_fleet,
     run_golden_scenario,
+    run_offload_matrix,
     trace_digest,
 )
 
@@ -184,3 +186,75 @@ def test_fleet_fixture_digests_are_self_consistent(filename, couple, remediate):
     }
     assert fixture["health"]["fleet"]["alerts_fired"] >= 1
     assert bool(lines) is remediate
+
+
+MATRIX_FIXTURE = "offload_matrix.json"
+
+
+def test_offload_matrix_matches_committed_fixture():
+    """Every catalog app x connectivity x scheduler cell of overlapping
+    ``offload_run`` jobs, plus the object-store cell, replays byte for
+    byte (event counts excluded): a change to how jobs execute in the
+    kernel must not move any sim-time result."""
+    fixture = _load(MATRIX_FIXTURE)
+    assert fixture["schema"] == TRACE_SCHEMA
+    assert fixture["workload"] == OFFLOAD_MATRIX_WORKLOAD
+
+    texts = run_offload_matrix()
+    assert {
+        name: json.loads(text) for name, text in texts.items()
+    } == fixture["cells"], REGEN_HINT
+    assert trace_digest(
+        [texts[name] for name in sorted(texts)]
+    ) == fixture["digest"], REGEN_HINT
+
+
+def test_offload_matrix_fixture_is_self_consistent():
+    """The stored digest is that of the stored cells' canonical text,
+    and the matrix exercises overlapping jobs and a store-staged run."""
+    fixture = _load(MATRIX_FIXTURE)
+    cells = fixture["cells"]
+    assert fixture["digest"] == trace_digest(
+        [canonical_json(cells[name]) for name in sorted(cells)]
+    )
+    assert len(cells) == 5 * 3 * 3 + 1
+    spacing = OFFLOAD_MATRIX_WORKLOAD["spacing_s"]
+    assert any(cell["mean_response_s"] > spacing for cell in cells.values())
+    assert cells["photo_backup/4g/eager/storage"]["cloud_components"]
+
+
+def _regen_tool():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_names_the_paths_that_moved(capsys):
+    """``regen_golden.py --check`` prints each differing JSON path with
+    its old and new value, at most ``DIFF_LIMIT`` of them per fixture."""
+    tool = _regen_tool()
+    old = {"lines": ["a", "events=640"], "meter": {"fast_lane_hits": 825},
+           "n": 1, "gone": True}
+    new = {"lines": ["a", "events=516"], "meter": {"fast_lane_hits": 497},
+           "n": 1.0, "extra": [1]}
+    assert list(tool.diff_paths(old, new)) == [
+        ("/lines[1]", "events=640", "events=516"),
+        ("/meter/fast_lane_hits", 825, 497),
+        ("/n", 1, 1.0),
+        ("/gone", True, "<missing>"),
+        ("/extra", "<missing>", [1]),
+    ]
+    assert list(tool.diff_paths(old, old)) == []
+
+    many = {"cells": {str(i): i for i in range(tool.DIFF_LIMIT + 5)}}
+    moved = {"cells": {key: -value for key, value in many["cells"].items()}}
+    tool.report_drift("x.json", many, moved)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"STALE    x.json  {tool.DIFF_LIMIT + 4} differing paths"
+    assert out[1] == "  /cells/1: 1 -> -1"
+    assert len(out) == 1 + tool.DIFF_LIMIT + 1
+    assert out[-1] == "  ... 4 more"

@@ -193,6 +193,56 @@ class TestSweepCache:
         assert rerun.executed == 1
         assert rerun.result_for({"x": 7})["doubled"] == 14
 
+    def test_changed_code_digest_turns_every_hit_into_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.sweep.runner as runner
+
+        spec = SweepSpec(scenario=double, grid={"x": [1, 2, 3]})
+        first = SweepRunner(spec, cache_dir=tmp_path).run()
+        monkeypatch.setattr(runner, "code_digest", lambda: "other code")
+        rerun = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert (rerun.executed, rerun.cached) == (3, 0)
+        assert rerun.meter.sweep_cache_misses == 3
+        assert rerun.merged_json() == first.merged_json()
+        # The re-executed entries now carry the new digest and hit.
+        again = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert (again.executed, again.cached) == (0, 3)
+
+    @pytest.mark.parametrize("damage", ["config", "scenario", "truncated"])
+    def test_mismatched_or_truncated_entry_is_a_counted_miss(
+        self, tmp_path, damage
+    ):
+        spec = SweepSpec(scenario=double, grid={"x": [7]})
+        fresh = SweepRunner(spec, cache_dir=tmp_path).run()
+        (entry,) = list(tmp_path.glob("*.json"))
+        text = entry.read_text()
+        if damage == "truncated":
+            entry.write_text(text[: len(text) // 2])
+        else:
+            stored = json.loads(text)
+            stored[damage] = {"x": 8} if damage == "config" else "m:other"
+            stored["result"] = {"doubled": -1, "tag": "stale"}
+            entry.write_text(canonical_json(stored) + "\n")
+        rerun = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert (rerun.executed, rerun.cached) == (1, 0)
+        assert rerun.meter.sweep_cache_misses == 1
+        assert rerun.merged_json() == fresh.merged_json()
+        assert json.loads(entry.read_text()) == json.loads(text)
+
+    def test_entries_and_manifest_carry_the_code_digest(self, tmp_path):
+        from repro.sweep import code_digest
+
+        spec = SweepSpec(scenario=double, grid={"x": [1]})
+        result = SweepRunner(spec, cache_dir=tmp_path).run()
+        (entry,) = list(tmp_path.glob("*.json"))
+        assert json.loads(entry.read_text())["code"] == code_digest()
+        assert result.manifest()["code"] == code_digest()
+        assert len(code_digest()) == 64
+        uncached = SweepRunner(spec).run()
+        assert uncached.manifest()["code"] is None
+        assert uncached.merged_json() == result.merged_json()
+
     def test_no_cache_dir_means_no_files(self, tmp_path):
         SweepRunner(SweepSpec(scenario=double, grid={"x": [1]})).run()
         assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,10 @@ diff alongside the change so review sees exactly which numbers moved:
     PYTHONPATH=src python tools/regen_golden.py [--check]
 
 ``--check`` regenerates in memory and exits non-zero if the committed
-fixtures are stale, without writing anything (useful in CI).
+fixtures are stale, without writing anything (useful in CI).  For each
+stale fixture it prints the first differing JSON paths with their old
+and new values, so a drift that should touch only event counters shows
+at a glance whether it did.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.testing.golden import (  # noqa: E402 - path bootstrap above
     GOLDEN_SEED,
     TRACE_SCHEMA,
+    OFFLOAD_MATRIX_WORKLOAD,
     run_golden_fleet,
     run_golden_scenario,
+    run_offload_matrix,
     trace_digest,
 )
 
@@ -41,6 +46,9 @@ FLEET_VARIANTS = {
     "fleet_monitored.json": {"couple": "ring", "remediate": False},
     "fleet_remediated.json": {"couple": "pairs", "remediate": True},
 }
+MATRIX_FIXTURE = "offload_matrix.json"
+#: How many differing paths ``--check`` prints per stale fixture.
+DIFF_LIMIT = 20
 
 
 def render(with_faults: bool, traced: bool = False) -> dict:
@@ -77,6 +85,51 @@ def render_fleet(couple: str, remediate: bool) -> dict:
     }
 
 
+def render_matrix() -> dict:
+    """Every offload-matrix cell as JSON, plus one digest over the cells'
+    exact canonical text in name order (the parsed cells alone would not
+    see an int turn into a float)."""
+    texts = run_offload_matrix()
+    names = sorted(texts)
+    return {
+        "schema": TRACE_SCHEMA,
+        "workload": OFFLOAD_MATRIX_WORKLOAD,
+        "digest": trace_digest([texts[name] for name in names]),
+        "cells": {name: json.loads(texts[name]) for name in names},
+    }
+
+
+def diff_paths(old, new, path: str = ""):
+    """Yield ``(path, old, new)`` for every leaf where two JSON values
+    differ, in document order; a key or item present on one side only
+    shows the other side as ``<missing>``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from diff_paths(
+                old.get(key, "<missing>"), new.get(key, "<missing>"),
+                f"{path}/{key}",
+            )
+    elif isinstance(old, list) and isinstance(new, list):
+        for index in range(max(len(old), len(new))):
+            yield from diff_paths(
+                old[index] if index < len(old) else "<missing>",
+                new[index] if index < len(new) else "<missing>",
+                f"{path}[{index}]",
+            )
+    elif old != new or type(old) is not type(new):
+        yield path or "/", old, new
+
+
+def report_drift(filename: str, current, fresh) -> None:
+    """Print the first :data:`DIFF_LIMIT` paths where ``fresh`` moved."""
+    drift = list(diff_paths(current, fresh))
+    print(f"STALE    {filename}  {len(drift)} differing paths")
+    for path, old, new in drift[:DIFF_LIMIT]:
+        print(f"  {path}: {old!r} -> {new!r}")
+    if len(drift) > DIFF_LIMIT:
+        print(f"  ... {len(drift) - DIFF_LIMIT} more")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -92,6 +145,7 @@ def main() -> int:
     renders += [
         (name, render_fleet, kwargs) for name, kwargs in FLEET_VARIANTS.items()
     ]
+    renders.append((MATRIX_FIXTURE, render_matrix, {}))
     for filename, renderer, kwargs in renders:
         path = GOLDEN_DIR / filename
         fresh = renderer(**kwargs)
@@ -100,6 +154,7 @@ def main() -> int:
             current = json.loads(path.read_text()) if path.exists() else None
             if current != fresh:
                 stale.append(filename)
+                report_drift(filename, current, fresh)
                 continue
             print(f"ok       {filename}  digest={digest[:16]}…")
         else:
