@@ -105,6 +105,12 @@ class MemoryAllocator:
         self.strategy = strategy
         self.coarse_stride = coarse_stride
         self.cost_tolerance = cost_tolerance
+        #: Solved :meth:`allocate_app` decisions by (app, cloud demands,
+        #: latency SLO); see there.
+        self._allocated: Dict[
+            Tuple[AppGraph, Tuple[Tuple[str, float], ...], float],
+            Dict[str, AllocationDecision],
+        ] = {}
 
     # -- single-function decisions ---------------------------------------
 
@@ -261,6 +267,14 @@ class MemoryAllocator:
         The SLO, when finite, is budgeted across the cloud components in
         proportion to their single-vCPU durations — a simple, effective
         split because duration curves share their shape.
+
+        Decisions are memoised by ``(app, ((name, predicted demand) for
+        each cloud component), latency_slo_s)``, and a hit returns a
+        fresh dict of the same frozen decisions.  The memo is exact: the
+        demand model and ``input_mb`` enter only through those
+        predictions, the app's components are immutable, and
+        :meth:`cheapest` reads nothing of the allocator but its
+        construction-time tiers, strategy and billing.
         """
         cloud_components = [
             name for name in app.component_names if partition.is_cloud(name)
@@ -270,6 +284,22 @@ class MemoryAllocator:
         demands = {
             name: demand.predict(name, input_mb) for name in cloud_components
         }
+        key = (app, tuple(demands.items()), latency_slo_s)
+        decisions = self._allocated.get(key)
+        if decisions is None:
+            decisions = self._allocated[key] = self._allocate(
+                app, cloud_components, demands, latency_slo_s
+            )
+        return dict(decisions)
+
+    def _allocate(
+        self,
+        app: AppGraph,
+        cloud_components: List[str],
+        demands: Dict[str, float],
+        latency_slo_s: float,
+    ) -> Dict[str, AllocationDecision]:
+        """The uncached body of :meth:`allocate_app`."""
         budgets: Dict[str, float] = {}
         if math.isinf(latency_slo_s):
             budgets = {name: math.inf for name in cloud_components}

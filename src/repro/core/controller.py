@@ -449,6 +449,9 @@ class OffloadController:
         self._hold_local_until: float = 0.0
         self.plan_rate_overrides: Dict[str, float] = {}
         self.memory_floor_mb: float = 0.0
+        #: ``(platform deploy generation, memory floor, memory by
+        #: component)`` after the last deploy pass; see :meth:`_deploy`.
+        self._deployed: Optional[Tuple[int, float, Dict[str, float]]] = None
 
     @property
     def planned_input_mb(self) -> float:
@@ -568,7 +571,13 @@ class OffloadController:
         partition passes and ``allocate_app``.  The hit is exact:
         ``allocate_app`` is pure and reads the demand model only through
         ``predict`` at ``input_mb``, whose values are ``context.work``.
-        Deployment, the ``plan`` span and the meter run on every call.
+
+        A hit still opens the ``plan`` span, books the meter and builds
+        the context, but each demand prediction is reused until its
+        estimator's next observation, and the deploy pass returns at
+        once unless a deployment, the memory floor or a planned size
+        changed since it last ran (see :meth:`_deploy`).  What is left is
+        the two link rates, the context key and a few dict lookups.
         """
         self._planned_input_mb = input_mb
         tracer = self.env.sim.tracer
@@ -647,8 +656,26 @@ class OffloadController:
         return f"{self.function_prefix}{self.app.name}.{component}"
 
     def _deploy(self) -> None:
+        """Deploy every function whose spec differs from the platform's.
+
+        A pass is skipped when the platform's ``deploy_generation``, the
+        memory floor and every component's memory equal the stamp taken
+        after the previous pass: then no deployment has changed and each
+        spec comparison would match.  The generation is the platform's,
+        not this controller's, because the controllers of a fleet deploy
+        the same function names, and one that resized a function must
+        make the others look again.
+        """
         assert self.partition is not None
         platform = self.env.platform
+        memory = {
+            component: decision.memory_mb
+            for component, decision in self.allocation.items()
+        }
+        if self._deployed == (
+            platform.deploy_generation, self.memory_floor_mb, memory
+        ):
+            return
         for component, decision in sorted(self.allocation.items()):
             spec = self.app.component(component)
             fn = FunctionSpec(
@@ -662,6 +689,9 @@ class OffloadController:
                 or platform.spec(fn.name) != fn
             ):
                 platform.deploy(fn)
+        self._deployed = (
+            platform.deploy_generation, self.memory_floor_mb, memory
+        )
 
     def estimate_completion(
         self, job: Job, frequency_fraction: float = 1.0

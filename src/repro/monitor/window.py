@@ -5,10 +5,10 @@ value, a good/bad flag, and named extras) and bins them into fixed-width
 time buckets.  Querying :meth:`aggregate` folds every bucket that
 intersects ``(now - window_s, now]`` into one :class:`WindowAggregate`:
 event count, bad count, value sum, summed extras (bytes, cost, cold
-starts), maxed extras (queue depth) and value quantiles.  A fold walks
-only the bucket indices inside the window and sums the counts; the
-aggregate keeps the in-window buckets and derives everything else when
-it is first read.  In particular the merged
+starts), maxed extras (queue depth) and value quantiles.  A fold sums
+the counts of the in-window buckets only; the aggregate keeps those
+buckets and derives everything else when it is first read.  In
+particular the merged
 :class:`~repro.monitor.sketch.QuantileSketch` is built only when a
 quantile is read, while the valued count and threshold counts sum per
 bucket (exact integers).
@@ -19,11 +19,21 @@ extra bucket of history — the same answer for the same sim clock, every
 run.  Buckets older than the retention horizon are pruned on write, so
 memory stays bounded by ``horizon_s / bucket_s`` regardless of run
 length.
+
+Window folds cost what is in the window, not what is retained.  A
+series keeps its retained bucket indices in one ascending list.  A new
+bucket is appended, because live observations land at a span's end,
+which is the current sim time; an out-of-order observation, a
+:meth:`~WindowedSeries.merge` and :meth:`~WindowedSeries.from_dict`
+insert or sort instead.  A query window is then two bisects and a
+slice, and pruning drops a bisected prefix.  Buckets still fold in
+ascending index order, so every float sum keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.monitor.sketch import QuantileSketch
@@ -153,7 +163,10 @@ class WindowAggregate:
 class WindowedSeries:
     """Time-bucketed observations supporting sliding-window queries."""
 
-    __slots__ = ("bucket_s", "horizon_s", "alpha", "_buckets", "total_count")
+    __slots__ = (
+        "bucket_s", "horizon_s", "alpha", "_buckets", "_indices",
+        "total_count",
+    )
 
     def __init__(
         self,
@@ -169,6 +182,8 @@ class WindowedSeries:
         self.horizon_s = horizon_s
         self.alpha = alpha
         self._buckets: Dict[int, _Bucket] = {}
+        #: The keys of ``_buckets``, ascending.
+        self._indices: List[int] = []
         self.total_count = 0
 
     def observe(
@@ -192,6 +207,11 @@ class WindowedSeries:
         if bucket is None:
             bucket = _Bucket(QuantileSketch(self.alpha))
             self._buckets[index] = bucket
+            indices = self._indices
+            if not indices or index > indices[-1]:
+                indices.append(index)  # live observations arrive in order
+            else:
+                insort(indices, index)
             self._prune(index)
         bucket.count += 1
         self.total_count += 1
@@ -211,10 +231,12 @@ class WindowedSeries:
 
     def _prune(self, newest_index: int) -> None:
         floor_index = newest_index - int(self.horizon_s // self.bucket_s) - 1
-        if floor_index <= min(self._buckets, default=newest_index):
-            return
-        for index in [i for i in self._buckets if i < floor_index]:
-            del self._buckets[index]
+        indices = self._indices
+        cut = bisect_left(indices, floor_index)
+        if cut:
+            for index in indices[:cut]:
+                del self._buckets[index]
+            del indices[:cut]
 
     def merge(self, other: "WindowedSeries") -> None:
         """Fold ``other`` into this series, bucket-index aligned.
@@ -237,12 +259,13 @@ class WindowedSeries:
             )
         if other.horizon_s > self.horizon_s:
             self.horizon_s = other.horizon_s
-        for index in sorted(other._buckets):
+        for index in other._indices:
             theirs = other._buckets[index]
             bucket = self._buckets.get(index)
             if bucket is None:
                 bucket = _Bucket(QuantileSketch(self.alpha))
                 self._buckets[index] = bucket
+                insort(self._indices, index)
             bucket.count += theirs.count
             bucket.bad += theirs.bad
             bucket.value_sum += theirs.value_sum
@@ -267,7 +290,7 @@ class WindowedSeries:
         canonical JSON of two equal series is byte-identical.
         """
         buckets: Dict[str, object] = {}
-        for index in sorted(self._buckets):
+        for index in self._indices:
             bucket = self._buckets[index]
             entry: Dict[str, object] = {
                 "count": bucket.count,
@@ -315,23 +338,22 @@ class WindowedSeries:
             extras_max: Mapping[str, float] = entry.get("extras_max", {})  # type: ignore[assignment]
             bucket.extras_max = {k: float(extras_max[k]) for k in extras_max}
             series._buckets[int(key)] = bucket
+        series._indices = sorted(series._buckets)
         return series
 
     def _window_indices(self, now: float, window_s: float) -> List[int]:
         """Ascending indices of retained buckets intersecting the window.
 
         The window is bucket-aligned: the oldest included bucket is the
-        one containing ``now - window_s``.  The walk covers whichever is
-        smaller, the window's index range or the retained buckets.
+        one containing ``now - window_s``.  Two bisects of the sorted
+        retained indices bound it.
         """
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
         first = int(max(0.0, now - window_s) // self.bucket_s)
         last = int(now // self.bucket_s)
-        buckets = self._buckets
-        if last - first < len(buckets):
-            return [i for i in range(first, last + 1) if i in buckets]
-        return sorted(i for i in buckets if first <= i <= last)
+        indices = self._indices
+        return indices[bisect_left(indices, first):bisect_right(indices, last)]
 
     def bucket_extras(
         self, now: float, window_s: float, names: Sequence[str]

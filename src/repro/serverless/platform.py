@@ -208,6 +208,10 @@ class ServerlessPlatform:
                 "failure injection requires an RngStream (pass rng=...)"
             )
         self._functions: Dict[str, _FunctionState] = {}
+        #: Bumped by every :meth:`deploy` and :meth:`undeploy`, so a
+        #: caller can tell that no deployment changed since it last
+        #: looked.
+        self.deploy_generation = 0
         self._invocations: List[Invocation] = []
         #: Optional :class:`~repro.faults.injector.PlatformFaultModel`
         #: installed by a fault injector; None means no injected faults
@@ -224,6 +228,7 @@ class ServerlessPlatform:
         real platforms, where a configuration change recycles sandboxes.
         """
         self._functions[spec.name] = _FunctionState(spec)
+        self.deploy_generation += 1
 
     def undeploy(self, name: str) -> None:
         """Remove a function; outstanding invocations must have finished."""
@@ -231,6 +236,7 @@ class ServerlessPlatform:
         if state.queue or any(i.busy for i in state.instances):
             raise RuntimeError(f"cannot undeploy {name!r}: invocations in flight")
         del self._functions[name]
+        self.deploy_generation += 1
 
     def is_deployed(self, name: str) -> bool:
         """True when ``name`` currently has a deployment."""

@@ -27,6 +27,7 @@ from repro.apps.generators import (
 )
 from repro.baselines.policies import RandomPartitioner
 from repro.core.allocation import MemoryAllocator
+from repro.core.demand import DemandModel, RegressionEstimator, StaticEstimator
 from repro.core.partitioning import (
     FixedPartitioner,
     MinCutPartitioner,
@@ -40,6 +41,7 @@ from repro.fleet import FleetController, FleetEnvironment
 from repro.fleet.sharded import ShardedFleetSpec, run_sharded
 from repro.fleet.topology import FleetTopology
 from repro.profiling.profiler import DemandObservation
+from repro.serverless.platform import ServerlessPlatform
 from repro.sim import Simulator
 from repro.sim.rng import RngStream
 
@@ -133,12 +135,24 @@ class CountingRandom(CallCounting, RandomPartitioner):
     pass
 
 
+def fresh_allocator(allocator):
+    """An allocator configured like ``allocator``, with an empty memo."""
+    return MemoryAllocator(
+        billing=allocator.billing,
+        tiers_mb=allocator.tiers_mb,
+        strategy=allocator.strategy,
+        coarse_stride=allocator.coarse_stride,
+        cost_tolerance=allocator.cost_tolerance,
+    )
+
+
 def reference_plan(controller, input_mb):
     """The unconditional two-pass plan, computed without side effects."""
     partitioner = MinCutPartitioner()
+    allocator = fresh_allocator(controller.allocator)
 
     def allocate(partition):
-        return controller.allocator.allocate_app(
+        return allocator.allocate_app(
             controller.app, partition, controller.demand, input_mb,
             controller.latency_slo_s,
         )
@@ -441,6 +455,174 @@ class TestPlanMemo:
         # 150 plans, most of them remediation re-plans; 18 solve.
         assert len(solves) + len(hits) == 150
         assert len(hits) > 100
+
+
+class TestExactMemos:
+    """The re-plan memos (predictions, allocations, deploy passes) give
+    exactly what recomputing gives."""
+
+    @staticmethod
+    def counted_estimator(model, name):
+        estimator = model.estimators[name]
+        calls = []
+        predict = estimator.predict
+
+        def counted(input_mb):
+            calls.append(input_mb)
+            return predict(input_mb)
+
+        estimator.predict = counted
+        return predict, calls
+
+    @pytest.mark.parametrize(
+        "path", ["observe", "observe_profile", "ingest_history", "estimator"]
+    )
+    def test_prediction_memo_invalidates_on_every_observation_path(
+        self, path
+    ):
+        app = photo_backup_app()
+        model = DemandModel(app, RegressionEstimator)
+        name = app.component_names[-1]
+        predict, calls = self.counted_estimator(model, name)
+        first = model.predict(name, 4.0)
+        assert model.predict(name, 4.0) == first
+        assert calls == [4.0]
+        observation = DemandObservation(
+            component=name, input_mb=4.0, measured_gcycles=9.0, at_time=0.0
+        )
+        if path == "observe":
+            model.observe(observation)
+        elif path == "observe_profile":
+            model.observe_profile({name: [observation]})
+        elif path == "ingest_history":
+            assert model.ingest_history([observation]) == 1
+        else:
+            model.estimators[name].observe(observation)
+        moved = model.predict(name, 4.0)
+        assert calls == [4.0, 4.0]
+        assert moved == predict(4.0) == 9.0 != first
+
+    def test_prediction_memo_misses_on_another_input_or_estimator(self):
+        app = photo_backup_app()
+        model = DemandModel(app, RegressionEstimator)
+        name = app.component_names[0]
+        _, calls = self.counted_estimator(model, name)
+        model.predict(name, 1.0)
+        model.predict(name, 2.0)
+        model.predict(name, 2.0)
+        assert calls == [1.0, 2.0]
+        model.estimators[name] = StaticEstimator(name, 7.5)
+        assert model.predict(name, 2.0) == 7.5
+
+    #: One allocator per strategy and one app per generator draw, shared
+    #: by every example, so the memos fill up and later draws hit
+    #: entries of earlier ones.
+    SHARED = {
+        strategy: MemoryAllocator(strategy=strategy)
+        for strategy in ("scan", "convex", "coarse")
+    }
+    APPS = {}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        strategy=st.sampled_from(["scan", "convex", "coarse"]),
+        family=st.sampled_from(["pipeline", "fanout", "tree", "layered"]),
+        size=st.integers(min_value=2, max_value=6),
+        app_seed=st.integers(min_value=0, max_value=2),
+        steps=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_memoised_allocation_equals_a_fresh_allocator(
+        self, strategy, family, size, app_seed, steps, data
+    ):
+        key = (family, size, app_seed)
+        if key not in self.APPS:
+            self.APPS[key] = generated_app(family, size, app_seed)
+        app = self.APPS[key]
+        offloadable = sorted(app.offloadable_names())
+        shared = self.SHARED[strategy]
+        for _ in range(steps):
+            cloud = data.draw(
+                st.sets(st.sampled_from(offloadable))
+                if offloadable
+                else st.just(set())
+            )
+            partition = Partition(app.name, frozenset(cloud))
+            latency_slo_s = data.draw(
+                st.sampled_from([math.inf, 0.05, 2.0, 30.0])
+            )
+            demand = DemandModel(app, RegressionEstimator)
+            for name in app.component_names:
+                demand.estimators[name] = StaticEstimator(
+                    name, data.draw(st.sampled_from([0.0, 0.4, 3.0, 50.0]))
+                )
+
+            def allocate(allocator):
+                try:
+                    return allocator.allocate_app(
+                        app, partition, demand, 4.0, latency_slo_s
+                    )
+                except ValueError as error:
+                    return str(error)
+
+            expected = allocate(MemoryAllocator(strategy=strategy))
+            first = allocate(shared)
+            assert first == expected
+            if isinstance(first, dict):
+                first.clear()  # a caller's edit must not reach the memo
+            assert allocate(shared) == expected
+
+    def test_shared_function_names_redeploy_after_each_other(
+        self, monkeypatch
+    ):
+        deploys = []
+        deploy = ServerlessPlatform.deploy
+
+        def counted(self, spec):
+            deploys.append((spec.name, spec.memory_mb))
+            deploy(self, spec)
+
+        monkeypatch.setattr(ServerlessPlatform, "deploy", counted)
+
+        def alternate(full_pass):
+            # Two controllers on one platform deploy the same function
+            # names at different sizes: their allocators offer disjoint
+            # small tiers.
+            env = Environment.build(seed=0, connectivity="4g")
+            app = photo_backup_app()
+            billing = env.platform.config.billing
+            first = OffloadController(env, app, allocator=MemoryAllocator(
+                billing=billing, tiers_mb=(128, 512, 3008)
+            ))
+            second = OffloadController(env, app, allocator=MemoryAllocator(
+                billing=billing, tiers_mb=(1024, 3008)
+            ), demand_model=first.demand)
+            first.profile_offline()
+            platform = env.platform
+            deploys.clear()
+            steps = [first, second, second, first, first, second, first]
+            for step, controller in enumerate(steps):
+                if step == 2:
+                    # Only the platform's generation shows this change.
+                    platform.undeploy("photo_backup.transcode")
+                if step == 4:
+                    first.memory_floor_mb = 2048.0
+                if full_pass:
+                    controller._deployed = None  # every spec compared
+                controller.plan(4.0)
+                for name, decision in controller.allocation.items():
+                    spec = platform.spec(f"photo_backup.{name}")
+                    assert spec.memory_mb == max(
+                        decision.memory_mb, controller.memory_floor_mb
+                    )
+            assert first.allocation != second.allocation
+            return list(deploys)
+
+        skipped = alternate(full_pass=False)
+        assert skipped == alternate(full_pass=True)
+        # Five functions per pass; the re-plan after the undeploy
+        # redeploys one.
+        assert len(skipped) == 5 + 5 + 1 + 5 + 5 + 5 + 5
 
 
 class TestExecution:

@@ -250,3 +250,189 @@ class TestFoldEquivalence:
         # The merged sketch is new; bucket sketches are left untouched.
         assert [b.sketch.count for b in series._buckets.values()] == [1, 1, 1]
 
+
+
+class _ReferenceSeries:
+    """A brute-force model of a series: one plain record per bucket.
+
+    Pruning follows the rule of the original dict-only series: when an
+    observation opens a new bucket, every bucket older than
+    ``new index - horizon_s // bucket_s - 1`` is dropped, found by a
+    ``min()`` over all retained indices.  Merging adds the other
+    series' buckets record by record and widens the horizon without
+    pruning.
+    """
+
+    def __init__(self, bucket_s, horizon_s):
+        self.bucket_s = bucket_s
+        self.horizon_s = horizon_s
+        self.buckets = {}
+        self.total_count = 0
+
+    @staticmethod
+    def _empty():
+        return {
+            "count": 0, "bad": 0, "value_sum": 0.0, "bytes": 0.0,
+            "depth": None, "values": [],
+        }
+
+    def observe(self, at, value, bad, nbytes, depth):
+        index = int(at // self.bucket_s)
+        if index not in self.buckets:
+            self.buckets[index] = self._empty()
+            floor_index = index - int(self.horizon_s // self.bucket_s) - 1
+            if floor_index > min(self.buckets):
+                for old in [i for i in self.buckets if i < floor_index]:
+                    del self.buckets[old]
+        self._add(self.buckets[index], {
+            "count": 1, "bad": int(bad),
+            "value_sum": 0.0 if value is None else value, "bytes": nbytes,
+            "depth": depth, "values": [] if value is None else [value],
+        })
+        self.total_count += 1
+
+    @staticmethod
+    def _add(record, other):
+        for name in ("count", "bad", "value_sum", "bytes"):
+            record[name] += other[name]
+        if record["depth"] is None or other["depth"] > record["depth"]:
+            record["depth"] = other["depth"]
+        record["values"].extend(other["values"])
+
+    def merge(self, other):
+        self.horizon_s = max(self.horizon_s, other.horizon_s)
+        for index in sorted(other.buckets):
+            record = self.buckets.setdefault(index, self._empty())
+            self._add(record, other.buckets[index])
+        self.total_count += other.total_count
+
+    def window(self, now, window_s):
+        """Retained indices in the window, by a walk over all of them."""
+        first = int(max(0.0, now - window_s) // self.bucket_s)
+        last = int(now // self.bucket_s)
+        return [i for i in sorted(self.buckets) if first <= i <= last]
+
+    def fold(self, indices):
+        out = self._empty()
+        for index in indices:
+            self._add(out, self.buckets[index])
+        return out
+
+
+_DIFF_EVENT = st.tuples(
+    # Mostly forward steps, some backward (out of order) and some
+    # longer than every horizon drawn below.
+    st.one_of(
+        st.floats(0.0, 40.0), st.floats(-80.0, 0.0), st.floats(100.0, 600.0)
+    ),
+    st.one_of(st.none(), _INEXACT.map(lambda v: v % 120.0)),
+    st.booleans(),
+    _INEXACT,
+    st.floats(0.0, 50.0, allow_nan=False),
+)
+
+_DIFF_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), _DIFF_EVENT),
+        st.tuples(
+            st.just("merge"),
+            st.tuples(
+                st.floats(0.0, 900.0),
+                st.sampled_from([30.0, 120.0]),
+                st.lists(_DIFF_EVENT, max_size=8),
+            ),
+        ),
+        st.tuples(st.just("round_trip"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def _apply_events(series, reference, start, events):
+    at = start
+    for step, value, bad, nbytes, depth in events:
+        at = max(0.0, at + step)
+        series.observe(
+            at, value=value, bad=bad, extras={"bytes": nbytes},
+            extras_max={"depth": depth},
+        )
+        reference.observe(at, value, bad, nbytes, depth)
+    return at
+
+
+class TestIndexListDifferential:
+    """The sorted-index series equals a brute-force model of the
+    original dict-only series, bit for bit, through out-of-order
+    observations, gaps past the horizon, merges and round trips."""
+
+    @given(
+        ops=_DIFF_OPS,
+        bucket_s=st.sampled_from([1.0, 7.5, 10.0]),
+        horizon_s=st.sampled_from([30.0, 120.0]),
+        queries=st.lists(
+            st.tuples(st.floats(-5.0, 3000.0), st.floats(0.5, 4000.0)),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_series_matches_brute_force_model(
+        self, ops, bucket_s, horizon_s, queries
+    ):
+        series = WindowedSeries(bucket_s=bucket_s, horizon_s=horizon_s)
+        reference = _ReferenceSeries(bucket_s, horizon_s)
+        at = 0.0
+        for op, arg in ops:
+            if op == "observe":
+                at = _apply_events(series, reference, at, [arg])
+            elif op == "merge":
+                start, other_horizon, events = arg
+                other = WindowedSeries(
+                    bucket_s=bucket_s, horizon_s=other_horizon
+                )
+                other_reference = _ReferenceSeries(bucket_s, other_horizon)
+                _apply_events(other, other_reference, start, events)
+                series.merge(other)
+                reference.merge(other_reference)
+            else:
+                series = WindowedSeries.from_dict(series.to_dict())
+            assert series._indices == sorted(reference.buckets)
+            assert sorted(series._buckets) == series._indices
+        assert series.total_count == reference.total_count
+        assert series.horizon_s == reference.horizon_s
+        for index in series._indices:
+            bucket = series._buckets[index]
+            record = reference.buckets[index]
+            assert (bucket.count, bucket.bad, bucket.value_sum) == (
+                record["count"], record["bad"], record["value_sum"]
+            )
+            assert bucket.extras == {"bytes": record["bytes"]}
+            assert bucket.extras_max == {"depth": record["depth"]}
+        for now, window_s in queries:
+            agg = series.aggregate(now, window_s)
+            indices = reference.window(now, window_s)
+            ref = reference.fold(indices)
+            sketch = QuantileSketch(series.alpha)
+            for value in ref["values"]:
+                sketch.add(value)
+            assert agg.count == ref["count"]
+            assert agg.bad == ref["bad"]
+            assert agg.value_sum == ref["value_sum"]
+            assert agg.valued == len(ref["values"])
+            assert agg.extras == ({"bytes": ref["bytes"]} if indices else {})
+            assert agg.extras_max == (
+                {"depth": ref["depth"]} if indices else {}
+            )
+            assert agg.sketch.to_dict() == sketch.to_dict()
+            for q in (0.0, 0.5, 0.99, 1.0):
+                assert agg.quantile(q) == sketch.quantile(q)
+            for threshold in (0.0, 0.5, 30.0, 200.0):
+                assert agg.count_at_most(threshold) == (
+                    sketch.count_at_most(threshold)
+                )
+            assert series.bucket_extras(now, window_s, ("bytes",)) == [
+                (
+                    (index + 1) * bucket_s,
+                    {"bytes": reference.buckets[index]["bytes"]},
+                )
+                for index in indices
+            ]

@@ -163,6 +163,70 @@ class TestMeterSites:
         controller.plan(input_mb=4.0)
         assert env.sim.meter.plans_computed - before == 2
 
+    @pytest.mark.parametrize(
+        "fleet, plans, calls, computed, predictions, deploys",
+        [
+            # The golden remediated fleet plans each controller once.
+            ("golden", 8, 4, 4, 28, 10),
+            # Remediation re-plans dominate 4 zones of 25 UEs.
+            ("zones_of_25", 625, 75, 25, 175, 20),
+        ],
+        ids=["golden", "zones_of_25"],
+    )
+    def test_replans_compute_only_new_inputs(
+        self, monkeypatch, fleet, plans, calls, computed, predictions,
+        deploys,
+    ):
+        """Pins the exact memos of the re-plan path: ``allocate_app``
+        computes once per distinct input, a demand estimator predicts
+        once per observation count, and deploys stay what a full spec
+        comparison on every plan makes."""
+        from repro.core.allocation import MemoryAllocator
+        from repro.core.controller import OffloadController
+        from repro.core.demand import RegressionEstimator
+        from repro.fleet import FleetTopology, ShardedFleetSpec, run_sharded
+        from repro.serverless.platform import ServerlessPlatform
+        from repro.testing.golden import golden_fleet_spec
+
+        counts = {}
+        allocators = set()
+
+        def counting(cls, name, on_call=None):
+            method = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                if on_call is not None:
+                    on_call(self)
+                return method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(OffloadController, "plan")
+        counting(MemoryAllocator, "allocate_app", allocators.add)
+        counting(MemoryAllocator, "_allocate")
+        counting(RegressionEstimator, "predict")
+        counting(ServerlessPlatform, "deploy")
+        spec = golden_fleet_spec("pairs", remediate=True)
+        if fleet == "zones_of_25":
+            spec = ShardedFleetSpec(
+                topology=FleetTopology.uniform(
+                    4, 25, connectivity=("4g", "wifi", "3g"), jobs_per_ue=2,
+                    seed=0,
+                ),
+                monitor=True,
+                chaos="uplink-outage",
+                remediate=True,
+            )
+        run_sharded(spec)
+        assert counts["plan"] == plans
+        assert counts["allocate_app"] == calls
+        assert counts["_allocate"] == computed == sum(
+            len(allocator._allocated) for allocator in allocators
+        )
+        assert counts["predict"] == predictions
+        assert counts["deploy"] == deploys
+
     def test_sweep_counts_cache_hits_and_misses(self, tmp_path):
         spec = SweepSpec(
             scenario="repro.sweep.scenarios:kernel_smoke",

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Generate docs/api.md from the package's docstrings.
 
-Usage:  python tools/gen_api_docs.py [output-path]
+Usage:  python tools/gen_api_docs.py [--check] [output-path]
 
 Walks every public module of :mod:`repro`, collects the items named in
 ``__all__`` (classes with their public methods, functions, constants)
 and writes a compact one-line-per-item reference.  Regenerating after a
 change keeps the reference honest without hand-maintenance.
+
+``--check`` writes nothing and exits 1 when the file differs from what
+would be generated.  The output is deterministic: a constant that holds
+functions renders each as ``<function module.qualname>``, not with its
+memory address.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import sys
+import types
 from pathlib import Path
 
 MODULES = [
@@ -62,6 +68,33 @@ def signature_of(obj) -> str:
         return "(…)"
 
 
+def render_constant(obj) -> str:
+    """``repr(obj)``, with every function named instead of addressed.
+
+    Recurses into plain dicts, lists and tuples, so a constant holding
+    no functions renders exactly as its ``repr``.
+    """
+    if isinstance(
+        obj,
+        (types.FunctionType, types.BuiltinFunctionType, types.MethodType),
+    ):
+        return f"<function {obj.__module__}.{obj.__qualname__}>"
+    kind = type(obj)
+    if kind is dict:
+        items = (
+            f"{render_constant(k)}: {render_constant(v)}"
+            for k, v in obj.items()
+        )
+        return "{" + ", ".join(items) + "}"
+    if kind is list:
+        return "[" + ", ".join(map(render_constant, obj)) + "]"
+    if kind is tuple:
+        if len(obj) == 1:
+            return f"({render_constant(obj[0])},)"
+        return "(" + ", ".join(map(render_constant, obj)) + ")"
+    return repr(obj)
+
+
 def describe_class(cls) -> list[str]:
     lines = [f"### `{cls.__name__}`", "", first_line(cls), ""]
     methods = []
@@ -99,11 +132,14 @@ def describe_module(module_name: str) -> list[str]:
                 f"### `{name}{signature_of(obj)}`\n\n{first_line(obj)}\n"
             )
         else:
-            lines.append(f"### `{name}`\n\nConstant: `{obj!r}`\n")
+            lines.append(
+                f"### `{name}`\n\nConstant: `{render_constant(obj)}`\n"
+            )
     return lines
 
 
-def main(output: str = "docs/api.md") -> None:
+def render() -> str:
+    """The full text of the API reference."""
     parts = [
         "# API reference",
         "",
@@ -111,14 +147,37 @@ def main(output: str = "docs/api.md") -> None:
         "One line per public item; see the docstrings for details.",
         "",
     ]
-    seen: set[str] = set()
     for module_name in MODULES:
-        block = describe_module(module_name)
-        parts.extend(block)
-        seen.add(module_name)
-    Path(output).write_text("\n".join(parts) + "\n")
-    print(f"wrote {output} ({len(parts)} blocks)", file=sys.stderr)
+        parts.extend(describe_module(module_name))
+    return "\n".join(parts) + "\n"
+
+
+def main(argv: list[str]) -> int:
+    check = "--check" in argv
+    args = [arg for arg in argv if arg != "--check"]
+    output = Path(args[0] if args else "docs/api.md")
+    text = render()
+    if check:
+        current = output.read_text() if output.exists() else ""
+        if current == text:
+            print(f"ok       {output}", file=sys.stderr)
+            return 0
+        old, new = current.splitlines(), text.splitlines()
+        drift = [
+            i + 1
+            for i in range(max(len(old), len(new)))
+            if old[i:i + 1] != new[i:i + 1]
+        ] or [len(new)]
+        print(
+            f"STALE    {output}: {len(drift)} line(s) differ, first at "
+            f"line {drift[0]}; regenerate with python tools/gen_api_docs.py",
+            file=sys.stderr,
+        )
+        return 1
+    output.write_text(text)
+    print(f"wrote {output}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
