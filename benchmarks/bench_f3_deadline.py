@@ -1,8 +1,8 @@
 """F3 — Deadline-miss rate vs slack (is the batcher safe?).
 
 Sweeps the slack factor (deadline = release + factor x service-time
-estimate) and measures miss rate and cost for the immediate dispatcher,
-EDF, and the deadline batcher.  Expected shape: every policy misses when
+estimate) and measures miss rate and cost for the immediate dispatcher
+and the deadline batcher.  Expected shape: every policy misses when
 slack < 1x service time (physically impossible deadlines); the batcher
 holds zero misses from moderate slack on while cutting cold starts, i.e.
 deferral never costs deadline safety.
@@ -16,7 +16,6 @@ from repro import (
     OffloadController,
     photo_backup_app,
 )
-from repro.core.scheduler import EdfScheduler
 from repro.metrics import Table
 from repro.serverless.platform import PlatformConfig
 
@@ -53,7 +52,6 @@ def run_policy(scheduler_factory, slack_factor):
 def run_f3() -> Table:
     schedulers = [
         ("eager", EagerScheduler),
-        ("edf", EdfScheduler),
         ("batcher-5min", lambda: DeadlineBatcher(window_s=300.0)),
     ]
     table = Table(

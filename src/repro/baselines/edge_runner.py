@@ -137,7 +137,7 @@ class EdgeJobRunner:
                     self.env.ue.spec.energy.idle_energy(execution.latency),
                 )
             else:
-                execution = yield self.env.ue.execute(actual)
+                execution = yield from self.env.ue.execute_body(actual)
                 charge("compute", execution.energy_j)
             finish_times[name] = sim.now
             component_done[name].succeed(None)
@@ -149,7 +149,9 @@ class EdgeJobRunner:
             if src_remote != dst_remote:
                 nbytes = job.flow_bytes(src, dst)
                 if not src_remote and dst_remote:
-                    result = yield self.env.ue.transmit(nbytes, self.env.uplink)
+                    result = yield from self.env.ue.radio_body(
+                        nbytes, self.env.uplink, transmit=True
+                    )
                     charge(
                         "tx",
                         self.env.ue.spec.energy.transmit_energy(
@@ -157,7 +159,9 @@ class EdgeJobRunner:
                         ),
                     )
                 else:
-                    result = yield self.env.ue.receive(nbytes, self.env.downlink)
+                    result = yield from self.env.ue.radio_body(
+                        nbytes, self.env.downlink, transmit=False
+                    )
                     charge(
                         "rx",
                         self.env.ue.spec.energy.receive_energy(

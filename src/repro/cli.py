@@ -31,57 +31,31 @@ import sys
 from typing import Optional, Sequence
 
 from repro.apps.catalog import CATALOG
-from repro.core.controller import Environment, OffloadController
-from repro.core.partitioning import ObjectiveWeights
-from repro.core.scheduler import (
-    CostWindowScheduler,
-    DeadlineBatcher,
-    EagerScheduler,
-    EdfScheduler,
-    Scheduler,
-)
+from repro.core.controller import Environment
 from repro.apps.jobs import Job
 from repro.metrics import Table
 from repro.network.profiles import CONNECTIVITY_PROFILES
+from repro.sweep.scenarios import (
+    SCHEDULERS,
+    WEIGHTS,
+    UnknownChoiceError,
+    lookup,
+    offload_setup,
+)
 from repro.sweep.spec import write_atomic
 
 
+def _or_exit(fn, *args):
+    """``fn(*args)``; an unknown app, scheduler or weights name exits
+    with the message naming the choices."""
+    try:
+        return fn(*args)
+    except UnknownChoiceError as error:
+        raise SystemExit(str(error))
+
+
 def _resolve_app(name: str):
-    if name not in CATALOG:
-        raise SystemExit(
-            f"unknown app {name!r}; choose from {sorted(CATALOG)}"
-        )
-    return CATALOG[name]()
-
-
-def _resolve_weights(preset: str) -> ObjectiveWeights:
-    presets = {
-        "balanced": ObjectiveWeights(),
-        "interactive": ObjectiveWeights.interactive(),
-        "non-time-critical": ObjectiveWeights.non_time_critical(),
-    }
-    if preset not in presets:
-        raise SystemExit(
-            f"unknown weights preset {preset!r}; choose from {sorted(presets)}"
-        )
-    return presets[preset]
-
-
-def _resolve_scheduler(name: str, window_s: float) -> Scheduler:
-    if name == "eager":
-        return EagerScheduler()
-    if name == "edf":
-        return EdfScheduler()
-    if name == "batcher":
-        return DeadlineBatcher(window_s=window_s)
-    if name == "costwindow":
-        # A generic diurnal congestion price anchored at t=0.
-        price = lambda t: 1.0 + 0.8 * math.sin(2 * math.pi * t / 86_400.0)
-        return CostWindowScheduler(price, resolution_s=max(window_s, 60.0))
-    raise SystemExit(
-        f"unknown scheduler {name!r}; choose from "
-        "['eager', 'edf', 'batcher', 'costwindow']"
-    )
+    return _or_exit(lookup, CATALOG, "app", name)()
 
 
 def _ledger_record(
@@ -190,47 +164,18 @@ def cmd_list_profiles(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_controller(args: argparse.Namespace) -> OffloadController:
-    env = Environment.build(
-        seed=args.seed,
-        connectivity=args.connectivity,
-        with_storage=getattr(args, "with_storage", False),
+def _offload_setup(args: argparse.Namespace, env: Environment, **run):
+    """:func:`~repro.sweep.scenarios.offload_setup` on the common flags
+    plus the ``run`` config keys."""
+    config = dict(
+        app=args.app, input_mb=args.input_mb, weights=args.weights, **run
     )
-    remediate = bool(getattr(args, "remediate", False))
-    if getattr(args, "trace", None) or remediate:
-        # Attach before planning so the plan span is captured too (the
-        # remediation monitor needs a recording tracer either way).
-        from repro.telemetry import attach_tracer
-
-        attach_tracer(env)
-    degradation = None
-    if remediate:
-        # Remediation drives the degradation knobs, so the controller
-        # needs the policy object to act on; hedging starts disabled and
-        # is escalated by the engine on availability burn.
-        from repro.faults.policy import DegradationPolicy
-
-        degradation = DegradationPolicy(
-            outage_aware_backoff=True,
-            hedge_after_s=None,
-            fallback_local=True,
-        )
-    controller = OffloadController(
-        env,
-        _resolve_app(args.app),
-        scheduler=_resolve_scheduler(
-            getattr(args, "scheduler", "eager"), getattr(args, "window", 300.0)
-        ),
-        weights=_resolve_weights(args.weights),
-        degradation=degradation,
-    )
-    controller.profile_offline()
-    controller.plan(input_mb=args.input_mb)
-    return controller
+    return _or_exit(offload_setup, env, config)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    controller = _build_controller(args)
+    env = Environment.build(seed=args.seed, connectivity=args.connectivity)
+    controller, _ = _offload_setup(args, env, jobs=0)
     partition = controller.partition
     assert partition is not None
     print(f"app: {args.app}   connectivity: {args.connectivity}   "
@@ -283,18 +228,41 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_body(args: argparse.Namespace, config, started) -> int:
     import time
 
-    controller = _build_controller(args)
+    env = Environment.build(
+        seed=args.seed,
+        connectivity=args.connectivity,
+        with_storage=args.with_storage,
+    )
+    if args.trace or args.remediate:
+        # Attach before planning so the plan span is captured too (the
+        # remediation monitor needs a recording tracer either way).
+        from repro.telemetry import attach_tracer
+
+        attach_tracer(env)
+    controller, jobs = _offload_setup(
+        args,
+        env,
+        jobs=0 if args.workload else args.jobs,
+        spacing_s=args.spacing,
+        slack_s=args.slack,
+        scheduler=args.scheduler,
+        window_s=args.window,
+    )
     plane = None
     if args.remediate:
+        # Remediation drives the degradation knobs, so the controller
+        # needs the policy object to act on; hedging starts disabled and
+        # is escalated by the engine on availability burn.  Only the job
+        # body reads it, so setting it after planning changes nothing.
+        from repro.faults.policy import DegradationPolicy
         from repro.remediate import attach_remediation
 
+        controller.degradation = DegradationPolicy()
         plane = attach_remediation(controller.env, [controller])
     if args.workload:
         from repro.traces.replay import load_workload
 
-        jobs = load_workload(
-            args.workload, lambda name: _resolve_app(name)
-        )
+        jobs = load_workload(args.workload, _resolve_app)
         jobs = [job for job in jobs if job.app.name == args.app]
         if not jobs:
             raise SystemExit(
@@ -305,16 +273,6 @@ def _cmd_run_body(args: argparse.Namespace, config, started) -> int:
             Job(controller.app, input_mb=j.input_mb,
                 released_at=j.released_at, deadline=j.deadline)
             for j in jobs
-        ]
-    else:
-        jobs = [
-            Job(
-                controller.app,
-                input_mb=args.input_mb,
-                released_at=args.spacing * i,
-                deadline=args.spacing * i + args.slack,
-            )
-            for i in range(args.jobs)
         ]
     report = controller.run_workload(jobs)
     if plane is not None:
@@ -546,7 +504,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.apps.lint import lint_app
 
     app = _resolve_app(args.app)
-    weights = _resolve_weights(args.weights)
+    weights = _or_exit(lookup, WEIGHTS, "weights preset", args.weights)()
     print(f"Analysis of {args.app!r} at {args.input_mb} MB inputs "
           f"({args.weights} weights)\n")
 
@@ -924,7 +882,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     pipeline = OffloadPipeline(
         env,
         repo,
-        weights=_resolve_weights(args.weights),
+        weights=_or_exit(lookup, WEIGHTS, "weights preset", args.weights)(),
         config=PipelineConfig(canary_jobs=args.canary_jobs),
     )
     run = pipeline.run_to_completion()
@@ -1060,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--slack", type=float, default=3600.0,
                      help="seconds from release to deadline")
     run.add_argument("--scheduler", default="eager",
-                     choices=["eager", "edf", "batcher", "costwindow"])
+                     choices=list(SCHEDULERS))
     run.add_argument("--window", type=float, default=300.0,
                      help="batcher window / costwindow resolution (s)")
     run.add_argument("--with-storage", action="store_true",

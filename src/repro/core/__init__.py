@@ -54,7 +54,6 @@ from repro.core.scheduler import (
     CostWindowScheduler,
     DeadlineBatcher,
     EagerScheduler,
-    EdfScheduler,
     Scheduler,
 )
 from repro.core.workflow_runner import WorkflowOffloadRunner, is_phase_shaped
@@ -70,7 +69,6 @@ __all__ = [
     "DemandModel",
     "DemandProfile",
     "EagerScheduler",
-    "EdfScheduler",
     "Environment",
     "EwmaEstimator",
     "ExhaustivePartitioner",

@@ -1182,8 +1182,8 @@ class OffloadController:
             tracer.metrics.counter(
                 "fallbacks_total", app=self.app.name
             ).increment()
-        execution = yield self.env.ue.execute(
-            actual_gcycles, frequency_fraction=frequency
+        execution = yield from self.env.ue.execute_body(
+            actual_gcycles, frequency
         )
         tracer.end_span(fallback_span, energy_j=execution.energy_j)
         charge("compute", execution.energy_j)

@@ -3,13 +3,12 @@
 The defining property of the paper's target workloads is *slack*: nobody
 is waiting on the result, so a job released now with a deadline hours away
 may be dispatched whenever that is cheapest — as long as it still finishes
-in time.  A :class:`Scheduler` maps each released job to a dispatch time
-(and a priority for contended local resources):
+in time.  A :class:`Scheduler` maps each released job to a dispatch time;
+once dispatched, a job contends for the UE's cores first come, first
+served:
 
 * :class:`EagerScheduler` — dispatch immediately; the time-critical
   baseline every framework defaults to.
-* :class:`EdfScheduler` — dispatch immediately, served earliest-deadline-
-  first; the classical real-time baseline.
 * :class:`DeadlineBatcher` — align dispatches on window boundaries so
   jobs arrive at the platform together, amortising cold starts and
   keeping instances warm, while never starting later than the job's
@@ -32,11 +31,10 @@ from repro.apps.jobs import Job
 
 @dataclass(frozen=True)
 class ScheduleDecision:
-    """When (and how urgently) to dispatch one job."""
+    """When to dispatch one job."""
 
     job_id: int
     dispatch_at: float
-    priority: float = 0.0
 
     def __post_init__(self) -> None:
         if math.isnan(self.dispatch_at):
@@ -79,13 +77,11 @@ class Scheduler(ABC):
         latest = self.latest_safe_start(job, estimate)
         dispatch = min(target, latest)
         dispatch = max(dispatch, now)
-        return ScheduleDecision(
-            job_id=job.job_id, dispatch_at=dispatch, priority=job.deadline
-        )
+        return ScheduleDecision(job_id=job.job_id, dispatch_at=dispatch)
 
 
 class EagerScheduler(Scheduler):
-    """Dispatch the instant a job is released (FIFO priority)."""
+    """Dispatch the instant a job is released."""
 
     name = "eager"
     needs_estimate = False
@@ -93,23 +89,7 @@ class EagerScheduler(Scheduler):
     def decide(
         self, job: Job, now: float, estimate_completion_s: float
     ) -> ScheduleDecision:
-        return ScheduleDecision(
-            job_id=job.job_id, dispatch_at=now, priority=now  # FIFO
-        )
-
-
-class EdfScheduler(Scheduler):
-    """Dispatch immediately; contended resources serve earliest deadline first."""
-
-    name = "edf"
-    needs_estimate = False
-
-    def decide(
-        self, job: Job, now: float, estimate_completion_s: float
-    ) -> ScheduleDecision:
-        return ScheduleDecision(
-            job_id=job.job_id, dispatch_at=now, priority=job.deadline
-        )
+        return ScheduleDecision(job_id=job.job_id, dispatch_at=now)
 
 
 class DeadlineBatcher(Scheduler):
@@ -238,7 +218,6 @@ __all__ = [
     "CostWindowScheduler",
     "DeadlineBatcher",
     "EagerScheduler",
-    "EdfScheduler",
     "ScheduleDecision",
     "Scheduler",
 ]

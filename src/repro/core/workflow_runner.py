@@ -168,7 +168,7 @@ class WorkflowOffloadRunner:
             actual = self.env.actual_work(
                 job.component_work(name), self._exec_rng
             )
-            execution = yield self.env.ue.execute(actual)
+            execution = yield from self.env.ue.execute_body(actual)
             energy += execution.energy_j
             finish_times[name] = sim.now
             done[name].succeed(None)
@@ -218,7 +218,9 @@ class WorkflowOffloadRunner:
             for flow in app.flows:
                 if flow.src in set(prologue) and flow.dst in cloud:
                     nbytes = job.flow_bytes(flow.src, flow.dst)
-                    result = yield self.env.ue.transmit(nbytes, self.env.uplink)
+                    result = yield from self.env.ue.radio_body(
+                        nbytes, self.env.uplink, transmit=True
+                    )
                     charge(
                         "tx",
                         energy_model.transmit_energy(result.radio_seconds),
@@ -245,7 +247,9 @@ class WorkflowOffloadRunner:
             for flow in app.flows:
                 if flow.src in cloud and flow.dst in set(epilogue):
                     nbytes = job.flow_bytes(flow.src, flow.dst)
-                    result = yield self.env.ue.receive(nbytes, self.env.downlink)
+                    result = yield from self.env.ue.radio_body(
+                        nbytes, self.env.downlink, transmit=False
+                    )
                     charge(
                         "rx",
                         energy_model.receive_energy(result.radio_seconds),

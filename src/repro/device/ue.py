@@ -178,23 +178,15 @@ class UserEquipment:
         """Energy estimate for executing ``work_gcycles`` locally."""
         return self.spec.compute_energy_j(work_gcycles, frequency_fraction)
 
-    def execute(
-        self, work_gcycles: float, frequency_fraction: float = 1.0
-    ) -> Event:
-        """Run ``work_gcycles`` on a local core at a DVFS point.
-
-        Returns a process event with a :class:`LocalExecution` value.
-        Queues when all cores are busy; drains compute energy.
-        """
-        return self.sim.spawn(
-            self.execute_body(work_gcycles, frequency_fraction),
-            name=f"{self.spec.name}.exec",
-        )
-
     def execute_body(
         self, work_gcycles: float, frequency_fraction: float = 1.0
     ) -> Generator[Event, object, LocalExecution]:
-        """The body of :meth:`execute`, to delegate into with ``yield from``."""
+        """Run ``work_gcycles`` on a local core at a DVFS point.
+
+        Delegate into it with ``yield from``; it returns a
+        :class:`LocalExecution`.  Queues (first come, first served) when
+        all cores are busy; drains compute energy.
+        """
         started = self.sim.now
         request = self._cpu.request()
         yield request
@@ -216,30 +208,6 @@ class UserEquipment:
 
     # -- radio ----------------------------------------------------------------
 
-    def transmit(
-        self, nbytes: float, path: NetworkPath, parent: Optional[object] = None
-    ) -> Event:
-        """Send ``nbytes`` up ``path``, draining transmit energy.
-
-        Returns a process event with the path's
-        :class:`~repro.network.link.TransferResult`.  ``parent``
-        optionally carries the caller's telemetry span down to the
-        path's transfer span.
-        """
-        return self.sim.spawn(
-            self.radio_body(nbytes, path, transmit=True, parent=parent),
-            name=f"{self.spec.name}.tx",
-        )
-
-    def receive(
-        self, nbytes: float, path: NetworkPath, parent: Optional[object] = None
-    ) -> Event:
-        """Fetch ``nbytes`` down ``path``, draining receive energy."""
-        return self.sim.spawn(
-            self.radio_body(nbytes, path, transmit=False, parent=parent),
-            name=f"{self.spec.name}.rx",
-        )
-
     def radio_body(
         self,
         nbytes: float,
@@ -247,10 +215,13 @@ class UserEquipment:
         transmit: bool,
         parent: Optional[object] = None,
     ) -> Generator[Event, object, TransferResult]:
-        """The body of :meth:`transmit` (``transmit=True``) and :meth:`receive`.
+        """Move ``nbytes`` over ``path``: up when ``transmit``, else down.
 
-        Delegate into it with ``yield from``; the path transfer itself
-        stays a process of its own.
+        Drains transmit or receive energy.  Delegate into it with
+        ``yield from``; it returns the path's
+        :class:`~repro.network.link.TransferResult`, and the path transfer
+        itself stays a process of its own.  ``parent`` optionally carries
+        the caller's telemetry span down to the path's transfer span.
         """
         result: TransferResult = yield path.transfer(nbytes, parent=parent)
         model = self.spec.energy

@@ -171,12 +171,20 @@ class FaultSchedule:
     def active_window(
         self, kind: FaultKind, t: float, target: Optional[str] = None
     ) -> Optional[FaultWindow]:
-        """The window of ``kind`` active at ``t`` for ``target``, if any."""
-        for window in self.windows_for(kind, target):
-            if window.contains(t):
-                return window
+        """The window of ``kind`` active at ``t`` for ``target``, if any.
+
+        Scans the start-sorted windows in place and stops at the first one
+        that starts after ``t``: neither it nor any later one contains it.
+        """
+        for window in self._windows:
             if window.start > t:
                 break
+            if (
+                window.kind is kind
+                and window.applies_to(target)
+                and t < window.end
+            ):
+                return window
         return None
 
     def is_active(

@@ -245,10 +245,6 @@ class FleetController:
         for controller in self.controllers:
             controller.plan(input_mb)
 
-    def controller_for(self, device_index: int) -> OffloadController:
-        """The per-device controller (for inspection)."""
-        return self.controllers[device_index]
-
     def launch(
         self, jobs_by_device: Dict[int, List[Job]]
     ) -> Tuple[FleetReport, List[Event]]:

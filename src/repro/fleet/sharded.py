@@ -448,11 +448,7 @@ def _simulate_group(
             from repro.faults.policy import DegradationPolicy
 
             for controller in fleet.controllers:
-                controller.degradation = DegradationPolicy(
-                    outage_aware_backoff=True,
-                    hedge_after_s=None,
-                    fallback_local=True,
-                )
+                controller.degradation = DegradationPolicy()
         fleet.plan(input_mb=spec.input_mb)
         app = fleet.app
         base = topology.ue_base(zone.name)

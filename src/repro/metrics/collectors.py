@@ -211,7 +211,6 @@ class MetricRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._summaries: Dict[str, Summary] = {}
-        self._time_averages: Dict[str, TimeWeightedAverage] = {}
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter registered under ``name``."""
@@ -231,14 +230,6 @@ class MetricRegistry:
             self._summaries[name] = Summary(name)
         return self._summaries[name]
 
-    def time_average(
-        self, name: str, initial: float = 0.0, start_time: float = 0.0
-    ) -> TimeWeightedAverage:
-        """Get or create the time-weighted average registered under ``name``."""
-        if name not in self._time_averages:
-            self._time_averages[name] = TimeWeightedAverage(name, initial, start_time)
-        return self._time_averages[name]
-
     def snapshot(self) -> Dict[str, float]:
         """A flat dict of every scalar metric (summaries export mean/p50/p99)."""
         out: Dict[str, float] = {}
@@ -251,17 +242,12 @@ class MetricRegistry:
             out[f"{name}.mean"] = summary.mean
             out[f"{name}.p50"] = summary.quantile(0.50)
             out[f"{name}.p99"] = summary.quantile(0.99)
-        for name, twa in self._time_averages.items():
-            out[f"{name}.avg"] = twa.average()
         return out
 
     def names(self) -> List[str]:
         """Sorted names of every registered metric."""
         return sorted(
-            list(self._counters)
-            + list(self._gauges)
-            + list(self._summaries)
-            + list(self._time_averages)
+            list(self._counters) + list(self._gauges) + list(self._summaries)
         )
 
 

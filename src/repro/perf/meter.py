@@ -33,8 +33,11 @@ _COUNTER_SLOTS = (
     "fast_lane_hits",     # kernel: events dispatched via the immediate lane
     "heap_hits",          # kernel: events dispatched via the binary heap
     "batched_events",     # kernel: events dispatched inside run()'s
-                          # same-time batch drains (step() dispatches are
-                          # unbatched and do not count)
+                          # same-time batch drains; run() is the only
+                          # dispatch loop, so this always equals
+                          # fast_lane_hits.  Kept because E1's
+                          # sim.batched_frac and the golden fleet
+                          # fixtures read it.
     "plans_computed",     # controller: plan() completions (plans/sec seed)
     "sweep_configs",      # sweep: configs resolved (cache hits + misses)
     "sweep_cache_hits",   # sweep: configs served from the on-disk cache

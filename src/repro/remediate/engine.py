@@ -52,6 +52,18 @@ __all__ = [
 ]
 
 
+#: Hedge delay (s) set by the first hedging escalation.
+HEDGE_START_S = 60.0
+#: Each further escalation multiplies the hedge delay by this factor ...
+HEDGE_FACTOR = 0.5
+#: ... but never takes it below this floor (s).
+HEDGE_FLOOR_S = 15.0
+#: How long (s) a traffic shift holds every component on the UE.
+HOLD_LOCAL_S = 300.0
+#: Fallback tightening halves the slack fraction down to this floor.
+MIN_FALLBACK_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class Action:
     """One applied remediation action (a row of the action log)."""
@@ -95,25 +107,10 @@ class ControllerActuator:
     not spam the action log.
     """
 
-    def __init__(
-        self,
-        controllers: Sequence[Any],
-        hedge_floor_s: float = 15.0,
-        hedge_factor: float = 0.5,
-        hedge_start_s: float = 60.0,
-        hold_local_s: float = 300.0,
-        min_fallback_fraction: float = 0.1,
-        memory_tiers_mb: Sequence[float] = STANDARD_MEMORY_TIERS_MB,
-    ) -> None:
+    def __init__(self, controllers: Sequence[Any]) -> None:
         if not controllers:
             raise ValueError("actuator needs at least one controller")
         self.controllers = list(controllers)
-        self.hedge_floor_s = hedge_floor_s
-        self.hedge_factor = hedge_factor
-        self.hedge_start_s = hedge_start_s
-        self.hold_local_s = hold_local_s
-        self.min_fallback_fraction = min_fallback_fraction
-        self.memory_tiers_mb = tuple(sorted(memory_tiers_mb))
 
     # -- actions -----------------------------------------------------------
 
@@ -135,7 +132,7 @@ class ControllerActuator:
         raise ValueError(f"unknown action kind {kind!r}")
 
     def _shift_traffic(self, now: float) -> Optional[str]:
-        until = now + self.hold_local_s
+        until = now + HOLD_LOCAL_S
         changed = False
         for controller in self.controllers:
             changed = controller.hold_local(until) or changed
@@ -149,8 +146,8 @@ class ControllerActuator:
                 continue
             current = policy.hedge_after_s
             new = (
-                self.hedge_start_s if current is None
-                else max(self.hedge_floor_s, current * self.hedge_factor)
+                HEDGE_START_S if current is None
+                else max(HEDGE_FLOOR_S, current * HEDGE_FACTOR)
             )
             if current is not None and new >= current:
                 continue
@@ -168,7 +165,7 @@ class ControllerActuator:
                 continue
             fraction = policy.fallback_slack_fraction
             if policy.fallback_local:
-                new = max(self.min_fallback_fraction, fraction * 0.5)
+                new = max(MIN_FALLBACK_FRACTION, fraction * 0.5)
                 if new >= fraction:
                     continue
             else:
@@ -192,7 +189,7 @@ class ControllerActuator:
                     default=0.0,
                 ),
             )
-            above = [t for t in self.memory_tiers_mb if t > current]
+            above = [t for t in STANDARD_MEMORY_TIERS_MB if t > current]
             if not above:
                 continue
             controller.memory_floor_mb = above[0]
@@ -307,15 +304,15 @@ class RemediationEngine:
                 slo="-", entity=key[1], reason="forecast", detail=detail,
             ))
 
-    def attach(self, sim: Any, interval_s: Optional[float] = None) -> None:
+    def attach(self, sim: Any) -> None:
         """Spawn the forecast pump on ``sim``'s clock.
 
-        Defaults to the SLO engine's evaluation cadence.  The pump is
+        It polls at the SLO engine's evaluation cadence.  The pump is
         spawned *after* the SLO engine's (construction order), so at a
         shared instant alerts are handled before forecasts — fixed, and
         therefore deterministic.
         """
-        interval = interval_s or self.engine.eval_interval_s
+        interval = self.engine.eval_interval_s
 
         def _pump():
             while True:
@@ -356,7 +353,6 @@ def attach_remediation(
     controllers: Sequence[Any],
     zone: str = "faas",
     eval_interval_s: float = 30.0,
-    policy: Sequence[PolicyRule] = DEFAULT_POLICY,
     monitor: Optional[Monitor] = None,
 ) -> RemediationPlane:
     """Wire monitor → SLO engine → remediation onto one environment.
@@ -366,8 +362,8 @@ def attach_remediation(
     before any span ends); by default a new one is subscribed here.
     SLOs use the fleet vocabulary (``availability:<zone>``,
     ``uplink-stall``, …) with the fleet rule set, so single-run and
-    fleet policies match the same table.  A goodput forecaster on the
-    uplink feeds proactive re-planning.
+    fleet policies match the same table (``DEFAULT_POLICY``).  A goodput
+    forecaster on the uplink feeds proactive re-planning.
     """
     if monitor is None:
         monitor = attach_monitor(env)
@@ -383,7 +379,6 @@ def attach_remediation(
     remediation = RemediationEngine(
         engine,
         ControllerActuator(controllers),
-        policy=policy,
         forecasters=(LinkForecaster(monitor),),
     )
     remediation.attach(env.sim)

@@ -15,19 +15,19 @@ The two structures together preserve the documented ``(time, sequence)``
 contract exactly: heap entries at the current timestamp were necessarily
 scheduled *before* the clock arrived there (anything scheduled at the
 current time goes to the fast lane instead), so they always precede the
-fast lane's contents in insertion order.  ``step()`` therefore drains
+fast lane's contents in insertion order.  ``run()`` therefore drains
 same-time heap entries first, then the fast lane FIFO — byte-identical
 dispatch order to a single global heap, at a fraction of the cost.
 
-``run()`` goes one step further and dispatches the fast lane in
-**batches** (O3): once the same-time heap entries are drained, nothing
-can re-enter the heap at the current timestamp — ``_enqueue_at`` routes
-every ``when == now`` item to the fast lane — so the whole lane can be
-drained without re-checking the heap or the clock per event.  Per-event
-bookkeeping (meter updates, the heap-front comparison, the clock read)
-is amortised across the batch; counters accumulate in locals and flush
-to the :class:`~repro.perf.meter.RuntimeMeter` when ``run()`` exits.
-Dispatch order is byte-identical to the per-event loop.  See
+``run()`` also dispatches the fast lane in **batches** (O3): once the
+same-time heap entries are drained, nothing can re-enter the heap at
+the current timestamp — ``_enqueue_at`` routes every ``when == now``
+item to the fast lane — so the whole lane can be drained without
+re-checking the heap or the clock per event.  Per-event bookkeeping
+(meter updates, the heap-front comparison, the clock read) is amortised
+across the batch; counters accumulate in locals and flush to the
+:class:`~repro.perf.meter.RuntimeMeter` when ``run()`` exits.  Dispatch
+order is byte-identical to dispatching one event at a time.  See
 ``docs/modeling.md`` ("Performance") for the full ordering argument.
 
 A :class:`Process` wraps a generator.  The generator yields
@@ -388,40 +388,6 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    def step(self) -> None:
-        """Dispatch the single earliest pending event."""
-        fast = self._fast
-        heap = self._heap
-        meter = self.meter
-        if fast:
-            # Same-time heap entries were scheduled before the clock
-            # arrived here, so they precede everything in the fast lane.
-            if heap and heap[0][0] == self._now:
-                entry = heapq.heappop(heap)
-                event = entry[2]
-                entry[2] = None
-                self._entry_pool.append(entry)
-                meter.heap_hits += 1
-            else:
-                event = fast.popleft()
-                meter.fast_lane_hits += 1
-        elif heap:
-            entry = heapq.heappop(heap)
-            self._now = entry[0]
-            event = entry[2]
-            entry[2] = None
-            self._entry_pool.append(entry)
-            meter.heap_hits += 1
-        else:
-            raise SimulationError("step() called with no pending events")
-        event._run_callbacks()
-
-    def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` when idle."""
-        if self._fast:
-            return self._now
-        return self._heap[0][0] if self._heap else float("inf")
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -447,8 +413,7 @@ class Simulator:
         batch instead of per event.  Meter counters accumulate in locals
         and flush on exit (including via exception), so mid-callback
         reads of ``events_processed`` see the pre-``run()`` value; read
-        it after ``run()`` returns, or use ``step()`` which meters per
-        dispatch.
+        it after ``run()`` returns.
         """
         stop = None
         if isinstance(until, Event):

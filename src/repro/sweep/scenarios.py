@@ -14,7 +14,18 @@ the ``sweep`` subcommand at any importable function of the same shape.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any, Callable, Dict, List, Tuple
+
+from repro.apps.catalog import CATALOG
+from repro.apps.jobs import Job
+from repro.core.controller import Environment, OffloadController
+from repro.core.partitioning import ObjectiveWeights
+from repro.core.scheduler import (
+    CostWindowScheduler,
+    DeadlineBatcher,
+    EagerScheduler,
+    Scheduler,
+)
 
 
 def _finite(value: float) -> Any:
@@ -23,16 +34,50 @@ def _finite(value: float) -> Any:
     return value if math.isfinite(value) else None
 
 
+def _diurnal_price(t: float) -> float:
+    """A generic diurnal congestion price anchored at t=0."""
+    return 1.0 + 0.8 * math.sin(2 * math.pi * t / 86_400.0)
+
+
+#: Scheduler factories by name, each built from the run's ``window_s``:
+#: the batcher's window, or the cost-window scheduler's scan resolution.
+SCHEDULERS: Dict[str, Callable[[float], Scheduler]] = {
+    "eager": lambda window_s: EagerScheduler(),
+    "batcher": lambda window_s: DeadlineBatcher(window_s=window_s),
+    "costwindow": lambda window_s: CostWindowScheduler(
+        _diurnal_price, resolution_s=max(window_s, 60.0)
+    ),
+}
+
+#: Objective-weight presets by name.
+WEIGHTS: Dict[str, Callable[[], ObjectiveWeights]] = {
+    "balanced": ObjectiveWeights,
+    "interactive": ObjectiveWeights.interactive,
+    "non-time-critical": ObjectiveWeights.non_time_critical,
+}
+
+
+class UnknownChoiceError(ValueError):
+    """A config names an app, scheduler or weights preset no table has."""
+
+
+def lookup(table: Dict[str, Any], kind: str, name: str) -> Any:
+    """``table[name]``; an unknown name raises :class:`UnknownChoiceError`."""
+    if name not in table:
+        raise UnknownChoiceError(
+            f"unknown {kind} {name!r}; choose from {sorted(table)}"
+        )
+    return table[name]
+
+
 def offload_run(config: Dict[str, Any]) -> Dict[str, Any]:
     """One end-to-end controller workload run (the default CLI scenario).
 
     Config keys (all optional): ``app``, ``seed``, ``connectivity``,
     ``input_mb``, ``jobs``, ``spacing_s``, ``slack_s``, ``scheduler``
-    (``eager`` | ``edf`` | ``batcher``), ``window_s``, ``weights``
+    (``eager`` | ``batcher`` | ``costwindow``), ``window_s``, ``weights``
     (``balanced`` | ``interactive`` | ``non-time-critical``).
     """
-    from repro.core.controller import Environment
-
     env = Environment.build(
         seed=int(config.get("seed", 0)),
         connectivity=config.get("connectivity", "4g"),
@@ -40,56 +85,32 @@ def offload_run(config: Dict[str, Any]) -> Dict[str, Any]:
     return offload_report(env, config)
 
 
-def offload_report(env, config: Dict[str, Any]) -> Dict[str, Any]:
-    """The body of :func:`offload_run` on an already built environment.
+def offload_setup(
+    env: Environment, config: Dict[str, Any]
+) -> Tuple[OffloadController, List[Job]]:
+    """A planned controller on ``env`` plus the jobs it is to run.
 
     Reads every config key of :func:`offload_run` except ``seed`` and
     ``connectivity``, which only shape the environment; callers that
-    need a non-standard world (an object store, say) build it themselves.
+    need a non-standard world (an object store, a tracer) build it
+    themselves.  Unknown app, scheduler or weights names raise
+    :class:`UnknownChoiceError`.
     """
-    from repro.apps.catalog import CATALOG
-    from repro.core.controller import OffloadController
-    from repro.core.partitioning import ObjectiveWeights
-    from repro.core.scheduler import DeadlineBatcher, EagerScheduler, EdfScheduler
-    from repro.apps.jobs import Job
-
-    app_name = config.get("app", "photo_backup")
-    if app_name not in CATALOG:
-        raise ValueError(f"unknown app {app_name!r}; choose from {sorted(CATALOG)}")
+    app = lookup(CATALOG, "app", config.get("app", "photo_backup"))
+    scheduler = lookup(
+        SCHEDULERS, "scheduler", config.get("scheduler", "eager")
+    )
+    weights = lookup(
+        WEIGHTS, "weights preset", config.get("weights", "non-time-critical")
+    )
     input_mb = float(config.get("input_mb", 4.0))
-    n_jobs = int(config.get("jobs", 5))
     spacing_s = float(config.get("spacing_s", 60.0))
     slack_s = float(config.get("slack_s", 3600.0))
-
-    schedulers = {
-        "eager": EagerScheduler,
-        "edf": EdfScheduler,
-        "batcher": lambda: DeadlineBatcher(
-            window_s=float(config.get("window_s", 300.0))
-        ),
-    }
-    scheduler_name = config.get("scheduler", "eager")
-    if scheduler_name not in schedulers:
-        raise ValueError(
-            f"unknown scheduler {scheduler_name!r}; "
-            f"choose from {sorted(schedulers)}"
-        )
-    weights = {
-        "balanced": ObjectiveWeights,
-        "interactive": ObjectiveWeights.interactive,
-        "non-time-critical": ObjectiveWeights.non_time_critical,
-    }
-    weights_name = config.get("weights", "non-time-critical")
-    if weights_name not in weights:
-        raise ValueError(
-            f"unknown weights {weights_name!r}; choose from {sorted(weights)}"
-        )
-
     controller = OffloadController(
         env,
-        CATALOG[app_name](),
-        scheduler=schedulers[scheduler_name](),
-        weights=weights[weights_name](),
+        app(),
+        scheduler=scheduler(float(config.get("window_s", 300.0))),
+        weights=weights(),
     )
     controller.profile_offline()
     controller.plan(input_mb=input_mb)
@@ -100,8 +121,17 @@ def offload_report(env, config: Dict[str, Any]) -> Dict[str, Any]:
             released_at=spacing_s * i,
             deadline=spacing_s * i + slack_s,
         )
-        for i in range(n_jobs)
+        for i in range(int(config.get("jobs", 5)))
     ]
+    return controller, jobs
+
+
+def offload_report(env: Environment, config: Dict[str, Any]) -> Dict[str, Any]:
+    """The body of :func:`offload_run` on an already built environment.
+
+    Runs :func:`offload_setup`'s jobs and summarises the run.
+    """
+    controller, jobs = offload_setup(env, config)
     report = controller.run_workload(jobs)
     assert controller.partition is not None
     return {
@@ -192,4 +222,14 @@ def kernel_smoke(config: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-__all__ = ["kernel_smoke", "monitored_run", "offload_report", "offload_run"]
+__all__ = [
+    "SCHEDULERS",
+    "UnknownChoiceError",
+    "WEIGHTS",
+    "kernel_smoke",
+    "lookup",
+    "monitored_run",
+    "offload_report",
+    "offload_run",
+    "offload_setup",
+]

@@ -260,7 +260,7 @@ def run_offload_matrix() -> Dict[str, str]:
     cells: Dict[str, str] = {}
     for app in sorted(CATALOG):
         for connectivity in ("4g", "wifi", "3g"):
-            for scheduler in ("eager", "edf", "batcher"):
+            for scheduler in ("eager", "batcher", "costwindow"):
                 config = dict(
                     OFFLOAD_MATRIX_WORKLOAD, app=app,
                     connectivity=connectivity, scheduler=scheduler,

@@ -74,7 +74,7 @@ class TestRun:
         assert "jobs completed" in out
         assert "deadline miss %" in out
 
-    @pytest.mark.parametrize("scheduler", ["eager", "edf", "batcher", "costwindow"])
+    @pytest.mark.parametrize("scheduler", ["eager", "batcher", "costwindow"])
     def test_all_schedulers_run(self, scheduler, capsys):
         code = main(
             [

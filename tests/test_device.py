@@ -59,13 +59,14 @@ class TestDeviceSpec:
 class TestExecution:
     def test_single_execution(self, sim):
         ue = make_ue(sim)
-        record = sim.run(until=ue.execute(2.0))  # 2 gcycles at 1 GHz = 2 s
+        # 2 gcycles at 1 GHz = 2 s
+        record = sim.run(until=sim.spawn(ue.execute_body(2.0)))
         assert record.latency == pytest.approx(2.0)
         assert record.energy_j == pytest.approx(0.9 * 2.0)
 
     def test_cores_limit_parallelism(self, sim):
         ue = make_ue(sim, cores=2)
-        events = [ue.execute(1.0) for _ in range(3)]
+        events = [sim.spawn(ue.execute_body(1.0)) for _ in range(3)]
 
         def join(sim):
             got = yield sim.all_of(events)
@@ -78,7 +79,7 @@ class TestExecution:
         ue = make_ue(sim)
         estimate_t = ue.estimate_execution_time(3.0)
         estimate_e = ue.estimate_execution_energy(3.0)
-        record = sim.run(until=ue.execute(3.0))
+        record = sim.run(until=sim.spawn(ue.execute_body(3.0)))
         assert record.latency == pytest.approx(estimate_t)
         assert record.energy_j == pytest.approx(estimate_e)
 
@@ -86,26 +87,26 @@ class TestExecution:
 class TestBattery:
     def test_drains_with_compute(self, sim):
         ue = make_ue(sim, battery_capacity_j=100.0)
-        sim.run(until=ue.execute(10.0))  # 10 s -> 9 J
+        sim.run(until=sim.spawn(ue.execute_body(10.0)))  # 10 s -> 9 J
         assert ue.battery_level_j == pytest.approx(91.0)
         assert ue.battery_fraction == pytest.approx(0.91)
 
     def test_depletion_fails_execution(self, sim):
         ue = make_ue(sim, battery_capacity_j=1.0)
-        process = ue.execute(10.0)  # needs 9 J
+        process = sim.spawn(ue.execute_body(10.0))  # needs 9 J
         with pytest.raises(BatteryDepleted):
             sim.run(until=process)
         assert ue.battery_level_j == 0.0
 
     def test_recharge_full(self, sim):
         ue = make_ue(sim, battery_capacity_j=100.0)
-        sim.run(until=ue.execute(10.0))
+        sim.run(until=sim.spawn(ue.execute_body(10.0)))
         ue.recharge()
         assert ue.battery_level_j == pytest.approx(100.0)
 
     def test_recharge_partial_caps_at_capacity(self, sim):
         ue = make_ue(sim, battery_capacity_j=100.0)
-        sim.run(until=ue.execute(10.0))
+        sim.run(until=sim.spawn(ue.execute_body(10.0)))
         ue.recharge(4.0)
         assert ue.battery_level_j == pytest.approx(95.0)
         ue.recharge(1000.0)
@@ -113,7 +114,7 @@ class TestBattery:
 
     def test_energy_metric_accumulates(self, sim):
         ue = make_ue(sim)
-        sim.run(until=ue.execute(10.0))
+        sim.run(until=sim.spawn(ue.execute_body(10.0)))
         assert ue.metrics.counter("ue.energy_j").value == pytest.approx(9.0)
 
 
@@ -124,7 +125,9 @@ class TestRadio:
     def test_transmit_drains_tx_energy(self, sim):
         ue = make_ue(sim)
         path = self.make_path(sim, rate=100.0)
-        result = sim.run(until=ue.transmit(1000.0, path))
+        result = sim.run(
+            until=sim.spawn(ue.radio_body(1000.0, path, transmit=True))
+        )
         assert result.duration == pytest.approx(10.0)
         # Default transmit power is 1.3 W.
         assert ue.battery_level_j == pytest.approx(100.0 - 13.0)
@@ -132,18 +135,19 @@ class TestRadio:
     def test_receive_drains_rx_energy(self, sim):
         ue = make_ue(sim)
         path = self.make_path(sim, rate=100.0)
-        sim.run(until=ue.receive(1000.0, path))
+        sim.run(until=sim.spawn(ue.radio_body(1000.0, path, transmit=False)))
         assert ue.battery_level_j == pytest.approx(100.0 - 10.0)
 
     def test_radio_depletion(self, sim):
         ue = make_ue(sim, battery_capacity_j=5.0)
         path = self.make_path(sim, rate=10.0)
-        process = ue.transmit(1000.0, path)  # 100 s at 1.3 W
+        # 100 s at 1.3 W
+        process = sim.spawn(ue.radio_body(1000.0, path, transmit=True))
         with pytest.raises(BatteryDepleted):
             sim.run(until=process)
 
     def test_byte_counters(self, sim):
         ue = make_ue(sim)
         path = self.make_path(sim)
-        sim.run(until=ue.transmit(500.0, path))
+        sim.run(until=sim.spawn(ue.radio_body(500.0, path, transmit=True)))
         assert ue.metrics.counter("ue.tx_bytes").value == 500.0

@@ -48,7 +48,9 @@ class TestUserEquipmentDvfs:
     def test_execute_at_reduced_frequency(self):
         sim = Simulator()
         ue = UserEquipment(sim, DeviceSpec(cycles_per_second=1.0e9))
-        record = sim.run(until=ue.execute(2.0, frequency_fraction=0.5))
+        record = sim.run(
+            until=sim.spawn(ue.execute_body(2.0, frequency_fraction=0.5))
+        )
         assert record.latency == pytest.approx(4.0)
         # E = 0.9 W * (0.5)^3 * 4 s = 0.45 J.
         assert record.energy_j == pytest.approx(0.9 * 0.125 * 4.0)
@@ -56,8 +58,8 @@ class TestUserEquipmentDvfs:
     def test_reduced_frequency_saves_energy_despite_longer_runtime(self):
         sim = Simulator()
         ue = UserEquipment(sim, DeviceSpec())
-        full = sim.run(until=ue.execute(5.0, 1.0))
-        slow = sim.run(until=ue.execute(5.0, 0.5))
+        full = sim.run(until=sim.spawn(ue.execute_body(5.0, 1.0)))
+        slow = sim.run(until=sim.spawn(ue.execute_body(5.0, 0.5)))
         assert slow.latency > full.latency
         assert slow.energy_j < full.energy_j
 
@@ -66,7 +68,7 @@ class TestUserEquipmentDvfs:
         ue = UserEquipment(sim, DeviceSpec())
         t = ue.estimate_execution_time(3.0, 0.6)
         e = ue.estimate_execution_energy(3.0, 0.6)
-        record = sim.run(until=ue.execute(3.0, 0.6))
+        record = sim.run(until=sim.spawn(ue.execute_body(3.0, 0.6)))
         assert record.latency == pytest.approx(t)
         assert record.energy_j == pytest.approx(e)
 

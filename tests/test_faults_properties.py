@@ -79,6 +79,69 @@ class TestScheduleNormalization:
         assert once.windows == twice.windows
 
 
+def _any_kind_window(kind, start, length, target, fraction):
+    # STRAGGLER needs a slowdown >= 1; every other kind accepts (0, 1).
+    straggler = kind is FaultKind.STRAGGLER
+    magnitude = 1.0 + 9.0 * fraction if straggler else fraction
+    return FaultWindow(kind, start, start + length, target=target,
+                       magnitude=magnitude)
+
+
+_DENSE_WINDOWS = st.lists(
+    st.builds(
+        _any_kind_window,
+        st.sampled_from(list(FaultKind)),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=1e-3, max_value=30.0),
+        _TARGETS,
+        st.floats(min_value=0.05, max_value=0.95),
+    ),
+    max_size=20,
+)
+
+
+def _brute_active(schedule, kind, t, target):
+    """The first window, in start order, of ``kind`` covering ``t``."""
+    hits = [
+        w for w in schedule.windows
+        if w.kind is kind and w.applies_to(target) and w.start <= t < w.end
+    ]
+    return hits[0] if hits else None
+
+
+class TestQueriesMatchBruteForce:
+    """Every point query equals a full scan of the normalized windows."""
+
+    @given(
+        ws=_DENSE_WINDOWS,
+        kind=st.sampled_from(list(FaultKind)),
+        target=_TARGETS,
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_point_queries(self, ws, kind, target, data):
+        schedule = FaultSchedule(ws)
+        edges = [x for w in schedule.windows for x in (w.start, w.end)]
+        times = data.draw(st.lists(
+            st.floats(min_value=-1.0, max_value=140.0)
+            | (st.sampled_from(edges) if edges else st.nothing()),
+            min_size=1, max_size=8,
+        ))
+        for t in times:
+            expected = _brute_active(schedule, kind, t, target)
+            assert schedule.active_window(kind, t, target) is expected
+            assert schedule.is_active(kind, t, target) is (expected is not None)
+            assert schedule.magnitude_at(kind, t, target, default=-1.0) == (
+                expected.magnitude if expected is not None else -1.0
+            )
+            clear = t
+            window = expected
+            while window is not None:
+                clear = window.end
+                window = _brute_active(schedule, kind, clear, target)
+            assert schedule.clear_time(kind, t, target) == clear
+
+
 class TestBackoffProperties:
     @given(
         base=st.floats(min_value=0.0, max_value=60.0),

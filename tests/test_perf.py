@@ -91,13 +91,6 @@ class TestRuntimeMeter:
         assert sim.meter.snapshot()["batched_events"] == 4
         assert sim.meter.timings()["kernel_flush_wall_s"] >= 0.0
 
-    def test_step_dispatches_are_not_batched(self):
-        sim = Simulator()
-        sim.event().succeed(None)
-        sim.step()
-        assert sim.meter.fast_lane_hits == 1
-        assert sim.meter.batched_events == 0
-
     def test_absorb_folds_counters_and_timings(self):
         a, b = RuntimeMeter(), RuntimeMeter()
         a.fast_lane_hits = 2

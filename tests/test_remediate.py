@@ -207,7 +207,7 @@ class TestControllerActuator:
 
     def test_shift_traffic_holds_and_does_not_shrink(self):
         controller = _controller()
-        actuator = ControllerActuator([controller], hold_local_s=300.0)
+        actuator = ControllerActuator([controller])
         assert actuator.apply(ACTION_SHIFT_TRAFFIC, 100.0) == (
             "hold_local_until=400.0"
         )

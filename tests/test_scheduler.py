@@ -11,7 +11,6 @@ from repro.core.scheduler import (
     CostWindowScheduler,
     DeadlineBatcher,
     EagerScheduler,
-    EdfScheduler,
     ScheduleDecision,
 )
 
@@ -31,25 +30,6 @@ class TestEagerScheduler:
         decision = EagerScheduler().decide(job_with(app), now=12.0,
                                            estimate_completion_s=10.0)
         assert decision.dispatch_at == 12.0
-
-    def test_fifo_priority(self, app):
-        scheduler = EagerScheduler()
-        early = scheduler.decide(job_with(app), now=1.0, estimate_completion_s=1.0)
-        late = scheduler.decide(job_with(app), now=2.0, estimate_completion_s=1.0)
-        assert early.priority < late.priority
-
-
-class TestEdfScheduler:
-    def test_priority_is_deadline(self, app):
-        scheduler = EdfScheduler()
-        tight = scheduler.decide(
-            Job(app, released_at=0.0, deadline=100.0), 0.0, 10.0
-        )
-        loose = scheduler.decide(
-            Job(app, released_at=0.0, deadline=500.0), 0.0, 10.0
-        )
-        assert tight.priority < loose.priority
-        assert tight.dispatch_at == 0.0
 
 
 class TestLatestSafeStart:

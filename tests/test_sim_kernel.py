@@ -30,17 +30,6 @@ class TestClock:
         with pytest.raises(SimulationError):
             sim.run(until=2.0)
 
-    def test_peek_reports_next_event(self, sim):
-        sim.timeout(7.0)
-        assert sim.peek() == 7.0
-
-    def test_peek_empty_is_inf(self, sim):
-        assert sim.peek() == float("inf")
-
-    def test_step_on_empty_heap_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
-
     def test_events_processed_counts(self, sim):
         sim.timeout(1.0)
         sim.timeout(2.0)
@@ -373,7 +362,7 @@ class TestInterruptDeliveryProperty:
         assert "second-fail" not in deliveries
         # Heap consistency: the run drained every scheduled event and the
         # event counter is stable (no orphan callbacks left behind).
-        assert sim.peek() == float("inf")
+        assert not sim._fast and not sim._heap
         assert not process.is_alive
         processed = sim.events_processed
         assert processed > 0
