@@ -283,7 +283,7 @@ class FaultSchedule:
         windows: List[FaultWindow] = []
 
         def count(expected: float) -> int:
-            return int(rng.np.poisson(expected * intensity))
+            return rng.poisson(expected * intensity)
 
         def span(lo_frac: float, hi_frac: float) -> Tuple[float, float]:
             length = horizon * rng.uniform(lo_frac, hi_frac)

@@ -265,8 +265,10 @@ class TestWorkflowOracle:
         assert expected == ["a", "b", "d"]
 
 
-def test_import_path_has_no_networkx():
-    """The package must not pull networkx (~14 MB resident) into a process."""
+@pytest.fixture(scope="module")
+def runtime_modules():
+    """Top-level modules a fresh process holds after importing the package
+    and the CLI and running one offload workload and a one-shard fleet."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     probe = subprocess.run(
@@ -275,11 +277,29 @@ def test_import_path_has_no_networkx():
             "-c",
             "import sys\n"
             "import repro, repro.fleet, repro.sweep.scenarios, repro.cli\n"
-            "print('networkx' in sys.modules)",
+            "from repro.fleet.sharded import ShardedFleetSpec, run_sharded\n"
+            "from repro.fleet.topology import FleetTopology\n"
+            "repro.sweep.scenarios.offload_run({'jobs': 2})\n"
+            "run_sharded(ShardedFleetSpec(topology=FleetTopology.uniform(2, 1),\n"
+            "    window_s=600.0, slack_s=1200.0), n_shards=1)\n"
+            "print(' '.join(sorted({name.split('.')[0] for name in sys.modules})))",
         ],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert probe.stdout.strip() == "False"
+    return set(probe.stdout.split())
+
+
+def test_import_path_has_no_networkx(runtime_modules):
+    """The package must not pull networkx (~14 MB resident) into a process."""
+    assert "repro" in runtime_modules
+    assert "networkx" not in runtime_modules
+
+
+def test_runtime_path_has_no_numpy(runtime_modules):
+    """numpy is the random streams' test oracle only; loading it costs
+    every process about 13 MB resident."""
+    assert "repro" in runtime_modules
+    assert "numpy" not in runtime_modules

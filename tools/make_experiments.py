@@ -11,7 +11,9 @@ numbers, update the prose alongside it.
 The sections are independent simulations, so they fan out across worker
 processes through :mod:`repro.sweep` (all cores by default); the merge is
 ordered by section, never by completion, so the document is identical for
-any worker count.
+any worker count.  Sections that start their own worker pool
+(``OWN_POOL``) run in this process after the pooled ones: a pool worker
+is daemonic and may not have children.
 """
 
 from __future__ import annotations
@@ -511,6 +513,12 @@ def build_sections():
     ]
 
 
+#: Sections whose runner starts its own worker pool (F10 times 1, 2 and 4
+#: workers).  They cannot run inside a pooled sweep worker, which is
+#: daemonic, so :func:`main` runs them in its own process.
+OWN_POOL = frozenset({"F10"})
+
+
 def run_experiment(config):
     """Sweep cell: run one experiment section, return its captured body."""
     exp_id = config["experiment"]
@@ -527,13 +535,18 @@ def main(output: str = "EXPERIMENTS.md", workers: int = 0) -> None:
     from repro.sweep import SweepRunner, SweepSpec
 
     sections = build_sections()
-    configs = [{"experiment": exp_id} for exp_id, *_ in sections]
+    configs = [
+        {"experiment": exp_id} for exp_id, *_ in sections if exp_id not in OWN_POOL
+    ]
     spec = SweepSpec(scenario="make_experiments:run_experiment", points=configs)
     result = SweepRunner(spec, workers=workers or os.cpu_count() or 1).run()
     bodies = {
         cell["experiment"]: cell["body"]
         for cell in result.results_for(configs)
     }
+    for exp_id, *_ in sections:
+        if exp_id in OWN_POOL:
+            bodies[exp_id] = run_experiment({"experiment": exp_id})["body"]
     parts = [HEADER]
     for exp_id, title, claim, _runner, verdict in sections:
         parts.append(f"\n## {exp_id} — {title}\n")
