@@ -74,7 +74,9 @@ def run_strategy(strategy):
         pending = []
         for release, dispatch in zip(times, dispatch_times):
             yield sim.timeout(max(dispatch - sim.now, 0.0))
-            invocation = platform.invoke(InvocationRequest("f", WORK_GCYCLES))
+            invocation = sim.spawn(
+                platform.invoke(InvocationRequest("f", WORK_GCYCLES))
+            )
             if sequential:
                 # A batching client drains its batch one by one, so each
                 # member after the first lands on the warm sandbox.

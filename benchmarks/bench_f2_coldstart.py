@@ -47,7 +47,9 @@ def run_one(rate, keep_alive):
         for _ in range(N_REQUESTS):
             t = arrivals.next_after(t)
             yield sim.timeout(t - sim.now)
-            submitted.append(platform.invoke(InvocationRequest("f", WORK_GCYCLES)))
+            submitted.append(
+                sim.spawn(platform.invoke(InvocationRequest("f", WORK_GCYCLES)))
+            )
         yield sim.all_of(submitted)
 
     sim.run(until=sim.spawn(driver(sim)))

@@ -133,7 +133,7 @@ def _link_transfers(n: int) -> float:
 
     def driver(sim):
         for _ in range(n):
-            yield link.transfer(1000.0)
+            yield sim.spawn(link.transfer(1000.0))
 
     root = sim.spawn(driver(sim))
     started = perf_counter()

@@ -220,10 +220,10 @@ class UserEquipment:
         Drains transmit or receive energy.  Delegate into it with
         ``yield from``; it returns the path's
         :class:`~repro.network.link.TransferResult`, and the path transfer
-        itself stays a process of its own.  ``parent`` optionally carries
-        the caller's telemetry span down to the path's transfer span.
+        runs inline.  ``parent`` optionally carries the caller's
+        telemetry span down to the path's transfer span.
         """
-        result: TransferResult = yield path.transfer(nbytes, parent=parent)
+        result: TransferResult = yield from path.transfer(nbytes, parent)
         model = self.spec.energy
         if transmit:
             energy = model.transmit_energy(result.radio_seconds)

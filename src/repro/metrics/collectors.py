@@ -19,6 +19,9 @@ def _require_finite(name: str, value: float, what: str = "value") -> float:
     return value
 
 
+_INF = math.inf
+
+
 class Counter:
     """A monotonically increasing total."""
 
@@ -33,8 +36,9 @@ class Counter:
 
     def increment(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be finite and non-negative) to the total."""
-        amount = _require_finite(self.name, amount, "increment")
-        if amount < 0:
+        amount = float(amount)
+        if not 0.0 <= amount < _INF:  # one test for NaN, inf and negatives
+            _require_finite(self.name, amount, "increment")
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
         self._value += amount
 
@@ -82,7 +86,9 @@ class Summary:
 
     def observe(self, value: float) -> None:
         """Record one (finite) observation."""
-        value = _require_finite(self.name, value, "observation")
+        value = float(value)
+        if not -_INF < value < _INF:  # NaN fails both comparisons
+            _require_finite(self.name, value, "observation")
         self._samples.append(value)
         self._sorted = None
         self._sum += value
@@ -214,21 +220,24 @@ class MetricRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter registered under ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def gauge(self, name: str, initial: float = 0.0) -> Gauge:
         """Get or create the gauge registered under ``name``."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name, initial)
-        return self._gauges[name]
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            gauge = self._gauges[name] = Gauge(name, initial)
+        return gauge
 
     def summary(self, name: str) -> Summary:
         """Get or create the summary registered under ``name``."""
-        if name not in self._summaries:
-            self._summaries[name] = Summary(name)
-        return self._summaries[name]
+        summary = self._summaries.get(name)
+        if summary is None:
+            summary = self._summaries[name] = Summary(name)
+        return summary
 
     def snapshot(self) -> Dict[str, float]:
         """A flat dict of every scalar metric (summaries export mean/p50/p99)."""

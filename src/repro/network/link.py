@@ -88,6 +88,8 @@ class Link:
         self.latency_s = float(latency_s)
         self.per_request_overhead_bytes = float(per_request_overhead_bytes)
         self.name = name
+        #: Every transfer's metric keys, built once.
+        self._keys = (f"{name}.transfers", f"{name}.bytes", f"{name}.duration_s")
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self._channels = Resource(sim, capacity=channels)
 
@@ -142,24 +144,15 @@ class Link:
             return self.latency_s + ((start + payload / rate) - start)
         return self.latency_s + self._trace.transfer_time(start, payload)
 
-    def transfer(self, nbytes: float) -> Event:
-        """Start moving ``nbytes`` across the link.
+    def transfer(self, nbytes: float) -> Generator[Event, object, TransferResult]:
+        """Move ``nbytes`` across the link; returns a :class:`TransferResult`.
 
-        Returns a process event whose value is a :class:`TransferResult`.
         Queueing for a free channel, protocol overhead, propagation latency
-        and bandwidth variation are all accounted.
+        and bandwidth variation are all accounted.  A generator under the
+        rules of :meth:`NetworkPath.transfer`.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self.sim.spawn(self.transfer_body(nbytes), name=f"{self.name}.xfer")
-
-    def transfer_body(
-        self, nbytes: float
-    ) -> Generator[Event, object, TransferResult]:
-        """The body of :meth:`transfer`, to delegate into with ``yield from``.
-
-        The caller has checked ``nbytes >= 0``.
-        """
         started = self.sim.now
         request = self._channels.request()
         yield request
@@ -178,9 +171,10 @@ class Link:
         finally:
             self._channels.release(request)
         finished = self.sim.now
-        self.metrics.counter(f"{self.name}.transfers").increment()
-        self.metrics.counter(f"{self.name}.bytes").increment(nbytes)
-        self.metrics.summary(f"{self.name}.duration_s").observe(finished - started)
+        transfers, sent, duration_s = self._keys
+        self.metrics.counter(transfers).increment()
+        self.metrics.counter(sent).increment(nbytes)
+        self.metrics.summary(duration_s).observe(finished - started)
         return TransferResult(
             bytes=nbytes,
             started_at=started,
@@ -223,28 +217,22 @@ class NetworkPath:
         t = self.sim.now if at is None else at
         return min(link.trace.rate_at(t) for link in self.links)
 
-    def transfer(self, nbytes: float, parent: Optional[object] = None) -> Event:
-        """Move ``nbytes`` across every hop in order.
+    def transfer(
+        self, nbytes: float, parent: Optional[object] = None
+    ) -> Generator[Event, object, TransferResult]:
+        """Move ``nbytes`` across every hop; returns a :class:`TransferResult`.
 
-        Returns a process event whose value is a :class:`TransferResult`
-        spanning the whole path.  ``parent`` optionally carries the
-        caller's telemetry span; when tracing is enabled the whole-path
-        transfer records a ``transfer`` span beneath it.
+        Each hop's :meth:`Link.transfer` runs inline, in order.  A
+        generator: a caller that only waits delegates into it with
+        ``yield from``; one that races, joins or counts transfers spawns
+        it.  A negative ``nbytes`` raises ``ValueError`` on the first
+        step.  Never delegate into it from a process that anyone
+        interrupts: the transfer would end unrecorded.  ``parent``
+        optionally carries the caller's telemetry span, under which a
+        traced run records the path's ``transfer`` span.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self.sim.spawn(
-            self.transfer_body(nbytes, parent), name=f"{self.name}.xfer"
-        )
-
-    def transfer_body(
-        self, nbytes: float, parent: Optional[object] = None
-    ) -> Generator[Event, object, TransferResult]:
-        """The body of :meth:`transfer`, to delegate into with ``yield from``.
-
-        Each hop's :meth:`Link.transfer_body` runs inline in the same
-        process.  The caller has checked ``nbytes >= 0``.
-        """
         started = self.sim.now
         tracer = self.sim.tracer
         span = tracer.start_span(
@@ -253,7 +241,7 @@ class NetworkPath:
         active = 0.0
         radio = 0.0
         for index, link in enumerate(self.links):
-            hop: TransferResult = yield from link.transfer_body(nbytes)
+            hop: TransferResult = yield from link.transfer(nbytes)
             active += hop.active_seconds
             if index == 0:
                 radio = hop.active_seconds

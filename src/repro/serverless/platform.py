@@ -202,6 +202,9 @@ class ServerlessPlatform:
         self.config = config if config is not None else PlatformConfig()
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.name = name
+        #: Every completed invocation's metric keys, built once.
+        self._keys = tuple(f"{name}.{key}" for key in (
+            "invocations", "cold_starts", "cost_usd", "latency_s", "queue_delay_s"))
         self.rng = rng
         if self.config.failure_probability > 0 and rng is None:
             raise ValueError(
@@ -269,19 +272,6 @@ class ServerlessPlatform:
 
     # -- invocation -----------------------------------------------------------
 
-    def invoke(self, request: InvocationRequest) -> Event:
-        """Submit a request; the returned process event yields an
-        :class:`~repro.serverless.function.Invocation` record."""
-        state = self._state(request.function)
-        max_queue = self.config.max_queue_per_function
-        if max_queue is not None and len(state.queue) >= max_queue:
-            failed = self.sim.event()
-            failed.fail(ThrottledError(f"{request.function}: queue full"))
-            return failed
-        return self.sim.spawn(
-            self._invoke_proc(state, request), name=f"{self.name}.{request.function}"
-        )
-
     def outage_clear_time(self, at: Optional[float] = None) -> Optional[float]:
         """When the zone outage covering ``at`` (default: now) ends.
 
@@ -294,9 +284,23 @@ class ServerlessPlatform:
         t = self.sim.now if at is None else at
         return self.faults.outage_clear_time(t)
 
-    def _invoke_proc(
-        self, state: _FunctionState, request: InvocationRequest
+    def invoke(
+        self, request: InvocationRequest
     ) -> Generator[Event, object, Invocation]:
+        """Run one invocation of ``request``; returns its Invocation record.
+
+        A generator: a caller that only waits delegates into it with
+        ``yield from``; one that races, joins or counts invocations
+        spawns it (``sim.spawn(platform.invoke(request))``).  An unknown
+        function (``KeyError``) and a full queue
+        (:class:`ThrottledError`) raise on the first step.  Never
+        delegate into it from a process that anyone interrupts: an
+        interrupt would abandon the sandbox busy and the bill unpaid.
+        """
+        state = self._state(request.function)
+        max_queue = self.config.max_queue_per_function
+        if max_queue is not None and len(state.queue) >= max_queue:
+            raise ThrottledError(f"{request.function}: queue full")
         sim = self.sim  # hoisted: this generator is the platform's hot path
         submitted_at = sim.now
         spec = state.spec
@@ -329,10 +333,7 @@ class ServerlessPlatform:
             yield sim.timeout(self.config.cold_start_duration(spec))
             tracer.end_span(cold_span)
         else:
-            max_queue = self.config.max_queue_per_function
-            if max_queue is not None and len(state.queue) >= max_queue:
-                raise ThrottledError(f"{request.function}: queue full")
-            ticket = self.sim.event()
+            ticket = sim.event()
             state.queue.append(ticket)
             queue_span = tracer.start_span(
                 request.function,
@@ -435,7 +436,15 @@ class ServerlessPlatform:
             billed_duration_s=self.config.billing.billed_duration(duration),
             cost=cost.total,
         )
-        self._record(record)
+        self._invocations.append(record)
+        invocations, cold_starts, cost_usd, latency_s, queue_delay_s = self._keys
+        m = self.metrics
+        m.counter(invocations).increment()
+        if cold:
+            m.counter(cold_starts).increment()
+        m.counter(cost_usd).increment(cost.total)
+        m.summary(latency_s).observe(finished_at - submitted_at)
+        m.summary(queue_delay_s).observe(started_at - submitted_at)
         return record
 
     def _release_instance(self, state: _FunctionState, instance: _Instance) -> None:
@@ -535,16 +544,6 @@ class ServerlessPlatform:
         return self.config.billing.provisioned_cost(gb_seconds)
 
     # -- accounting -----------------------------------------------------------
-
-    def _record(self, inv: Invocation) -> None:
-        self._invocations.append(inv)
-        m = self.metrics
-        m.counter(f"{self.name}.invocations").increment()
-        if inv.cold_start:
-            m.counter(f"{self.name}.cold_starts").increment()
-        m.counter(f"{self.name}.cost_usd").increment(inv.cost)
-        m.summary(f"{self.name}.latency_s").observe(inv.latency)
-        m.summary(f"{self.name}.queue_delay_s").observe(inv.queue_delay)
 
     @property
     def invocations(self) -> List[Invocation]:

@@ -123,7 +123,9 @@ def retry_body(
 ) -> Generator[Event, object, RetriedInvocation]:
     """The retry loop of :func:`invoke_with_retries`, for ``yield from``.
 
-    Each attempt stays a platform invocation process of its own.
+    Each attempt runs inline (``yield from platform.invoke``), so the
+    same rule holds here: never delegate into it from a process that
+    anyone interrupts.
     """
     wasted = 0.0
     backoff_total = 0.0
@@ -151,7 +153,7 @@ def retry_body(
             yield platform.sim.timeout(delay)
             tracer.end_span(backoff_span)
         try:
-            invocation: Invocation = yield platform.invoke(request)
+            invocation: Invocation = yield from platform.invoke(request)
         except InvocationFailedError as error:
             wasted += error.billed_usd
             last_error = error

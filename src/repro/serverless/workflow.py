@@ -19,7 +19,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from repro.apps.dag import find_cycle, topological_order
 from repro.serverless.function import Invocation, InvocationRequest
 from repro.serverless.platform import ServerlessPlatform
-from repro.serverless.retry import RetryPolicy, invoke_with_retries
+from repro.serverless.retry import RetryPolicy, retry_body
 from repro.sim import Event, Simulator
 from repro.sim.rng import RngStream
 
@@ -194,15 +194,15 @@ class WorkflowEngine:
             if step.depends_on:
                 yield self.sim.all_of([step_done[d] for d in step.depends_on])
             yield self.sim.timeout(self.transition_latency_s)
-            outcome = yield invoke_with_retries(
+            outcome = yield from retry_body(
                 self.platform,
                 InvocationRequest(
                     function=step.function,
                     work_gcycles=work_by_step[step.name],
                     tag=f"wf.{definition.name}.{step.name}",
                 ),
-                policy=self.retry_policy,
-                rng=self.rng,
+                self.retry_policy,
+                self.rng,
             )
             invocations[step.name] = outcome.invocation
             step_done[step.name].succeed(None)

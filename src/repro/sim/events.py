@@ -174,13 +174,13 @@ class _Condition(Event):
             self.succeed(self._collect())
             return
         for event in self.events:
-            if event.processed:
+            if event.callbacks is None:
                 self._on_child(event)
             else:
                 event.callbacks.append(self._on_child)
 
     def _collect(self) -> dict[Event, Any]:
-        return {e: e.value for e in self.events if e.triggered and e.ok}
+        return {e: e._value for e in self.events if e._value is not _PENDING and e._ok}
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
@@ -196,10 +196,10 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._remaining -= 1
         if self._remaining == 0:
@@ -217,14 +217,14 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if event.ok:
+        if event._ok:
             self.succeed(self._collect())
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.fail(event.value)
+            self.fail(event._value)
 
 
 __all__ = [

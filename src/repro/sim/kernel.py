@@ -45,7 +45,7 @@ from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.perf.meter import RuntimeMeter
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.telemetry.tracer import NULL_TRACER
 
 
@@ -169,7 +169,7 @@ class Process(Event):
         Interrupting a finished process is a silent no-op, mirroring the
         semantics of POSIX signal delivery to an exited task.
         """
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         self.sim._fast.append(_Throw(self, Interrupt(cause)))
 
@@ -177,7 +177,7 @@ class Process(Event):
 
     def _start(self) -> None:
         """First resume: send ``None`` into the fresh generator."""
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         self._waiting_on = None
         try:
@@ -191,7 +191,7 @@ class Process(Event):
         self._wait_on(target)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         self._waiting_on = None
         try:
@@ -208,10 +208,10 @@ class Process(Event):
         self._wait_on(target)
 
     def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         waiting = self._waiting_on
-        if waiting is not None and not waiting.processed:
+        if waiting is not None and waiting.callbacks is not None:
             # Detach from whatever we were waiting on: when it eventually
             # fires it must not resume us a second time.
             try:
@@ -235,7 +235,7 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; "
                 "processes must yield Event instances"
             )
-        if target.processed:
+        if target.callbacks is None:
             # The event already fired; resume on the next kernel step.  The
             # relay is tracked as ``_waiting_on`` and delivers through
             # ``_resume`` for success *and* failure, so an interrupt arriving

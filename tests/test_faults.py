@@ -229,7 +229,7 @@ class TestPlatformFaults:
 
         def driver(sim):
             try:
-                yield platform.invoke(InvocationRequest("f", 1.0))
+                yield from platform.invoke(InvocationRequest("f", 1.0))
             except PlatformOutageError as error:
                 errors.append(error)
 
@@ -250,7 +250,7 @@ class TestPlatformFaults:
         records = []
 
         def driver(sim):
-            records.append((yield platform.invoke(InvocationRequest("f", 2.4))))
+            records.append((yield from platform.invoke(InvocationRequest("f", 2.4))))
 
         sim.run(until=sim.spawn(driver(sim)))
         (record,) = records
@@ -269,7 +269,7 @@ class TestPlatformFaults:
 
         def driver(sim):
             try:
-                yield platform.invoke(InvocationRequest("f", 2.4))
+                yield from platform.invoke(InvocationRequest("f", 2.4))
             except SandboxReclaimedError as error:
                 errors.append(error)
 
@@ -294,7 +294,7 @@ class TestPlatformFaults:
 
         def caller(sim):
             try:
-                yield platform.invoke(InvocationRequest("g", 2.4))
+                yield from platform.invoke(InvocationRequest("g", 2.4))
             except SandboxReclaimedError:
                 outcomes["reclaimed"] += 1
             else:
@@ -464,30 +464,27 @@ class _ScriptedPlatform:
         self._calls = 0
 
     def invoke(self, request):
+        """The invocation as a generator, like the real platform's."""
         from repro.serverless import Invocation, InvocationFailedError
 
         duration, ok = self._script[self._calls]
         self._calls += 1
         submitted = self.sim.now
-
-        def proc():
-            yield self.sim.timeout(duration)
-            if not ok:
-                raise InvocationFailedError(
-                    request.function, ran_for_s=duration, billed_usd=0.001
-                )
-            return Invocation(
-                request=request,
-                submitted_at=submitted,
-                started_at=submitted,
-                finished_at=self.sim.now,
-                cold_start=False,
-                memory_mb=1769.0,
-                billed_duration_s=duration,
-                cost=0.002,
+        yield self.sim.timeout(duration)
+        if not ok:
+            raise InvocationFailedError(
+                request.function, ran_for_s=duration, billed_usd=0.001
             )
-
-        return self.sim.spawn(proc())
+        return Invocation(
+            request=request,
+            submitted_at=submitted,
+            started_at=submitted,
+            finished_at=self.sim.now,
+            cold_start=False,
+            memory_mb=1769.0,
+            billed_duration_s=duration,
+            cost=0.002,
+        )
 
     def outage_clear_time(self, at):
         return None

@@ -87,7 +87,7 @@ class TestThrottlingEdges:
         errors = []
 
         def occupant(sim, work):
-            yield platform.invoke(InvocationRequest("f", work))
+            yield from platform.invoke(InvocationRequest("f", work))
 
         def contender(sim):
             yield sim.timeout(1.0)  # sandbox busy, queue already full
@@ -115,11 +115,11 @@ class TestThrottlingEdges:
         rejected = []
 
         def driver(sim):
-            yield platform.invoke(InvocationRequest("f", 0.0))  # warms a sandbox
-            blocker = platform.invoke(InvocationRequest("f", 24.0))
-            queued = platform.invoke(InvocationRequest("f", 0.24))
+            yield from platform.invoke(InvocationRequest("f", 0.0))  # warms one
+            blocker = sim.spawn(platform.invoke(InvocationRequest("f", 24.0)))
+            queued = sim.spawn(platform.invoke(InvocationRequest("f", 0.24)))
             try:
-                yield platform.invoke(InvocationRequest("f", 0.24))
+                yield sim.spawn(platform.invoke(InvocationRequest("f", 0.24)))
             except ThrottledError as error:
                 rejected.append(error)
             yield sim.all_of([blocker, queued])

@@ -59,3 +59,24 @@ def test_f10_is_the_section_that_starts_a_pool(make_experiments):
     ids = [section[0] for section in make_experiments.build_sections()]
     assert make_experiments.OWN_POOL <= set(ids)
     assert "F10" in make_experiments.OWN_POOL
+
+
+def test_o2_verdict_quotes_the_f6_event_count(make_experiments):
+    """The O2 verdict's event count is read from the F6a table it
+    cites, so it moves with the table instead of going stale."""
+    f6 = (
+        "F6a: controller cost vs concurrent jobs (photo backup)\n"
+        "jobs | sim events | wall ms | wall ms/job | all met\n"
+        "-----+------------+---------+-------------+--------\n"
+        "   5 |        306 |    6.39 |        1.28 |     yes\n"
+        "  80 |       4807 |   80.03 |        1.00 |     yes\n"
+        "\n"
+        "F6b: planning time vs graph size (linear pipelines)\n"
+        "components | mincut ms | greedy ms | exhaustive ms | greedy gap %\n"
+        "        80 |      0.20 |      1.45 |          0.81 |         0.00\n"
+    )
+    (o2,) = [s for s in make_experiments.build_sections() if s[0] == "O2"]
+    assert "*unchanged* event count (4807)" in o2[4]({"F6": f6})
+    assert make_experiments.f6_events({"F6": f6}, 5) == 306
+    with pytest.raises(ValueError, match="no row for 20 jobs"):
+        make_experiments.f6_events({"F6": f6}, 20)

@@ -22,31 +22,31 @@ def sim():
 class TestLink:
     def test_transfer_duration(self, sim):
         link = Link(sim, bandwidth=100.0, latency_s=1.0)
-        process = link.transfer(500.0)
+        process = sim.spawn(link.transfer(500.0))
         result = sim.run(until=process)
         assert result.duration == pytest.approx(6.0)  # 5 s serialization + 1 s
 
     def test_per_request_overhead(self, sim):
         link = Link(sim, bandwidth=100.0, per_request_overhead_bytes=100.0)
-        process = link.transfer(100.0)
+        process = sim.spawn(link.transfer(100.0))
         result = sim.run(until=process)
         assert result.duration == pytest.approx(2.0)
 
     def test_zero_bytes_costs_latency_and_overhead(self, sim):
         link = Link(sim, bandwidth=100.0, latency_s=0.5)
-        process = link.transfer(0.0)
+        process = sim.spawn(link.transfer(0.0))
         result = sim.run(until=process)
         assert result.duration == pytest.approx(0.5)
 
     def test_negative_bytes_rejected(self, sim):
         link = Link(sim, bandwidth=100.0)
         with pytest.raises(ValueError):
-            link.transfer(-1.0)
+            next(link.transfer(-1.0))
 
     def test_contention_serialises_transfers(self, sim):
         link = Link(sim, bandwidth=100.0, channels=1)
-        p1 = link.transfer(500.0)
-        p2 = link.transfer(500.0)
+        p1 = sim.spawn(link.transfer(500.0))
+        p2 = sim.spawn(link.transfer(500.0))
         r1 = None
 
         def collect(sim):
@@ -61,8 +61,8 @@ class TestLink:
 
     def test_multiple_channels_parallel(self, sim):
         link = Link(sim, bandwidth=100.0, channels=2)
-        p1 = link.transfer(500.0)
-        p2 = link.transfer(500.0)
+        p1 = sim.spawn(link.transfer(500.0))
+        p2 = sim.spawn(link.transfer(500.0))
 
         def collect(sim):
             a = yield p1
@@ -76,7 +76,7 @@ class TestLink:
     def test_time_varying_bandwidth(self, sim):
         trace = StepBandwidth([(0.0, 100.0), (5.0, 50.0)])
         link = Link(sim, bandwidth=trace)
-        process = link.transfer(750.0)
+        process = sim.spawn(link.transfer(750.0))
         result = sim.run(until=process)
         # 500 B in 5 s at 100 B/s, 250 B in 5 s at 50 B/s.
         assert result.duration == pytest.approx(10.0)
@@ -85,13 +85,13 @@ class TestLink:
         link = Link(sim, bandwidth=200.0, latency_s=0.25,
                     per_request_overhead_bytes=50.0)
         estimate = link.estimate_transfer_time(350.0)
-        process = link.transfer(350.0)
+        process = sim.spawn(link.transfer(350.0))
         result = sim.run(until=process)
         assert result.duration == pytest.approx(estimate)
 
     def test_metrics_recorded(self, sim):
         link = Link(sim, bandwidth=100.0, name="up")
-        sim.run(until=link.transfer(100.0))
+        sim.run(until=sim.spawn(link.transfer(100.0)))
         assert link.metrics.counter("up.transfers").value == 1
         assert link.metrics.counter("up.bytes").value == 100.0
 
@@ -111,7 +111,7 @@ class TestNetworkPath:
         a = Link(sim, bandwidth=100.0, latency_s=1.0)
         b = Link(sim, bandwidth=50.0, latency_s=2.0)
         path = NetworkPath(sim, [a, b])
-        process = path.transfer(100.0)
+        process = sim.spawn(path.transfer(100.0))
         result = sim.run(until=process)
         # 1 + 1 + 2 + 2 = 6 s.
         assert result.duration == pytest.approx(6.0)
@@ -128,7 +128,7 @@ class TestNetworkPath:
         b = Link(sim, bandwidth=80.0, latency_s=0.1)
         path = NetworkPath(sim, [a, b])
         estimate = path.estimate_transfer_time(400.0)
-        result = sim.run(until=path.transfer(400.0))
+        result = sim.run(until=sim.spawn(path.transfer(400.0)))
         assert result.duration == pytest.approx(estimate)
 
 
@@ -166,5 +166,5 @@ class TestProfiles:
 
     def test_cloud_transfer_runs(self, sim):
         path = cloud_path(sim, "wifi")
-        result = sim.run(until=path.transfer(1_000_000.0))
+        result = sim.run(until=sim.spawn(path.transfer(1_000_000.0)))
         assert result.duration > 0

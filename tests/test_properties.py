@@ -93,7 +93,7 @@ class TestNetworkProperties:
         trace = StepBandwidth([(0.0, rate1), (switch, rate2)])
         link = Link(sim, bandwidth=trace, latency_s=0.01)
         estimate = link.estimate_transfer_time(nbytes)
-        result = sim.run(until=link.transfer(nbytes))
+        result = sim.run(until=sim.spawn(link.transfer(nbytes)))
         assert result.duration == pytest.approx(estimate, rel=1e-9, abs=1e-9)
 
     @given(
@@ -106,7 +106,7 @@ class TestNetworkProperties:
         sim = Simulator()
         links = [Link(sim, bandwidth=rate) for rate in rates]
         path = NetworkPath(sim, links)
-        result = sim.run(until=path.transfer(nbytes))
+        result = sim.run(until=sim.spawn(path.transfer(nbytes)))
         assert result.duration >= nbytes / min(rates) - 1e-9
 
 

@@ -27,7 +27,7 @@ def run_invocations(sim, platform, requests, gap_s=0.0):
         for i, request in enumerate(requests):
             if gap_s and i:
                 yield sim.timeout(gap_s)
-            record = yield platform.invoke(request)
+            record = yield from platform.invoke(request)
             records.append(record)
 
     sim.run(until=sim.spawn(driver(sim)))
@@ -50,7 +50,7 @@ class TestDeployment:
     def test_invoke_unknown_function_rejected(self, sim):
         platform = make_platform(sim)
         with pytest.raises(KeyError):
-            platform.invoke(InvocationRequest("ghost", 1.0))
+            next(platform.invoke(InvocationRequest("ghost", 1.0)))
 
     def test_redeploy_discards_warm_pool(self, sim):
         platform = make_platform(sim)
@@ -128,7 +128,10 @@ class TestConcurrencyAndQueueing:
     def test_concurrent_up_to_limit(self, sim):
         platform = make_platform(sim, default_concurrency=3)
         platform.deploy(FunctionSpec("f", memory_mb=1769, package_mb=0))
-        events = [platform.invoke(InvocationRequest("f", 2.4)) for _ in range(3)]
+        events = [
+            sim.spawn(platform.invoke(InvocationRequest("f", 2.4)))
+            for _ in range(3)
+        ]
 
         def join(sim):
             got = yield sim.all_of(events)
@@ -141,7 +144,7 @@ class TestConcurrencyAndQueueing:
         platform = make_platform(sim, default_concurrency=1)
         platform.deploy(FunctionSpec("f", memory_mb=1769, package_mb=0))
         events = [
-            platform.invoke(InvocationRequest("f", 2.4, tag=f"r{i}"))
+            sim.spawn(platform.invoke(InvocationRequest("f", 2.4, tag=f"r{i}")))
             for i in range(3)
         ]
 
@@ -159,7 +162,10 @@ class TestConcurrencyAndQueueing:
     def test_queued_handoff_is_warm(self, sim):
         platform = make_platform(sim, default_concurrency=1)
         platform.deploy(FunctionSpec("f", memory_mb=1769, package_mb=0))
-        events = [platform.invoke(InvocationRequest("f", 2.4)) for _ in range(2)]
+        events = [
+            sim.spawn(platform.invoke(InvocationRequest("f", 2.4)))
+            for _ in range(2)
+        ]
 
         def join(sim):
             got = yield sim.all_of(events)
@@ -173,7 +179,10 @@ class TestConcurrencyAndQueueing:
         platform.deploy(
             FunctionSpec("f", memory_mb=1769, package_mb=0, concurrency_limit=1)
         )
-        events = [platform.invoke(InvocationRequest("f", 2.4)) for _ in range(2)]
+        events = [
+            sim.spawn(platform.invoke(InvocationRequest("f", 2.4)))
+            for _ in range(2)
+        ]
 
         def join(sim):
             got = yield sim.all_of(events)
@@ -188,7 +197,10 @@ class TestConcurrencyAndQueueing:
         outcomes = []
 
         def driver(sim):
-            events = [platform.invoke(InvocationRequest("f", 2.4)) for _ in range(3)]
+            events = [
+                sim.spawn(platform.invoke(InvocationRequest("f", 2.4)))
+                for _ in range(3)
+            ]
             for event in events:
                 try:
                     yield event

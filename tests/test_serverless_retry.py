@@ -54,7 +54,7 @@ class TestFailureInjection:
 
         def driver(sim):
             for _ in range(20):
-                yield platform.invoke(InvocationRequest("f", 0.24))
+                yield from platform.invoke(InvocationRequest("f", 0.24))
 
         sim.run(until=sim.spawn(driver(sim)))
         assert len(platform.invocations) == 20
@@ -67,7 +67,7 @@ class TestFailureInjection:
         def driver(sim):
             for _ in range(40):
                 try:
-                    yield platform.invoke(InvocationRequest("f", 2.4))
+                    yield from platform.invoke(InvocationRequest("f", 2.4))
                 except InvocationFailedError as error:
                     outcomes["failed"] += 1
                     billed_on_failures.append(error.billed_usd)
@@ -89,7 +89,7 @@ class TestFailureInjection:
         def driver(sim):
             for _ in range(10):
                 try:
-                    yield platform.invoke(InvocationRequest("f", 2.4))
+                    yield from platform.invoke(InvocationRequest("f", 2.4))
                 except InvocationFailedError:
                     pass
 
@@ -104,7 +104,7 @@ class TestFailureInjection:
         def driver(sim):
             for _ in range(25):
                 try:
-                    yield platform.invoke(InvocationRequest("f", 0.24))
+                    yield from platform.invoke(InvocationRequest("f", 0.24))
                 except InvocationFailedError:
                     pass
 
@@ -180,7 +180,7 @@ class TestPrewarming:
 
         def driver(sim):
             yield platform.prewarm("f", 2)
-            record = yield platform.invoke(InvocationRequest("f", 2.4))
+            record = yield from platform.invoke(InvocationRequest("f", 2.4))
             return record
 
         record = sim.run(until=sim.spawn(driver(sim)))
@@ -193,7 +193,7 @@ class TestPrewarming:
         def driver(sim):
             yield platform.prewarm("f", 1)
             yield sim.timeout(1000.0)  # far past keep-alive
-            return (yield platform.invoke(InvocationRequest("f", 2.4)))
+            return (yield from platform.invoke(InvocationRequest("f", 2.4)))
 
         record = sim.run(until=sim.spawn(driver(sim)))
         assert not record.cold_start
@@ -205,7 +205,7 @@ class TestPrewarming:
             yield platform.prewarm("f", 1)
             platform.release_prewarm("f")
             yield sim.timeout(1000.0)
-            return (yield platform.invoke(InvocationRequest("f", 2.4)))
+            return (yield from platform.invoke(InvocationRequest("f", 2.4)))
 
         record = sim.run(until=sim.spawn(driver(sim)))
         assert record.cold_start  # pool expired after release
@@ -271,9 +271,9 @@ class TestPrewarming:
         platform.deploy(
             FunctionSpec("f", memory_mb=1769, package_mb=0, concurrency_limit=3)
         )
-        first = platform.invoke(InvocationRequest("f", 24.0))  # 10 s busy
-        second = platform.invoke(InvocationRequest("f", 24.0))
-        third = platform.invoke(InvocationRequest("f", 2.4))
+        first = sim.spawn(platform.invoke(InvocationRequest("f", 24.0)))  # 10 s busy
+        second = sim.spawn(platform.invoke(InvocationRequest("f", 24.0)))
+        third = sim.spawn(platform.invoke(InvocationRequest("f", 2.4)))
 
         def helper(sim):
             yield sim.timeout(1.0)

@@ -70,7 +70,11 @@ wall-clock columns regenerates bit-identically.
 
 
 def build_sections():
-    """(id, title, claim, runner, verdict) for every experiment."""
+    """(id, title, claim, runner, verdict) for every experiment.
+
+    A verdict is its text, or a function of every section's body (a dict
+    keyed by section id) that returns the text.
+    """
     from bench_t1_allocation import run_t1
     from bench_t2_partitioning import run_t2
     from bench_t3_energy import run_t3
@@ -467,21 +471,24 @@ def build_sections():
             "fast paths, all preserving the (time, sequence) dispatch "
             "order byte-for-byte.",
             single(run_o2),
-            "**Verdict ✅** — vs the pre-PR heap-only kernel on the same "
-            "op mix: pure-event dispatch 1.15M → ~2.1M events/s (1.8x, "
-            "target ≥1.5x), spawn/join 1.6x, contended resource cycles "
-            "1.26x, link transfers 1.5x, and the F6 80-job end-to-end "
-            "wall 71.8 ms → ~47 ms (1.5x, target ≥1.15x) — at an "
-            "*unchanged* event count (9207) and byte-identical golden "
-            "traces.  Equivalence is enforced three ways: the golden "
-            "fixtures, a Hypothesis differential suite against a "
-            "reconstructed heap-only reference kernel "
-            "(`tests/test_kernel_fastlane.py`), and a tracemalloc "
-            "per-job allocation budget (`tests/test_alloc_budget.py`).  "
-            "CI gates every commit against the committed "
-            "`benchmarks/BENCH_O2.json` via `repro bench compare`.  "
-            "Wall-clock columns are non-deterministic; the speedup "
-            "column is meaningful on comparable hardware only.",
+            lambda bodies: (
+                "**Verdict ✅** — vs the pre-PR heap-only kernel on the "
+                "same op mix: pure-event dispatch 1.15M → ~2.1M events/s "
+                "(1.8x, target ≥1.5x), spawn/join 1.6x, contended resource "
+                "cycles 1.26x, link transfers 1.5x, and the F6 80-job "
+                "end-to-end wall 71.8 ms → ~47 ms (1.5x, target ≥1.15x) — "
+                "at an *unchanged* event count "
+                f"({f6_events(bodies, 80)}) and byte-identical golden "
+                "traces.  Equivalence is enforced three ways: the golden "
+                "fixtures, a Hypothesis differential suite against a "
+                "reconstructed heap-only reference kernel "
+                "(`tests/test_kernel_fastlane.py`), and a tracemalloc "
+                "per-job allocation budget (`tests/test_alloc_budget.py`).  "
+                "CI gates every commit against the committed "
+                "`benchmarks/BENCH_O2.json` via `repro bench compare`.  "
+                "Wall-clock columns are non-deterministic; the speedup "
+                "column is meaningful on comparable hardware only."
+            ),
         ),
         (
             "O3", "Optimisation: batched dispatch",
@@ -519,6 +526,20 @@ def build_sections():
 OWN_POOL = frozenset({"F10"})
 
 
+def f6_events(bodies, jobs):
+    """The F6a ``sim events`` cell of ``jobs`` jobs, read from F6's body.
+
+    Verdicts that quote an event count take it from here, so their text
+    follows the table instead of going stale when the count moves.
+    """
+    table = bodies["F6"].split("\n\n")[0]
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if cells[0] == str(jobs):
+            return int(cells[1])
+    raise ValueError(f"F6a has no row for {jobs} jobs")
+
+
 def run_experiment(config):
     """Sweep cell: run one experiment section, return its captured body."""
     exp_id = config["experiment"]
@@ -554,7 +575,7 @@ def main(output: str = "EXPERIMENTS.md", workers: int = 0) -> None:
             parts.append(f"**Claim:** {claim}\n")
         parts.append("**Measured:**\n")
         parts.append(f"```\n{bodies[exp_id]}\n```\n")
-        parts.append(verdict + "\n")
+        parts.append((verdict(bodies) if callable(verdict) else verdict) + "\n")
         print(f"done {exp_id}", file=sys.stderr)
     parts.append("\n" + FOOTER)
     Path(output).write_text("\n".join(parts))
