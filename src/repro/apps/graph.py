@@ -9,6 +9,7 @@ transfer time/energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.apps.dag import find_cycle, topological_order
@@ -173,6 +174,32 @@ class AppGraph:
     def successors(self, name: str) -> List[str]:
         """Immediate downstream component names, sorted."""
         return list(self._succ[name])
+
+    @cached_property
+    def serial_chains(self) -> Tuple[Tuple[str, ...], ...]:
+        """The components as maximal serial chains, in topological order.
+
+        Each chain lists its components in flow order, and the chains
+        come in topological order of their heads.  A component joins
+        its predecessor's chain when that predecessor is its only
+        predecessor and it is that predecessor's only successor.  So a
+        flow links two chains exactly when its destination heads a
+        chain; every other flow runs inside one.  The runtime runs each
+        chain in one process (see ``OffloadController``).
+        """
+        pred, succ = self._pred, self._succ
+        chains = []
+        for name in self._topo_order:
+            before = pred[name]
+            if len(before) == 1 and len(succ[before[0]]) == 1:
+                continue  # inside its predecessor's chain
+            chain = [name]
+            after = succ[name]
+            while len(after) == 1 and len(pred[after[0]]) == 1:
+                chain.append(after[0])
+                after = succ[after[0]]
+            chains.append(tuple(chain))
+        return tuple(chains)
 
     @property
     def entry_components(self) -> List[str]:

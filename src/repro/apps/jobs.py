@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.apps.graph import AppGraph
 
@@ -79,19 +79,42 @@ class Job:
         )
 
 
-@dataclass(frozen=True)
-class JobResult:
-    """Completion record of one job."""
-
+class _JobResultFields(NamedTuple):
     job: Job
     started_at: float
     finished_at: float
     ue_energy_j: float
     cloud_cost_usd: float
-    component_finish_times: Dict[str, float] = field(default_factory=dict)
+    component_finish_times: Dict[str, float]
     #: Per-activity decomposition of ``ue_energy_j`` (keys: "compute",
     #: "tx", "rx", "idle", "sleep"); empty when the runner predates it.
-    energy_breakdown: Dict[str, float] = field(default_factory=dict)
+    energy_breakdown: Dict[str, float]
+
+
+class JobResult(_JobResultFields):
+    """Completion record of one job.
+
+    Either dict left out defaults to a fresh empty dict, never one
+    shared between results.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        job: Job,
+        started_at: float,
+        finished_at: float,
+        ue_energy_j: float,
+        cloud_cost_usd: float,
+        component_finish_times: Optional[Dict[str, float]] = None,
+        energy_breakdown: Optional[Dict[str, float]] = None,
+    ) -> "JobResult":
+        return tuple.__new__(cls, (
+            job, started_at, finished_at, ue_energy_j, cloud_cost_usd,
+            {} if component_finish_times is None else component_finish_times,
+            {} if energy_breakdown is None else energy_breakdown,
+        ))
 
     def breakdown_total(self) -> float:
         """Sum of the breakdown entries (equals ``ue_energy_j`` when set)."""

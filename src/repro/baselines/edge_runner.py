@@ -96,11 +96,17 @@ class EdgeJobRunner:
 
     def submit(self, job: Job) -> Event:
         """Execute one job immediately; process yields a JobResult."""
+        return self.env.sim.spawn(self.start(job), name=f"edgejob{job.job_id}")
+
+    def start(self, job: Job) -> Generator[Event, Any, JobResult]:
+        """Check one job and return its body for the caller to run.
+
+        The caller delegates into the body (``yield from``); a job for
+        another application raises here, at the call.
+        """
         if job.app.name != self.app.name:
             raise ValueError("job belongs to a different application")
-        return self.env.sim.spawn(
-            self._job_proc(job), name=f"edgejob{job.job_id}"
-        )
+        return self._job_proc(job)
 
     def _job_proc(self, job: Job) -> Generator[Event, Any, JobResult]:
         sim = self.env.sim
@@ -192,7 +198,7 @@ class EdgeJobRunner:
 
     def run_workload(self, jobs: List[Job]) -> ControllerReport:
         """Release each job at its ``released_at`` and run to completion."""
-        return run_jobs(self.env.sim, self.submit, jobs)
+        return run_jobs(self.env.sim, self.start, jobs)
 
 
 __all__ = ["EdgeEnvironment", "EdgeJobRunner"]

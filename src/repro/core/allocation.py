@@ -26,8 +26,8 @@ and coarse-grid strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps.graph import AppGraph
 from repro.core.demand import DemandModel
@@ -55,8 +55,7 @@ class AllocationDecision:
             raise ValueError("memory must be > 0")
 
 
-@dataclass(frozen=True)
-class AllocationCurvePoint:
+class AllocationCurvePoint(NamedTuple):
     """One (memory, duration, cost) sample of a function's trade-off curve."""
 
     memory_mb: float

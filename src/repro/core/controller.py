@@ -319,24 +319,33 @@ PlanMemo = Dict[
 
 def release_jobs(
     sim: Simulator,
-    submit: Callable[[Job], Event],
+    start: Callable[[Job], Generator[Event, Any, JobResult]],
     jobs: Iterable[Job],
     report: ControllerReport,
 ) -> List[Event]:
     """Spawn one driver per job and return the drivers, without running.
 
-    Each driver waits until its job's ``released_at``, submits it and
-    appends the outcome to ``report`` (a result, or a :class:`JobFailure`
-    when the job's process fails).  Results land in completion order;
-    callers sort them once the simulation has finished.
+    Each driver waits until its job's ``released_at``, calls
+    ``start(job)`` and runs the returned job body inside itself, then
+    appends the outcome to ``report`` (a result, or a
+    :class:`JobFailure` when the body raises).  An exception ``start``
+    itself raises (a job handed to the wrong controller) is not an
+    outcome: it fails the driver and so the run.  Results land in
+    completion order; callers sort them once the simulation has
+    finished.
+
+    The job runs in its driver rather than in a process of its own
+    because the driver only ever waited for it.  That is safe because
+    nothing interrupts a driver or a job body: the only interrupt in the
+    package targets a hedged invocation's lane.
     """
 
     def release(job: Job) -> Generator[Event, Any, None]:
         if job.released_at > sim.now:
             yield sim.timeout(job.released_at - sim.now)
-        process = submit(job)
+        body = start(job)
         try:
-            result = yield process
+            result = yield from body
         except BaseException as error:  # noqa: BLE001 - record, don't crash
             report.failures.append(
                 JobFailure(job=job, failed_at=sim.now, error=error)
@@ -348,12 +357,15 @@ def release_jobs(
 
 
 def run_jobs(
-    sim: Simulator, submit: Callable[[Job], Event], jobs: Iterable[Job]
+    sim: Simulator,
+    start: Callable[[Job], Generator[Event, Any, JobResult]],
+    jobs: Iterable[Job],
 ) -> ControllerReport:
-    """Release ``jobs`` through ``submit``, run ``sim`` until every job
-    has finished, and return the report, results sorted by finish time."""
+    """Release ``jobs`` through ``start`` (see :func:`release_jobs`), run
+    ``sim`` until every job has finished, and return the report, results
+    sorted by finish time."""
     report = ControllerReport()
-    sim.run(until=sim.all_of(release_jobs(sim, submit, jobs, report)))
+    sim.run(until=sim.all_of(release_jobs(sim, start, jobs, report)))
     report.results.sort(key=lambda r: r.finished_at)
     return report
 
@@ -452,6 +464,19 @@ class OffloadController:
         #: ``(platform deploy generation, memory floor, memory by
         #: component)`` after the last deploy pass; see :meth:`_deploy`.
         self._deployed: Optional[Tuple[int, float, Dict[str, float]]] = None
+        #: How :meth:`_job_body` lays a job out on processes: the app's
+        #: serial chains, the one entry chain the job process runs itself
+        #: (None unless exactly one component has no predecessor) and
+        #: the flows between chains, in flow order.
+        self._chains = app.serial_chains
+        entries = [
+            chain for chain in self._chains if not app.predecessors(chain[0])
+        ]
+        self._entry_chain = entries[0] if len(entries) == 1 else None
+        heads = {chain[0] for chain in self._chains}
+        self._links = [
+            (flow.src, flow.dst) for flow in app.flows if flow.dst in heads
+        ]
 
     @property
     def planned_input_mb(self) -> float:
@@ -747,7 +772,25 @@ class OffloadController:
     # -- execution ---------------------------------------------------------
 
     def submit(self, job: Job) -> Event:
-        """Schedule and execute one job; process event yields JobResult."""
+        """Run one job in a process of its own; it yields the JobResult.
+
+        For a caller that spawns the job and waits on it, such as a
+        deployment pipeline's canary; :func:`release_jobs` runs
+        :meth:`start` inside its drivers instead.
+        """
+        return self.env.sim.spawn(
+            self.start(job), name=f"job{job.job_id}.{self.app.name}"
+        )
+
+    def start(self, job: Job) -> Generator[Event, Any, JobResult]:
+        """Admit one job and return its body for the caller to run.
+
+        The caller delegates into the body (``yield from``), which
+        returns the :class:`JobResult`.  A job for another application
+        raises :class:`ValueError` here, at the call.  Admission control
+        runs here too, at the call's sim time; a job it rejects gets a
+        body whose first step raises :class:`JobRejectedError`.
+        """
         if job.app.name != self.app.name:
             raise ValueError(
                 f"job for app {job.app.name!r} submitted to controller "
@@ -758,12 +801,8 @@ class OffloadController:
         if self.admission_control and not math.isinf(job.deadline):
             estimate = self.estimate_completion(job)
             if self.env.sim.now + estimate > job.deadline:
-                rejected = self.env.sim.event()
-                rejected.fail(JobRejectedError(job, estimate))
-                return rejected
-        return self.env.sim.spawn(
-            self._job_proc(job), name=f"job{job.job_id}.{self.app.name}"
-        )
+                return _raising(JobRejectedError(job, estimate))
+        return self._job_proc(job)
 
     def _job_proc(self, job: Job) -> Generator[Event, Any, JobResult]:
         sim = self.env.sim
@@ -835,7 +874,7 @@ class OffloadController:
         if sim.now < self._hold_local_until:
             # Shift-traffic remediation: the zone (or its uplink) is
             # burning, so this job runs fully local.  Snapshotting the
-            # override here keeps component and edge processes coherent
+            # override here keeps chain and edge processes coherent
             # for the whole job, exactly like the normal partition
             # snapshot below.
             partition = Partition.local_only(self.app)
@@ -850,20 +889,16 @@ class OffloadController:
             energy_j += joules
             energy_breakdown[kind] = energy_breakdown.get(kind, 0.0) + joules
 
-        component_done: Dict[str, Event] = {
-            name: sim.event() for name in app.component_names
-        }
+        # Completion events of chain tails that have successors, and of
+        # the links between chains; a fused link needs neither.
+        component_done: Dict[str, Event] = {}
         edge_done: Dict[Tuple[str, str], Event] = {}
 
         observations: List[DemandObservation] = []
 
-        def component_proc(name: str) -> Generator[Event, Any, None]:
+        def component_body(name: str) -> Generator[Event, Any, None]:
+            """Run one component, its inputs already in place."""
             nonlocal cost_usd
-            incoming = [edge_done[(pred, name)] for pred in app.predecessors(name)]
-            if len(incoming) == 1:
-                yield incoming[0]
-            elif incoming:
-                yield sim.all_of(incoming)
             nominal = job.component_work(name)
             actual = self.env.actual_work(nominal, self._exec_rng)
             observed_gcycles: Optional[float] = None
@@ -949,11 +984,11 @@ class OffloadController:
                 )
             )
             finish_times[name] = sim.now
-            component_done[name].succeed(None)
 
-        def edge_proc(src: str, dst: str) -> Generator[Event, Any, None]:
+        def edge_body(src: str, dst: str) -> Generator[Event, Any, None]:
+            """Move the data of a finished ``src`` to ``dst``: transfer,
+            stage, or both."""
             nonlocal cost_usd
-            yield component_done[src]
             src_cloud = partition.is_cloud(src)
             dst_cloud = partition.is_cloud(dst)
             store = self.env.storage
@@ -1041,7 +1076,6 @@ class OffloadController:
                     + store.pricing.transfer_cost(nbytes, external=False)
                 )
                 store.delete(key)
-            edge_done[(src, dst)].succeed(None)
 
         def moves_data(src: str, dst: str) -> bool:
             """Whether the edge transfers or stages bytes; one that does
@@ -1051,25 +1085,57 @@ class OffloadController:
                 return True
             return src_cloud and self.env.storage is not None
 
+        def chain_body(chain: Tuple[str, ...]) -> Generator[Event, Any, None]:
+            """Wait for the head's inputs, then run the chain's components
+            and the fused links between them back to back."""
+            head = chain[0]
+            incoming = [edge_done[(pred, head)] for pred in app.predecessors(head)]
+            if len(incoming) == 1:
+                yield incoming[0]
+            elif incoming:
+                yield sim.all_of(incoming)
+            yield from component_body(head)
+            for src, dst in zip(chain, chain[1:]):
+                if moves_data(src, dst):
+                    yield from edge_body(src, dst)
+                yield from component_body(dst)
+            done = component_done.get(chain[-1])
+            if done is not None:
+                done.succeed(None)
+
+        def edge_proc(src: str, dst: str) -> Generator[Event, Any, None]:
+            yield component_done[src]
+            yield from edge_body(src, dst)
+            edge_done[(src, dst)].succeed(None)
+
         processes = []
-        for flow in app.flows:
-            edge_done[(flow.src, flow.dst)] = sim.event()
-        for flow in app.flows:
-            src, dst = flow.src, flow.dst
+        for src, dst in self._links:
+            if src not in component_done:
+                component_done[src] = sim.event()
+            edge_done[(src, dst)] = sim.event()
             if moves_data(src, dst):
                 processes.append(
                     sim.spawn(edge_proc(src, dst), name=f"edge.{src}->{dst}")
                 )
             else:
-                # Nothing to move: the edge only orders dst after src,
+                # Nothing to move: the link only orders dst after src,
                 # which a callback on src's completion does without a
                 # process, a bootstrap and a resumption of its own.
                 component_done[src].callbacks.append(
                     lambda _event, done=edge_done[(src, dst)]: done.succeed(None)
                 )
-        for name in app.component_names:
-            processes.append(sim.spawn(component_proc(name), name=f"comp.{name}"))
-        yield sim.all_of(processes)
+        for chain in self._chains:
+            if chain is not self._entry_chain:
+                processes.append(
+                    sim.spawn(chain_body(chain), name=f"comp.{chain[0]}")
+                )
+        if self._entry_chain is not None:
+            # Every other chain and edge waits, transitively, on the one
+            # entry chain, so the job process runs it itself: nothing
+            # else of this job can finish, or fail, before it has.
+            yield from chain_body(self._entry_chain)
+        if processes:
+            yield sim.all_of(processes)
 
         for observation in observations:
             self.demand.observe(observation)
@@ -1230,7 +1296,13 @@ class OffloadController:
 
     def run_workload(self, jobs: List[Job]) -> ControllerReport:
         """Release each job at its ``released_at`` and run to completion."""
-        return run_jobs(self.env.sim, self.submit, jobs)
+        return run_jobs(self.env.sim, self.start, jobs)
+
+
+def _raising(error: BaseException) -> Generator[Event, Any, JobResult]:
+    """A job body whose first step raises ``error``."""
+    raise error
+    yield  # pragma: no cover - unreachable; makes this a generator
 
 
 __all__ = [

@@ -23,22 +23,25 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.apps.jobs import Job
 
 
-@dataclass(frozen=True)
-class ScheduleDecision:
-    """When to dispatch one job."""
-
+class _ScheduleDecisionFields(NamedTuple):
     job_id: int
     dispatch_at: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.dispatch_at):
+
+class ScheduleDecision(_ScheduleDecisionFields):
+    """When to dispatch one job."""
+
+    __slots__ = ()
+
+    def __new__(cls, job_id: int, dispatch_at: float) -> "ScheduleDecision":
+        if math.isnan(dispatch_at):
             raise ValueError("dispatch time must be a number")
+        return tuple.__new__(cls, (job_id, dispatch_at))
 
 
 class Scheduler(ABC):

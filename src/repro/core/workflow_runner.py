@@ -137,11 +137,17 @@ class WorkflowOffloadRunner:
 
     def submit(self, job: Job) -> Event:
         """Execute one job; the process event yields a JobResult."""
+        return self.env.sim.spawn(self.start(job), name=f"wfjob{job.job_id}")
+
+    def start(self, job: Job) -> Generator[Event, Any, JobResult]:
+        """Check one job and return its body for the caller to run.
+
+        The caller delegates into the body (``yield from``); a job for
+        another application raises here, at the call.
+        """
         if job.app.name != self.app.name:
             raise ValueError("job belongs to a different application")
-        return self.env.sim.spawn(
-            self._job_proc(job), name=f"wfjob{job.job_id}"
-        )
+        return self._job_proc(job)
 
     def _local_phase(
         self,
@@ -283,7 +289,7 @@ class WorkflowOffloadRunner:
 
     def run_workload(self, jobs: List[Job]) -> ControllerReport:
         """Release each job at its ``released_at`` and run to completion."""
-        return run_jobs(self.env.sim, self.submit, jobs)
+        return run_jobs(self.env.sim, self.start, jobs)
 
 
 __all__ = ["WorkflowOffloadRunner", "is_phase_shaped"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, NamedTuple, Optional
 
 from repro.device.energy import EnergyModel
 from repro.metrics import MetricRegistry
@@ -73,8 +73,7 @@ class DeviceSpec:
         )
 
 
-@dataclass(frozen=True)
-class LocalExecution:
+class LocalExecution(NamedTuple):
     """Record of one on-device execution."""
 
     work_gcycles: float

@@ -269,7 +269,7 @@ class FleetController:
             drivers.extend(
                 release_jobs(
                     sim,
-                    self.controllers[index].submit,
+                    self.controllers[index].start,
                     jobs,
                     report.per_device[index],
                 )

@@ -30,8 +30,7 @@ demand feed (:mod:`repro.monitor.observed`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.monitor.window import WindowAggregate, WindowedSeries
 from repro.telemetry.tracer import (
@@ -66,8 +65,7 @@ class _FrozenClock:
         self.now = now
 
 
-@dataclass(frozen=True)
-class ObservedExecution:
+class ObservedExecution(NamedTuple):
     """One successful cloud invocation as the monitor saw it."""
 
     function: str

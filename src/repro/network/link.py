@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, NamedTuple, Optional, Sequence
 
 from repro.metrics import MetricRegistry
 from repro.sim import Resource, Simulator
@@ -12,8 +11,7 @@ from repro.telemetry.tracer import PHASE_TRANSFER
 from repro.traces.bandwidth import BandwidthTrace, ConstantBandwidth
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     """Outcome of one completed transfer.
 
     ``active_seconds`` counts only the time the medium was actually in

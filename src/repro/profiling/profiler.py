@@ -10,27 +10,38 @@ coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.apps.graph import AppGraph, Component
 from repro.sim.rng import RngStream
 
 
-@dataclass(frozen=True)
-class DemandObservation:
-    """One measured execution of one component."""
-
+class _DemandObservationFields(NamedTuple):
     component: str
     input_mb: float
     measured_gcycles: float
     at_time: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.input_mb < 0:
+
+class DemandObservation(_DemandObservationFields):
+    """One measured execution of one component."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        component: str,
+        input_mb: float,
+        measured_gcycles: float,
+        at_time: float = 0.0,
+    ) -> "DemandObservation":
+        if input_mb < 0:
             raise ValueError("input size must be >= 0")
-        if self.measured_gcycles < 0:
+        if measured_gcycles < 0:
             raise ValueError("measured work must be >= 0")
+        return tuple.__new__(
+            cls, (component, input_mb, measured_gcycles, at_time)
+        )
 
 
 class Profiler:

@@ -10,8 +10,8 @@ then flatten for serial code while the GB-second price keeps climbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Tuple
 
 #: Memory at which the platform grants exactly one full vCPU (Lambda: 1769 MB).
 FULL_VCPU_MB = 1769.0
@@ -130,31 +130,58 @@ class FunctionSpec:
         return seconds * speedup * REFERENCE_CYCLES_PER_SECOND / 1e9
 
 
-@dataclass(frozen=True)
-class InvocationRequest:
+class _InvocationRequestFields(NamedTuple):
+    function: str
+    work_gcycles: float
+    payload_bytes: float = 0.0
+    tag: Optional[str] = None
+    trace_parent: Optional[object] = None
+
+
+class InvocationRequest(_InvocationRequestFields):
     """One unit of work submitted to a function.
 
     ``trace_parent`` optionally carries the caller's telemetry span so
     the platform and retry layers parent their spans (queue wait, cold
     start, execution, backoff) under the requesting component; ``None``
     (the default, and always when tracing is disabled) records nothing.
+    Equality and hashing ignore it: two requests for the same work are
+    the same request whoever traces them.
     """
 
-    function: str
-    work_gcycles: float
-    payload_bytes: float = 0.0
-    tag: Optional[str] = None
-    trace_parent: Optional[object] = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.work_gcycles < 0:
+    def __new__(
+        cls,
+        function: str,
+        work_gcycles: float,
+        payload_bytes: float = 0.0,
+        tag: Optional[str] = None,
+        trace_parent: Optional[object] = None,
+    ) -> "InvocationRequest":
+        if work_gcycles < 0:
             raise ValueError("work must be >= 0")
-        if self.payload_bytes < 0:
+        if payload_bytes < 0:
             raise ValueError("payload must be >= 0")
+        return tuple.__new__(
+            cls, (function, work_gcycles, payload_bytes, tag, trace_parent)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:4] == other[:4]  # type: ignore[index]
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:4] != other[:4]  # type: ignore[index]
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(NamedTuple):
     """The completed record of one invocation."""
 
     request: InvocationRequest

@@ -21,7 +21,7 @@ Two degradation-aware variants serve the fault-injection layer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List, NamedTuple, Optional
 
 from repro.serverless.function import Invocation, InvocationRequest
 from repro.serverless.platform import InvocationFailedError, ServerlessPlatform
@@ -78,8 +78,7 @@ class RetryPolicy:
         return delay
 
 
-@dataclass(frozen=True)
-class RetriedInvocation:
+class RetriedInvocation(NamedTuple):
     """Final outcome of a retried invocation."""
 
     invocation: Invocation
@@ -186,8 +185,7 @@ def retry_body(
 # -- hedging ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HedgedInvocation:
+class HedgedInvocation(NamedTuple):
     """Final outcome of a (possibly) hedged invocation.
 
     Field semantics match :class:`RetriedInvocation` for the *winning*

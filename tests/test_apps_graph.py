@@ -158,6 +158,53 @@ class TestAppGraphQueries:
         with pytest.raises(KeyError):
             simple_app().with_component(Component("ghost"))
 
+    def test_serial_chains(self):
+        assert simple_app().serial_chains == (("a", "b", "c"),)
+        assert photo_backup_app().serial_chains == (
+            ("capture", "transcode"),
+            ("thumbnail",),
+            ("feature_extract", "dedup_hash"),
+            ("index_update", "notify"),
+        )
+        # A fork and a join end chains on both sides of them.
+        diamond = AppGraph(
+            "diamond",
+            [Component(n) for n in "abcde"],
+            [
+                DataFlow("a", "b"),
+                DataFlow("a", "c"),
+                DataFlow("b", "d"),
+                DataFlow("c", "d"),
+                DataFlow("d", "e"),
+            ],
+        )
+        assert diamond.serial_chains == (("a",), ("b",), ("c",), ("d", "e"))
+
+    @pytest.mark.parametrize("family", ["tree", "layered"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_serial_chains_partition_the_graph(self, family, seed):
+        from repro.apps.generators import layered_random_app, random_tree_app
+        from repro.sim.rng import RngStream
+
+        if family == "tree":
+            app = random_tree_app(10, RngStream(seed))
+        else:
+            app = layered_random_app(4, 3, RngStream(seed))
+        chains = app.serial_chains
+        members = [name for chain in chains for name in chain]
+        assert sorted(members) == sorted(app.component_names)
+        heads = {chain[0] for chain in chains}
+        for chain in chains:
+            for src, dst in zip(chain, chain[1:]):
+                assert app.successors(src) == [dst]
+                assert app.predecessors(dst) == [src]
+        for flow in app.flows:
+            fused = (
+                app.successors(flow.src) == [flow.dst]
+                and app.predecessors(flow.dst) == [flow.src]
+            )
+            assert (flow.dst in heads) is not fused
+
 
 class TestCatalogApps:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
@@ -693,24 +694,28 @@ class TestExecution:
 
 
 #: Processes one photo_backup job (4g, eager) spawns, by name with digits
-#: stripped.  Only what a caller races, interrupts or joins is a process:
-#: the release driver, the job, its components and the two cross-tier
-#: edges.  Platform invocations, path transfers and their link hops, UE
-#: radio and execution bodies, the retry loop and same-tier edges run
-#: inline, so no ``faas.*`` or ``*.xfer`` process appears.
+#: stripped: one per parallel branch.  The release driver runs the job
+#: and its entry chain (capture, transcode); each other serial chain is
+#: one process named after its head (thumbnail; feature_extract and
+#: dedup_hash; index_update and notify).  Fused links, both cross-tier
+#: ones included, run inside their chain; platform invocations, path
+#: transfers and their link hops, UE radio and execution bodies and the
+#: retry loop run inline, so no ``job.*``, ``edge.*``, ``faas.*`` or
+#: ``*.xfer`` process appears.
 JOB_PROCESS_BUDGET = {
     "release": 1,
-    "job.photo_backup": 1,
-    "comp.capture": 1,
-    "comp.dedup_hash": 1,
+    "comp.thumbnail": 1,
     "comp.feature_extract": 1,
     "comp.index_update": 1,
-    "comp.notify": 1,
-    "comp.thumbnail": 1,
-    "comp.transcode": 1,
-    "edge.capture->transcode": 1,
-    "edge.index_update->notify": 1,
 }
+
+
+def _photo_jobs(controller, n):
+    return [
+        Job(controller.app, input_mb=4.0, released_at=60.0 * i,
+            deadline=60.0 * i + 3600.0)
+        for i in range(n)
+    ]
 
 
 class TestJobBudget:
@@ -730,17 +735,45 @@ class TestJobBudget:
             return process
 
         monkeypatch.setattr(Simulator, "spawn", counting_spawn)
-        jobs = [
-            Job(controller.app, input_mb=4.0, released_at=60.0 * i,
-                deadline=60.0 * i + 3600.0)
-            for i in range(20)
-        ]
-        report = controller.run_workload(jobs)
+        report = controller.run_workload(_photo_jobs(controller, 20))
         assert report.jobs_completed == 20
         assert dict(spawned) == {
             name: 20 * count for name, count in JOB_PROCESS_BUDGET.items()
         }
-        assert controller.env.sim.events_processed == 1205
+        assert controller.env.sim.events_processed == 785
+
+    def test_no_dataclass_record_per_job(self):
+        """A job builds no dataclass instance: every per-operation record
+        is a named tuple.  Counted as calls to dataclass-generated
+        ``__init__`` methods (their code is compiled from a string), the
+        count over 40 jobs equals the count over 20."""
+
+        def generated_inits(n):
+            controller = make_controller(scheduler=EagerScheduler())
+            controller.profile_offline()
+            controller.plan(input_mb=4.0)
+            jobs = _photo_jobs(controller, n)
+            calls = 0
+
+            def profile(frame, event, _arg):
+                nonlocal calls
+                code = frame.f_code
+                if (
+                    event == "call"
+                    and code.co_name == "__init__"
+                    and code.co_filename == "<string>"
+                ):
+                    calls += 1
+
+            sys.setprofile(profile)
+            try:
+                report = controller.run_workload(jobs)
+            finally:
+                sys.setprofile(None)
+            assert report.jobs_completed == n
+            return calls
+
+        assert generated_inits(20) == generated_inits(40)
 
     def test_negative_path_transfer_raises(self):
         env = Environment.build(seed=0, connectivity="4g")
@@ -875,6 +908,71 @@ class TestBatteryFailure:
         assert len(report.failures) == 1
         assert report.jobs_completed == 0
         assert report.deadline_miss_rate == 1.0
+
+
+class TestJobDriver:
+    """The release driver runs each job inside itself; its outcomes stay
+    what a spawned job process gave."""
+
+    def test_foreign_job_fails_the_run(self):
+        from repro.apps import ml_training_app
+
+        controller = make_controller()
+        with pytest.raises(ValueError, match="ml_training"):
+            controller.run_workload([Job(ml_training_app(), released_at=5.0)])
+        assert controller.env.sim.now == 5.0
+
+    def test_rejection_recorded_at_release(self):
+        from repro.core.controller import JobRejectedError
+
+        controller = OffloadController(
+            Environment.build(seed=4), photo_backup_app(),
+            admission_control=True,
+        )
+        controller.profile_offline()
+        controller.plan(input_mb=4.0)
+        rejected = Job(controller.app, input_mb=4.0, released_at=30.0,
+                       deadline=30.5)
+        admitted = Job(controller.app, input_mb=4.0, released_at=45.0,
+                       deadline=3600.0)
+        report = controller.run_workload([rejected, admitted])
+        (failure,) = report.failures
+        assert failure.job is rejected
+        assert isinstance(failure.error, JobRejectedError)
+        assert failure.failed_at == 30.0
+        assert [r.job for r in report.results] == [admitted]
+        assert report.results[0].finished_at == 66.11737004426335
+
+    def test_exhausted_retries_inside_a_fused_chain(self):
+        """document_ocr is one serial chain, run by the driver itself; a
+        cloud component in its middle that runs out of attempts fails
+        the job at the same instant as when each component was a
+        process of its own."""
+        from repro.apps import document_ocr_app
+        from repro.serverless import PlatformConfig, RetriesExhaustedError
+        from repro.serverless import RetryPolicy
+
+        env = Environment.build(
+            seed=1, platform_config=PlatformConfig(failure_probability=0.9)
+        )
+        controller = OffloadController(
+            env,
+            document_ocr_app(),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.1),
+        )
+        controller.profile_offline()
+        controller.plan(input_mb=3.0)
+        assert "preprocess" in controller.partition.cloud
+        report = controller.run_workload(
+            [Job(controller.app, input_mb=3.0, deadline=3600.0)]
+        )
+        (failure,) = report.failures
+        assert isinstance(failure.error, RetriesExhaustedError)
+        assert str(failure.error) == (
+            "document_ocr.preprocess: 2 attempts failed ($1.51e-04 billed)"
+        )
+        assert failure.failed_at == 8.254991077891702
+        assert env.ue._cpu.in_use == 0
 
 
 class TestAdmissionControl:

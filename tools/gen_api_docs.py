@@ -16,6 +16,7 @@ memory address.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 import sys
@@ -109,6 +110,8 @@ def describe_class(cls) -> list[str]:
         elif isinstance(member, property):
             doc = first_line(member.fget) if member.fget else "(undocumented)"
             methods.append(f"- `{name}` *(property)* — {doc}")
+        elif isinstance(member, functools.cached_property):
+            methods.append(f"- `{name}` *(property)* — {first_line(member.func)}")
     if methods:
         lines.extend(sorted(methods))
         lines.append("")
