@@ -454,20 +454,20 @@ def _simulate_group(
         base = topology.ue_base(zone.name)
         fleets.append((zone, fleet, _zone_jobs(spec, zone, app, base, total_ues)))
 
-    remediation = None
+    plane = None
     if spec.remediate:
         # One live engine + remediation loop per coupling group: the
         # group is the atomic sim unit, so its action log depends only
         # on the group itself — never on the shard layout around it.
         from repro.remediate import attach_remediation
 
-        remediation = attach_remediation(
+        plane = attach_remediation(
             fleets[0][1].env,  # any zone's: they share the simulator
             [c for _zone, fleet, _jobs in fleets for c in fleet.controllers],
             zone=_group_label(names),
             eval_interval_s=FLEET_EVAL_INTERVAL_S,
             monitor=monitor,
-        ).remediation
+        )
 
     launched = []
     drivers = []
@@ -519,12 +519,12 @@ def _simulate_group(
         # merged via merge_snapshots, and never enters the merged fleet
         # document itself.
         record["monitor"] = monitor.to_dict(end_s=float(sim.now))
-    if remediation is not None:
+    if plane is not None:
         # Also a side channel: per-group action-log lines, concatenated
         # in group order at merge time.  The live engine finalizes so a
         # straddling alert's terminal CLEARED line is part of the log.
-        remediation.engine.finalize(float(sim.now))
-        record["actions"] = list(remediation.log)
+        plane.engine.finalize(float(sim.now))
+        record["actions"] = list(plane.remediation.log)
 
     if topology.links:
         window_s = spec.effective_sync_window_s
@@ -543,6 +543,9 @@ def _simulate_group(
                 default=0.0,
             )
         )
+    # The record is complete: free the group's world now, before the
+    # next group runs, instead of at some later gc pass.
+    sim.close()
     return record
 
 

@@ -224,7 +224,10 @@ class ControllerActuator:
 class RemediationEngine:
     """Maps SLO alerts (and forecasts) to controller actions, with a log.
 
-    Subscribes itself to ``engine`` at construction.  Cooldowns are per
+    Subscribes itself to ``engine`` at construction and keeps only its
+    evaluation cadence: the engine holds this listener, so a reference
+    back would tie the two (and the controllers behind the actuator)
+    into a cycle that outlives the run.  Cooldowns are per
     (policy rule, alert entity): within ``rule.cooldown_s`` of a prior
     application, that rule stays quiet for that entity even if the alert
     re-fires.  Forecast polling shares the cooldown machinery under a
@@ -241,7 +244,7 @@ class RemediationEngine:
         names = [rule.name for rule in policy]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate policy rule names: {sorted(names)}")
-        self.engine = engine
+        self.eval_interval_s = engine.eval_interval_s
         self.actuator = actuator
         self.policy = tuple(policy)
         self.forecasters = tuple(forecasters)
@@ -312,7 +315,7 @@ class RemediationEngine:
         shared instant alerts are handled before forecasts — fixed, and
         therefore deterministic.
         """
-        interval = self.engine.eval_interval_s
+        interval = self.eval_interval_s
 
         def _pump():
             while True:

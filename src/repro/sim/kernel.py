@@ -495,8 +495,12 @@ class Simulator:
                 self._now = horizon
             return None
         finally:
-            if stop is not None and until.callbacks is not None:
-                until.callbacks.remove(stop)
+            if stop is not None:
+                if until.callbacks is not None:
+                    until.callbacks.remove(stop)
+                # The target's list holds the stop; the stop must not
+                # hold the list back, or each run leaves a cycle.
+                stop.callbacks = None
             meter.fast_lane_hits += lane
             meter.batched_events += lane
             meter.heap_hits += heap_hits
@@ -504,6 +508,38 @@ class Simulator:
         if until._ok:
             return until._value
         raise until._value
+
+    def close(self) -> None:
+        """Release the pending world of a finished simulation.
+
+        Every event still pending holds its waiters, and a waiting
+        process holds the simulator through its generator frame, so a
+        simulator with pending events (a pump, a keep-alive timer, the
+        losing timeout of a race) is a reference cycle.  ``close``
+        empties both lanes, drops the callbacks of every event they
+        held and detaches the tracer, so the world is freed by
+        reference counting as soon as its last outside reference goes.
+
+        A suspended process freed here has its generator closed at this
+        point: its ``finally`` blocks run now, and anything they trigger
+        is released in the same call.  The clock, the meter and
+        ``events_processed`` stay readable; nothing is left to run.
+        Calling ``close`` again is a no-op.
+        """
+        heap, fast = self._heap, self._fast
+        while heap or fast:
+            pending = [entry[2] for entry in heap]
+            pending.extend(fast)
+            heap.clear()
+            fast.clear()
+            for event in pending:
+                callbacks = getattr(event, "callbacks", None)
+                if callbacks:
+                    callbacks.clear()
+            # Dropping the last references runs the freed generators'
+            # ``finally`` blocks, which may enqueue more: loop.
+            del pending
+        self.tracer = NULL_TRACER
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pending = len(self._fast) + len(self._heap)

@@ -26,7 +26,9 @@ class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
     Yield it to block until granted; pass it to
-    :meth:`Resource.release` when done.
+    :meth:`Resource.release` when done.  A granted request's value is
+    ``None``: keep the request from the :meth:`Resource.request` call
+    (a request that was its own value would be a reference cycle).
     """
 
     __slots__ = ("resource",)
@@ -68,6 +70,9 @@ class Resource:
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted.
 
+        The grant's value is ``None``; the request itself is the handle
+        to pass to :meth:`release`.
+
         The uncontended case (free capacity, empty queue — the common one
         in offloading runs) grants inline with no queue churn: the request
         never touches the wait deque, only the users set and the kernel's
@@ -77,7 +82,7 @@ class Resource:
         users = self._users
         if len(users) < self.capacity:
             users.add(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self._queue.append(req)
         return req
@@ -103,7 +108,7 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             nxt = self._queue.popleft()
             self._users.add(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
 
 class Container:

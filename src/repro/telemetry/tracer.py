@@ -206,22 +206,6 @@ _NULL_SPAN = _NullSpan()
 NULL_TRACER = NullTracer()
 
 
-class _InstantSlot:
-    """One preallocated record slot in the tracer's write ring."""
-
-    __slots__ = ("at", "name", "parent", "attributes")
-
-    def __init__(self) -> None:
-        self.at = 0.0
-        self.name = ""
-        self.parent: Optional[Span] = None
-        self.attributes: Optional[Dict[str, Any]] = None
-
-
-#: Slots preallocated per tracer; bounds the ring's constant footprint.
-_RING_CAPACITY = 512
-
-
 class Tracer:
     """Records spans against a simulated clock.
 
@@ -232,15 +216,7 @@ class Tracer:
         :class:`~repro.sim.kernel.Simulator` the traced world runs on.
     """
 
-    __slots__ = (
-        "clock",
-        "_spans",
-        "_next_id",
-        "metrics",
-        "_listeners",
-        "_ring",
-        "_ring_len",
-    )
+    __slots__ = ("clock", "_spans", "_next_id", "metrics", "_listeners")
 
     enabled = True
 
@@ -250,17 +226,6 @@ class Tracer:
         self._next_id = 1
         self.metrics = LabeledMetricsRegistry()
         self._listeners: List[Any] = []
-        #: Zero-allocation write path (O3): listener-free ``instant()``
-        #: calls write into these preallocated slots and materialise the
-        #: canonical ``(time, name, attributes)`` records in bulk at the
-        #: next flush point — any operation that allocates a span id or
-        #: reads the trace.  The flush discipline keeps span-id order
-        #: (and therefore golden traces) byte-identical to the direct
-        #: path.
-        self._ring: List[_InstantSlot] = [
-            _InstantSlot() for _ in range(_RING_CAPACITY)
-        ]
-        self._ring_len = 0
 
     # -- listeners ---------------------------------------------------------
 
@@ -276,45 +241,13 @@ class Tracer:
         mutate the span or schedule simulator events from the callback,
         or determinism (and golden fixtures) break.
         """
-        self.flush()
         self._listeners.append(listener)
 
-    # -- ring ---------------------------------------------------------------
-
     def flush(self) -> None:
-        """Materialise ring-buffered instants into canonical records.
+        """No-op: every record is written when it happens.
 
-        Called automatically by every operation that allocates a span id
-        or reads the trace, so callers only need it when handing the raw
-        ``_spans`` list to out-of-band consumers.  Idempotent and cheap
-        when the ring is empty (one int compare).
+        Kept for callers written against the former buffered write path.
         """
-        count = self._ring_len
-        if not count:
-            return
-        self._ring_len = 0
-        ring = self._ring
-        spans = self._spans
-        for index in range(count):
-            slot = ring[index]
-            attributes = slot.attributes
-            record = (slot.at, slot.name, {} if attributes is None else attributes)
-            target = slot.parent
-            # Drop references so flushed slots never pin spans or dicts.
-            slot.parent = None
-            slot.attributes = None
-            if target is not None:
-                target.events.append(record)
-            else:
-                # Parentless instants live on a synthetic zero-length
-                # span (same shape as the direct path); ids are handed
-                # out here, which the flush discipline keeps in creation
-                # order.
-                span = Span(self._next_id, slot.name, "", slot.at)
-                self._next_id += 1
-                span.end = slot.at
-                span.events.append(record)
-                spans.append(span)
 
     # -- recording ---------------------------------------------------------
 
@@ -326,8 +259,6 @@ class Tracer:
         **attributes: Any,
     ) -> Span:
         """Open a span at the current simulated time."""
-        if self._ring_len:
-            self.flush()
         span = Span(
             span_id=self._next_id,
             name=name,
@@ -349,10 +280,6 @@ class Tracer:
         """
         if span.closed or span.span_id == 0:
             return
-        if self._ring_len:
-            # Buffered instants on this span must land before listeners
-            # (or later readers) see it closed.
-            self.flush()
         span.end = self.clock.now
         if attributes:
             span.attributes.update(attributes)
@@ -374,8 +301,6 @@ class Tracer:
         """
         if root.span_id == 0:
             return
-        if self._ring_len:
-            self.flush()
         parents = {span.span_id: span.parent_id for span in self._spans}
 
         def under_root(span: Span) -> bool:
@@ -405,8 +330,6 @@ class Tracer:
         """Record a span with explicit times (fault windows, backfills)."""
         if end < start:
             raise ValueError(f"span end {end} precedes start {start}")
-        if self._ring_len:
-            self.flush()
         span = Span(
             span_id=self._next_id,
             name=name,
@@ -431,29 +354,8 @@ class Tracer:
     def instant(
         self, name: str, parent: Optional[Span] = None, **attributes: Any
     ) -> None:
-        """Record an instant event, attached to ``parent`` when given.
-
-        With no listeners subscribed, the write lands in a preallocated
-        ring slot — no tuples, dicts or spans are built per call — and
-        materialises at the next flush point.  Listeners force the
-        direct path because they observe instants synchronously.
-        """
+        """Record an instant event, attached to ``parent`` when given."""
         target = parent if parent is not None and parent.span_id != 0 else None
-        if not self._listeners:
-            index = self._ring_len
-            if index == _RING_CAPACITY:
-                self.flush()
-                index = 0
-            slot = self._ring[index]
-            slot.at = self.clock.now
-            slot.name = name
-            slot.parent = target
-            # The kwargs dict is fresh per call (callers cannot alias
-            # it), so it is stored as-is; None marks the empty case so
-            # attribute-free instants write zero objects.
-            slot.attributes = attributes if attributes else None
-            self._ring_len = index + 1
-            return
         record = (self.clock.now, name, dict(attributes))
         if target is not None:
             target.events.append(record)
@@ -471,25 +373,17 @@ class Tracer:
     @property
     def spans(self) -> List[Span]:
         """All recorded spans, in creation order."""
-        if self._ring_len:
-            self.flush()
         return list(self._spans)
 
     def open_spans(self) -> List[Span]:
         """Spans not yet ended (useful for leak assertions in tests)."""
-        if self._ring_len:
-            self.flush()
         return [s for s in self._spans if not s.closed]
 
     def spans_by_category(self, category: str) -> List[Span]:
         """Recorded spans of one category, in creation order."""
-        if self._ring_len:
-            self.flush()
         return [s for s in self._spans if s.category == category]
 
     def __len__(self) -> int:
-        if self._ring_len:
-            self.flush()
         return len(self._spans)
 
 

@@ -20,6 +20,14 @@ def _helper():
     pass
 
 
+def _wrapped():
+    """A summary sentence that is long enough to wrap onto a second
+    physical line before it ends.
+
+    A body paragraph that the reference leaves out.
+    """
+
+
 class TestRenderConstant:
     def test_functions_render_by_name_inside_containers(self, tool):
         name = f"<function {__name__}._helper>"
@@ -49,6 +57,17 @@ class TestRenderConstant:
 
     def test_render_is_stable_across_calls(self, tool):
         assert tool.render() == tool.render()
+
+
+class TestSummary:
+    def test_a_wrapped_summary_is_joined_onto_one_line(self, tool):
+        assert tool.summary(_wrapped) == (
+            "A summary sentence that is long enough to wrap onto a second "
+            "physical line before it ends."
+        )
+
+    def test_a_missing_docstring_reads_undocumented(self, tool):
+        assert tool.summary(_helper) == "(undocumented)"
 
 
 class TestCheckMode:

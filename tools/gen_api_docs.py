@@ -56,10 +56,11 @@ MODULES = [
 ]
 
 
-def first_line(obj) -> str:
+def summary(obj) -> str:
+    """The docstring's first paragraph, joined onto one line."""
     doc = inspect.getdoc(obj) or ""
-    line = doc.split("\n", 1)[0].strip()
-    return line or "(undocumented)"
+    paragraph = doc.strip().split("\n\n", 1)[0]
+    return " ".join(paragraph.split()) or "(undocumented)"
 
 
 def signature_of(obj) -> str:
@@ -97,7 +98,7 @@ def render_constant(obj) -> str:
 
 
 def describe_class(cls) -> list[str]:
-    lines = [f"### `{cls.__name__}`", "", first_line(cls), ""]
+    lines = [f"### `{cls.__name__}`", "", summary(cls), ""]
     methods = []
     for name, member in inspect.getmembers(cls):
         if name.startswith("_"):
@@ -105,13 +106,13 @@ def describe_class(cls) -> list[str]:
         if inspect.isfunction(member) or inspect.ismethod(member):
             if member.__qualname__.startswith(cls.__name__):
                 methods.append(
-                    f"- `{name}{signature_of(member)}` — {first_line(member)}"
+                    f"- `{name}{signature_of(member)}` — {summary(member)}"
                 )
         elif isinstance(member, property):
-            doc = first_line(member.fget) if member.fget else "(undocumented)"
+            doc = summary(member.fget) if member.fget else "(undocumented)"
             methods.append(f"- `{name}` *(property)* — {doc}")
         elif isinstance(member, functools.cached_property):
-            methods.append(f"- `{name}` *(property)* — {first_line(member.func)}")
+            methods.append(f"- `{name}` *(property)* — {summary(member.func)}")
     if methods:
         lines.extend(sorted(methods))
         lines.append("")
@@ -120,7 +121,7 @@ def describe_class(cls) -> list[str]:
 
 def describe_module(module_name: str) -> list[str]:
     module = importlib.import_module(module_name)
-    lines = [f"## `{module_name}`", "", first_line(module), ""]
+    lines = [f"## `{module_name}`", "", summary(module), ""]
     exported = getattr(module, "__all__", None)
     if not exported:
         return lines
@@ -132,7 +133,7 @@ def describe_module(module_name: str) -> list[str]:
             lines.extend(describe_class(obj))
         elif inspect.isfunction(obj):
             lines.append(
-                f"### `{name}{signature_of(obj)}`\n\n{first_line(obj)}\n"
+                f"### `{name}{signature_of(obj)}`\n\n{summary(obj)}\n"
             )
         else:
             lines.append(
