@@ -19,7 +19,7 @@ model and the plan is recomputed every ``replan_every`` jobs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import (
     Any,
@@ -57,6 +57,7 @@ from repro.serverless.retry import (
     RetriesExhaustedError,
     RetryPolicy,
     guard_event,
+    guarded,
     invoke_hedged,
     retry_body,
 )
@@ -554,6 +555,16 @@ class OffloadController:
 
     def build_context(self, input_mb: float) -> PartitionContext:
         """A planning context at the current network conditions."""
+        return self._context(
+            input_mb,
+            self._usable_rate(self.env.uplink, "uplink"),
+            self._usable_rate(self.env.downlink, "downlink"),
+        )
+
+    def _context(
+        self, input_mb: float, uplink_bps: float, downlink_bps: float
+    ) -> PartitionContext:
+        """The planning context at these two planning link rates."""
         work = {
             name: self.demand.predict(name, input_mb)
             for name in self.app.component_names
@@ -569,9 +580,9 @@ class OffloadController:
             energy=self.env.ue.spec.energy,
             billing=self.env.platform.config.billing,
             memory_plan=memory_plan,
-            uplink_bps=self._usable_rate(self.env.uplink, "uplink"),
+            uplink_bps=uplink_bps,
             uplink_latency_s=self.env.uplink.total_latency_s,
-            downlink_bps=self._usable_rate(self.env.downlink, "downlink"),
+            downlink_bps=downlink_bps,
             downlink_latency_s=self.env.downlink.total_latency_s,
             egress_price_per_gb=(
                 self.env.storage.pricing.egress_price_per_gb
@@ -581,7 +592,11 @@ class OffloadController:
             weights=self.weights,
         )
 
-    def plan(self, input_mb: float = 1.0) -> Partition:
+    def plan(
+        self,
+        input_mb: float = 1.0,
+        groups: Optional[PlanMemo] = None,
+    ) -> Partition:
         """Partition, allocate, and deploy for the expected input size.
 
         Safe to call repeatedly: only functions whose memory changed are
@@ -597,12 +612,16 @@ class OffloadController:
         ``allocate_app`` is pure and reads the demand model only through
         ``predict`` at ``input_mb``, whose values are ``context.work``.
 
-        A hit still opens the ``plan`` span, books the meter and builds
-        the context, but each demand prediction is reused until its
-        estimator's next observation, and the deploy pass returns at
-        once unless a deployment, the memory floor or a planned size
-        changed since it last ran (see :meth:`_deploy`).  What is left is
-        the two link rates, the context key and a few dict lookups.
+        ``groups`` is the solved plans of one zone-wide planning pass
+        (see :func:`plan_zone`), by :meth:`_group_key`: a controller
+        whose planning inputs equal an earlier one's takes that plan
+        without building a context or probing the memo.  Without it,
+        this controller is a group of its own.
+
+        A hit still opens the ``plan`` span, books the meter and reads
+        the two link rates, and the deploy pass returns at once unless a
+        deployment, the memory floor or a planned size changed since it
+        last ran (see :meth:`_deploy`).
         """
         self._planned_input_mb = input_mb
         tracer = self.env.sim.tracer
@@ -611,19 +630,27 @@ class OffloadController:
         plan_span = tracer.start_span(
             "plan", category=PHASE_PLAN, app=self.app.name, input_mb=input_mb
         )
-        context = self.build_context(input_mb)
-        memo_key = None
-        solved = None
-        if self.partitioner.pure:
-            memo_key = (
-                self.partitioner, self.allocator, self.demand,
-                self.latency_slo_s, context.key(),
-            )
-            solved = self._plan_memo.get(memo_key)
+        uplink_bps = self._usable_rate(self.env.uplink, "uplink")
+        downlink_bps = self._usable_rate(self.env.downlink, "downlink")
+        group_key = solved = None
+        if groups is not None and self.partitioner.pure:
+            group_key = self._group_key(input_mb, uplink_bps, downlink_bps)
+            solved = groups.get(group_key)
         if solved is None:
-            solved = self._solve(context, input_mb)
-            if memo_key is not None:
-                self._plan_memo[memo_key] = solved
+            context = self._context(input_mb, uplink_bps, downlink_bps)
+            memo_key = None
+            if self.partitioner.pure:
+                memo_key = (
+                    self.partitioner, self.allocator, self.demand,
+                    self.latency_slo_s, context.key(),
+                )
+                solved = self._plan_memo.get(memo_key)
+            if solved is None:
+                solved = self._solve(context, input_mb)
+                if memo_key is not None:
+                    self._plan_memo[memo_key] = solved
+            if group_key is not None:
+                groups[group_key] = solved
         partition, allocation = solved
         self.partition = partition
         self.allocation = dict(allocation)
@@ -636,6 +663,35 @@ class OffloadController:
         meter.plans_computed += 1
         meter.plan_wall_s += perf_counter() - plan_started
         return partition
+
+    def _group_key(
+        self, input_mb: float, uplink_bps: float, downlink_bps: float
+    ) -> Tuple[Hashable, ...]:
+        """What this controller's plan depends on, for :func:`plan_zone`.
+
+        Every input :meth:`_context` reads, the two rates included, and
+        every other part of the memo key, plus the memo itself: two
+        controllers with equal keys build equal contexts and probe the
+        same memo under the same key.  The demand predictions are
+        covered by the model (by identity), the app and the input size,
+        because nothing observes demand during a planning pass.
+        """
+        env = self.env
+        spec = env.ue.spec
+        storage = env.storage
+        return (
+            self.partitioner, self.allocator, self.demand,
+            id(self._plan_memo), self.app, self.latency_slo_s, input_mb,
+            spec.cycles_per_second, spec.energy,
+            env.platform.config.billing, self.weights,
+            tuple(
+                (name, decision.memory_mb)
+                for name, decision in self.allocation.items()
+            ),
+            uplink_bps, env.uplink.total_latency_s,
+            downlink_bps, env.downlink.total_latency_s,
+            storage.pricing.egress_price_per_gb if storage is not None else 0.0,
+        )
 
     def _solve(
         self, context: PartitionContext, input_mb: float
@@ -661,12 +717,11 @@ class OffloadController:
         allocation = self.allocator.allocate_app(
             self.app, partition, self.demand, input_mb, self.latency_slo_s
         )
-        self.allocation = allocation
         memory_plan = {
             name: decision.memory_mb for name, decision in allocation.items()
         }
         if memory_plan != context.memory_plan:
-            context = self.build_context(input_mb)
+            context = replace(context, memory_plan=memory_plan)
             refined = self.partitioner.partition(context)
             refined.validate(self.app)
             if refined != partition:
@@ -727,14 +782,12 @@ class OffloadController:
         cloud component — conservative, which is what deadline math wants.
         ``frequency_fraction`` scales the UE speed (DVFS planning).
         """
-        from dataclasses import replace as _replace
-
         if self.partition is None:
             self.plan(job.input_mb)
         assert self.partition is not None
         context = self.build_context(job.input_mb)
         if frequency_fraction != 1.0:
-            context = _replace(
+            context = replace(
                 context,
                 ue_cycles_per_second=(
                     context.ue_cycles_per_second * frequency_fraction
@@ -1177,21 +1230,41 @@ class OffloadController:
         cloud fails terminally, the component runs on the UE instead — an
         abandoned cloud lane keeps billing the platform ledger, exactly
         like a real request nobody is waiting for anymore.
+
+        Unhedged, the episode is one process running the retry loop
+        itself (:func:`~repro.serverless.retry.guarded`); nothing
+        interrupts it, and past the budget it runs on as the abandoned
+        lane.  Hedged, it is the hedged invocation's process and its
+        lanes, behind a guard, and the budget interrupts it.
         """
         sim = self.env.sim
         degradation = self.degradation
         assert degradation is not None
         metrics = self.env.metrics
+        platform = self.env.platform
         entered = sim.now
-        episode = invoke_hedged(
-            self.env.platform,
-            request,
-            policy=self.retry_policy,
-            rng=self._exec_rng,
-            hedge_after_s=degradation.hedge_after_s,
-            outage_aware=degradation.outage_aware_backoff,
-        )
-        guard = guard_event(self.env.platform, episode)
+        hedged = None
+        if degradation.hedge_after_s is None:
+            guard = sim.spawn(
+                guarded(retry_body(
+                    platform,
+                    request,
+                    self.retry_policy,
+                    self._exec_rng,
+                    degradation.outage_aware_backoff,
+                )),
+                name=f"{platform.name}.retry.{request.function}",
+            )
+        else:
+            hedged = invoke_hedged(
+                platform,
+                request,
+                policy=self.retry_policy,
+                rng=self._exec_rng,
+                hedge_after_s=degradation.hedge_after_s,
+                outage_aware=degradation.outage_aware_backoff,
+            )
+            guard = guard_event(platform, hedged)
         budget = degradation.fallback_budget(entered, job.deadline)
         if budget is None:
             ok, payload = yield guard
@@ -1200,7 +1273,8 @@ class OffloadController:
             if guard.triggered:
                 ok, payload = guard.value
             else:
-                episode.interrupt("fallback-to-local")
+                if hedged is not None:
+                    hedged.interrupt("fallback-to-local")
                 ok, payload = False, None
 
         # The UE idles for the whole cloud episode, retries included.
@@ -1299,6 +1373,27 @@ class OffloadController:
         return run_jobs(self.env.sim, self.start, jobs)
 
 
+def plan_zone(
+    controllers: Iterable[OffloadController], input_mb: Optional[float] = None
+) -> None:
+    """Plan every controller, solving once per distinct planning context.
+
+    Each controller plans at ``input_mb``, or at its own
+    :attr:`~OffloadController.planned_input_mb` when that is ``None``,
+    in the given order.  The controllers share one group table (see
+    :meth:`OffloadController.plan`), so those whose planning inputs are
+    equal build one context, probe the memo once and solve at most once
+    between them; each still gets its own partition, allocation, plan
+    span, deploy pass and meter entries, exactly as planning it alone.
+    """
+    groups: PlanMemo = {}
+    for controller in controllers:
+        controller.plan(
+            controller.planned_input_mb if input_mb is None else input_mb,
+            groups,
+        )
+
+
 def _raising(error: BaseException) -> Generator[Event, Any, JobResult]:
     """A job body whose first step raises ``error``."""
     raise error
@@ -1311,6 +1406,7 @@ __all__ = [
     "JobFailure",
     "JobRejectedError",
     "OffloadController",
+    "plan_zone",
     "release_jobs",
     "run_jobs",
 ]

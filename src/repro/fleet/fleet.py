@@ -22,6 +22,7 @@ from repro.core.controller import (
     Environment,
     OffloadController,
     PlanMemo,
+    plan_zone,
     release_jobs,
 )
 from repro.core.demand import DemandModel, RegressionEstimator
@@ -241,9 +242,9 @@ class FleetController:
     def plan(self, input_mb: float = 1.0) -> None:
         """Plan every device; functions are shared, so later plans reuse
         the deployments of earlier ones unless connectivity changes the
-        allocation."""
-        for controller in self.controllers:
-            controller.plan(input_mb)
+        allocation, and devices with equal planning inputs share one
+        solve (:func:`~repro.core.controller.plan_zone`)."""
+        plan_zone(self.controllers, input_mb)
 
     def launch(
         self, jobs_by_device: Dict[int, List[Job]]

@@ -394,7 +394,8 @@ def _simulate_group(
     monitor: Optional[Monitor] = None
     if spec.monitor:
         # Subscribed before any span ends, so it sees the whole run.
-        sim.tracer = Tracer(sim)
+        # The monitor is the only reader, so the tracer keeps no record.
+        sim.tracer = Tracer(sim, record=False)
         monitor = _group_monitor(spec, names, sim)
         sim.tracer.subscribe(monitor)
     chaos = fleet_chaos_schedule(spec)

@@ -24,6 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.controller import plan_zone
 from repro.monitor.fleet import (
     FLEET_RULES,
     default_fleet_rule_overrides,
@@ -181,6 +182,7 @@ class ControllerActuator:
 
     def _reallocate_memory(self) -> Optional[str]:
         applied: Optional[float] = None
+        raised = []
         for controller in self.controllers:
             current = max(
                 controller.memory_floor_mb,
@@ -193,12 +195,13 @@ class ControllerActuator:
             if not above:
                 continue
             controller.memory_floor_mb = above[0]
-            controller.plan(controller.planned_input_mb)
+            raised.append(controller)
             applied = above[0] if applied is None else applied
+        plan_zone(raised)
         return None if applied is None else f"memory_floor_mb={applied!r}"
 
     def _replan_rate(self, forecast: Forecast) -> Optional[str]:
-        changed = False
+        changed = []
         for controller in self.controllers:
             if controller.plan_rate_overrides.get(forecast.link) != (
                 forecast.forecast_bps
@@ -206,18 +209,18 @@ class ControllerActuator:
                 controller.plan_rate_overrides[forecast.link] = (
                     forecast.forecast_bps
                 )
-                controller.plan(controller.planned_input_mb)
-                changed = True
+                changed.append(controller)
+        plan_zone(changed)
         return forecast.detail() if changed else None
 
     def clear_rate_override(self, link: str) -> Optional[str]:
         """Drop a pinned planning rate once the link's alert clears."""
-        changed = False
+        changed = []
         for controller in self.controllers:
             if link in controller.plan_rate_overrides:
                 del controller.plan_rate_overrides[link]
-                controller.plan(controller.planned_input_mb)
-                changed = True
+                changed.append(controller)
+        plan_zone(changed)
         return f"link={link}" if changed else None
 
 

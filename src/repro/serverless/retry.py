@@ -155,7 +155,10 @@ def retry_body(
             invocation: Invocation = yield from platform.invoke(request)
         except InvocationFailedError as error:
             wasted += error.billed_usd
-            last_error = error
+            # Kept only as the final error's cause, without the traceback
+            # that holds this frame (which holds it): no cycle outlives
+            # the run.
+            last_error = error.with_traceback(None)
             cause = type(error).__name__
             tracer.instant(
                 "attempt_failed",
@@ -208,20 +211,37 @@ class HedgedInvocation(NamedTuple):
         return self.invocation.cost + self.wasted_usd
 
 
+def guarded(
+    body: Generator[Event, object, object],
+) -> Generator[Event, object, tuple]:
+    """Run ``body`` inline and return its outcome as a value that never
+    fails: ``(True, value)`` on success, ``(False, error)`` on failure.
+
+    The error keeps no traceback: its frames hold the processes that
+    raised and relayed it, and those hold the error as their value, so
+    every failure would leave a cycle behind its run.  The degraded
+    cloud episode spawns ``guarded(retry_body(...))`` when nothing
+    hedges; nothing interrupts that process, so the attempts may run
+    inline.
+    """
+    try:
+        value = yield from body
+    except BaseException as error:  # noqa: BLE001 - relayed, not hidden
+        return (False, error.with_traceback(None))
+    return (True, value)
+
+
 def guard_event(platform: ServerlessPlatform, event: Event) -> Event:
-    """Wrap ``event`` in a process that never fails: it returns
-    ``(True, value)`` on success and ``(False, error)`` on failure, so
-    races over it can distinguish outcomes without AnyOf's all-must-fail
-    semantics getting in the way."""
+    """Wrap ``event`` in a process that never fails (see :func:`guarded`),
+    so races over it can distinguish outcomes without AnyOf's
+    all-must-fail semantics getting in the way."""
 
-    def proc() -> Generator[Event, object, tuple]:
-        try:
-            value = yield event
-        except BaseException as error:  # noqa: BLE001 - relayed, not hidden
-            return (False, error)
-        return (True, value)
+    def wait() -> Generator[Event, object, object]:
+        return (yield event)
 
-    return platform.sim.spawn(proc(), name=f"{platform.name}.hedge.guard")
+    return platform.sim.spawn(
+        guarded(wait()), name=f"{platform.name}.hedge.guard"
+    )
 
 
 def invoke_hedged(
@@ -342,6 +362,7 @@ __all__ = [
     "RetriesExhaustedError",
     "RetryPolicy",
     "guard_event",
+    "guarded",
     "invoke_hedged",
     "invoke_with_retries",
     "retry_body",

@@ -7,7 +7,9 @@ against a clock (anything with a ``now`` attribute, normally the
 :class:`~repro.sim.kernel.Simulator`) and owns a
 :class:`~repro.telemetry.registry.LabeledMetricsRegistry` that every
 ended span feeds, so phase timings are queryable as labeled summaries
-without re-walking the span list.
+without re-walking the span list.  A tracer built with ``record=False``
+keeps neither: it tracks only the open spans and hands every span and
+instant to its listeners, for a world whose only reader is a monitor.
 
 Determinism is a hard contract: span ids are sequential, attributes keep
 insertion order, and nothing here reads a wall clock or draws
@@ -74,6 +76,7 @@ class Span:
     __slots__ = (
         "span_id",
         "parent_id",
+        "ancestors",
         "name",
         "category",
         "start",
@@ -89,9 +92,14 @@ class Span:
         category: str,
         start: float,
         parent_id: Optional[int] = None,
+        ancestors: Tuple[int, ...] = (),
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
+        #: Ids of every enclosing span, outermost first, as the tracer
+        #: that opened this one knew them: an open span's ancestry
+        #: outlives its ancestors' records without holding them.
+        self.ancestors = ancestors
         self.name = name
         self.category = category
         self.start = start
@@ -125,6 +133,7 @@ class _NullSpan:
     __slots__ = ()
     span_id = 0
     parent_id = None
+    ancestors = ()
     name = ""
     category = ""
     start = 0.0
@@ -206,6 +215,31 @@ _NULL_SPAN = _NullSpan()
 NULL_TRACER = NullTracer()
 
 
+class _Dropped:
+    """The labeled registry of a tracer that records nothing, and every
+    series it hands out: each write is dropped."""
+
+    __slots__ = ()
+
+    def counter(self, name: str, **labels: Any) -> "_Dropped":
+        return self
+
+    def summary(self, name: str, **labels: Any) -> "_Dropped":
+        return self
+
+    def increment(self, amount: float = 1.0) -> None:
+        return None
+
+    def observe(self, value: float) -> None:
+        return None
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {}
+
+
+_DROPPED = _Dropped()
+
+
 class Tracer:
     """Records spans against a simulated clock.
 
@@ -214,17 +248,27 @@ class Tracer:
     clock:
         Any object with a float ``now`` attribute — normally the
         :class:`~repro.sim.kernel.Simulator` the traced world runs on.
+    record:
+        ``False`` keeps no closed span and drops every labeled-metric
+        write (``metrics`` takes and discards them): the tracer then
+        serves only its listeners, which see every span end and instant
+        exactly as with a recording tracer.  A monitored fleet group's
+        tracer is built this way, because nothing reads its record.
     """
 
-    __slots__ = ("clock", "_spans", "_next_id", "metrics", "_listeners")
+    __slots__ = (
+        "clock", "_spans", "_open", "_next_id", "metrics", "_listeners"
+    )
 
     enabled = True
 
-    def __init__(self, clock: Any) -> None:
+    def __init__(self, clock: Any, record: bool = True) -> None:
         self.clock = clock
-        self._spans: List[Span] = []
+        self._spans: Optional[List[Span]] = [] if record else None
+        #: Open spans by id, in creation order.
+        self._open: Dict[int, Span] = {}
         self._next_id = 1
-        self.metrics = LabeledMetricsRegistry()
+        self.metrics: Any = LabeledMetricsRegistry() if record else _DROPPED
         self._listeners: List[Any] = []
 
     # -- listeners ---------------------------------------------------------
@@ -243,12 +287,6 @@ class Tracer:
         """
         self._listeners.append(listener)
 
-    def flush(self) -> None:
-        """No-op: every record is written when it happens.
-
-        Kept for callers written against the former buffered write path.
-        """
-
     # -- recording ---------------------------------------------------------
 
     def start_span(
@@ -259,17 +297,23 @@ class Tracer:
         **attributes: Any,
     ) -> Span:
         """Open a span at the current simulated time."""
-        span = Span(
-            span_id=self._next_id,
-            name=name,
-            category=category,
-            start=self.clock.now,
-            parent_id=(parent.span_id if parent is not None else None),
-        )
+        if parent is None:
+            span = Span(self._next_id, name, category, self.clock.now)
+        else:
+            span = Span(
+                self._next_id,
+                name,
+                category,
+                self.clock.now,
+                parent.span_id,
+                (*parent.ancestors, parent.span_id),
+            )
         self._next_id += 1
         if attributes:
             span.attributes.update(attributes)
-        self._spans.append(span)
+        self._open[span.span_id] = span
+        if self._spans is not None:
+            self._spans.append(span)
         return span
 
     def end_span(self, span: Span, **attributes: Any) -> None:
@@ -281,6 +325,7 @@ class Tracer:
         if span.closed or span.span_id == 0:
             return
         span.end = self.clock.now
+        self._open.pop(span.span_id, None)
         if attributes:
             span.attributes.update(attributes)
         if span.category:
@@ -299,23 +344,16 @@ class Tracer:
         a queue wait) are closed here with the failure's attributes, so no
         span leaks open and exporters see a complete trace.
         """
-        if root.span_id == 0:
+        root_id = root.span_id
+        if root_id == 0:
             return
-        parents = {span.span_id: span.parent_id for span in self._spans}
-
-        def under_root(span: Span) -> bool:
-            parent_id = span.parent_id
-            while parent_id is not None:
-                if parent_id == root.span_id:
-                    return True
-                parent_id = parents.get(parent_id)
-            return False
-
-        # Deepest-first (reverse creation order) so children close before
-        # their parents.
-        for span in reversed(self._spans):
-            if not span.closed and under_root(span):
-                self.end_span(span, **attributes)
+        # Only open spans are candidates; each knows its ancestors, closed
+        # ones included.  Deepest-first (reverse creation order) so
+        # children close before their parents.
+        for span in [
+            s for s in reversed(self._open.values()) if root_id in s.ancestors
+        ]:
+            self.end_span(span, **attributes)
         self.end_span(root, **attributes)
 
     def record_span(
@@ -336,12 +374,17 @@ class Tracer:
             category=category,
             start=start,
             parent_id=(parent.span_id if parent is not None else None),
+            ancestors=(
+                (*parent.ancestors, parent.span_id)
+                if parent is not None else ()
+            ),
         )
         self._next_id += 1
         span.end = end
         if attributes:
             span.attributes.update(attributes)
-        self._spans.append(span)
+        if self._spans is not None:
+            self._spans.append(span)
         if category:
             self.metrics.summary("span_seconds", category=category).observe(
                 end - start
@@ -362,9 +405,12 @@ class Tracer:
         else:
             # Parentless instants live on a synthetic zero-length span so
             # exporters need only one representation.
-            span = self.start_span(name, category="")
+            span = Span(self._next_id, name, "", record[0])
+            self._next_id += 1
             span.end = span.start
             span.events.append(record)
+            if self._spans is not None:
+                self._spans.append(span)
         for listener in self._listeners:
             listener.on_instant(record[0], name, record[2], target)
 
@@ -372,19 +418,19 @@ class Tracer:
 
     @property
     def spans(self) -> List[Span]:
-        """All recorded spans, in creation order."""
-        return list(self._spans)
+        """All recorded spans, in creation order (none unless recording)."""
+        return list(self._spans or ())
 
     def open_spans(self) -> List[Span]:
         """Spans not yet ended (useful for leak assertions in tests)."""
-        return [s for s in self._spans if not s.closed]
+        return list(self._open.values())
 
     def spans_by_category(self, category: str) -> List[Span]:
         """Recorded spans of one category, in creation order."""
-        return [s for s in self._spans if s.category == category]
+        return [s for s in self._spans or () if s.category == category]
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._spans or ())
 
 
 def attach_tracer(env: Any, tracer: Optional[Tracer] = None) -> Tracer:

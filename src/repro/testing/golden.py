@@ -157,6 +157,9 @@ def run_golden_scenario(
         lines.append(f"metric {key}={snapshot[key]!r}")
     if tracer is not None:
         lines.extend(_telemetry_lines(tracer))
+    # The harness owns this world: free it (pending hedge-delay races
+    # included) now that its lines are rendered.
+    env.sim.close()
     return lines
 
 

@@ -92,14 +92,14 @@ def test_pure_event_loop_allocations_bounded():
 
 
 def test_traced_event_loop_transient_allocations_bounded():
-    """The zero-allocation trace write path: O(1) peak *beyond* the trace.
+    """A traced event loop's peak memory is the trace plus a constant.
 
     With a recording tracer attached, each loop iteration emits an
-    instant.  The records themselves are retained (they are the trace),
-    so what must stay O(1) is the transient overhead above the retained
-    trace: ring-buffered writes materialise in bulk, so ``peak`` must
-    track ``current`` (the final trace) plus a constant, instead of the
-    per-event tuple/dict/span churn the direct path used to pay.
+    instant into an open span.  The records themselves are retained
+    (they are the trace), so what must stay O(1) is the transient
+    overhead above the retained trace: each instant is written once,
+    where it happens, so ``peak`` must track ``current`` (the final
+    trace) plus a constant, not grow with the number of instants.
     """
     from repro.sim import Simulator
     from repro.sim.events import Event
@@ -126,7 +126,6 @@ def test_traced_event_loop_transient_allocations_bounded():
         tracemalloc.start()
         try:
             sim.run()
-            tracer.flush()
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

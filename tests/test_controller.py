@@ -431,10 +431,10 @@ class TestPlanMemo:
             solves.append(input_mb)
             return solve(self, context, input_mb)
 
-        def checked_plan(self, input_mb=1.0):
+        def checked_plan(self, input_mb=1.0, groups=None):
             expected = reference_plan(self, input_mb)
             before = len(solves)
-            partition = plan(self, input_mb)
+            partition = plan(self, input_mb, groups)
             if len(solves) == before:
                 hits.append(input_mb)
                 assert (partition, self.allocation) == expected

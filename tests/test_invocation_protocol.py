@@ -8,10 +8,12 @@ that:
 * the counted names.  A profiler that counts calls to ``invoke`` and
   ``transfer`` (as the E1 benchmark's tracer does) must still read one
   call per invocation attempt and per path transfer, on the plain
-  controller path and on the degraded path where hedge lanes spawn;
-* interrupt safety.  The fallback budget interrupts the hedged episode,
-  never a process with an invocation running inline, so an abandoned
-  invocation still completes, bills and frees its sandbox;
+  controller path and on the degraded path;
+* interrupt safety.  The fallback budget interrupts only a hedged
+  episode, never a process with an invocation running inline; an
+  unhedged episode runs its attempts inline and is never interrupted.
+  Either way an abandoned invocation still completes, bills and frees
+  its sandbox;
 * loud misuse.  Yielding the generator itself, instead of delegating
   into it or spawning it, raises rather than hangs.
 """
@@ -27,7 +29,7 @@ from repro.core.controller import Environment, OffloadController
 from repro.faults import DegradationPolicy
 from repro.fleet import run_sharded
 from repro.network.link import NetworkPath
-from repro.serverless import FunctionSpec, InvocationRequest, retry
+from repro.serverless import FunctionSpec, InvocationRequest
 from repro.serverless.platform import ServerlessPlatform
 from repro.sim import SimulationError, Simulator
 from repro.sweep.scenarios import offload_report
@@ -62,7 +64,9 @@ def counted(monkeypatch):
         NetworkPath, "transfer", counting("transfer", NetworkPath.transfer)
     )
     monkeypatch.setattr(
-        retry, "invoke_with_retries", counting("lane", retry.invoke_with_retries)
+        OffloadController,
+        "_degraded_cloud_episode",
+        counting("episode", OffloadController._degraded_cloud_episode),
     )
     monkeypatch.setattr(
         ServerlessPlatform, "__init__",
@@ -111,11 +115,11 @@ class TestCountedNames:
         assert calls["transfer"] == recorded_path_transfers(built["paths"]) == 800
 
     def test_fleet_remediated_counts_through_hedge_lanes(self, counted):
-        """Remediation switches on the degraded path, whose retry lanes
-        are processes of their own; the counts still match the ledgers."""
+        """Remediation switches on the degraded path, whose episodes are
+        processes of their own; the counts still match the ledgers."""
         calls, built = counted
         run_sharded(golden_fleet_spec("pairs", remediate=True))
-        assert calls["lane"] > 0
+        assert calls["episode"] > 0
         assert calls["invoke"] == recorded_attempts(built["platforms"]) > 0
         assert calls["transfer"] == recorded_path_transfers(built["paths"]) > 0
 

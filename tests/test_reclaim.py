@@ -122,6 +122,23 @@ class TestWorkloads:
 
         assert_no_cyclic_garbage(lambda: run_golden_fleet("pairs", True))
 
+    def test_traced_golden_pipeline_leaves_no_cycles(self):
+        from repro.testing.golden import run_golden_scenario
+
+        assert_no_cyclic_garbage(
+            lambda: run_golden_scenario(with_faults=False, traced=True)
+        )
+
+    def test_traced_faulted_golden_pipeline_leaves_no_cycles(self):
+        """Failed attempts, exhausted retries and hedge lanes: the errors
+        they relay keep no traceback that ties their processes into a
+        cycle."""
+        from repro.testing.golden import run_golden_scenario
+
+        assert_no_cyclic_garbage(
+            lambda: run_golden_scenario(with_faults=True, traced=True)
+        )
+
 
 class TestRoots:
     def test_a_granted_request_is_not_its_own_value(self):

@@ -461,6 +461,38 @@ class TestAttachRemediationEndToEnd:
         # Every alert reached a terminal state by the horizon.
         assert all(a.cleared_at is not None for a in plane.engine.alerts)
 
+    def test_episodes_hedge_only_after_the_escalation(self, monkeypatch):
+        """Hedging starts off and an alert escalates it mid-run: cloud
+        episodes started before the escalation are one process each
+        (the retry loop itself); later ones are hedged invocations with
+        their retry lanes."""
+        from repro.sim import Simulator
+
+        spawned = []
+        spawn = Simulator.spawn
+
+        def spying(sim, generator, name=None):
+            spawned.append((sim.now, generator.__name__, name or ""))
+            return spawn(sim, generator, name)
+
+        monkeypatch.setattr(Simulator, "spawn", spying)
+        plane, report = self._cell()
+        assert not report.failures
+        (escalated,) = [
+            action.at for action in plane.remediation.actions
+            if action.kind == ACTION_ESCALATE_HEDGING
+        ]
+        single = [
+            at for at, body, name in spawned
+            if body == "guarded" and ".retry." in name
+        ]
+        hedged = [at for at, body, _ in spawned if body == "_hedged_proc"]
+        lanes = [at for at, body, _ in spawned if body == "retry_body"]
+        assert single and hedged
+        assert max(single) <= escalated <= min(hedged)
+        # Only a hedged episode runs its retries in lanes of their own.
+        assert lanes and min(lanes) >= escalated
+
     def test_action_log_is_byte_deterministic(self):
         first, _ = self._cell()
         second, _ = self._cell()

@@ -94,7 +94,7 @@ class TestSpanRecording:
         assert span.start == span.end == 4.0
         assert span.events == [(4.0, "orphan", {"note": "x"})]
 
-    def test_subscribe_flushes_buffered_instants(self):
+    def test_listener_hears_only_instants_after_it_subscribes(self):
         tracer = Tracer(FakeClock(0.0))
         tracer.instant("before")
         seen = []
@@ -127,6 +127,26 @@ class TestSpanRecording:
             assert span.attributes["error"] == "Boom"
         assert not other.closed  # unrelated tree untouched
         tracer.end_subtree(NULL_TRACER.start_span("null"))  # no-op
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_end_subtree_reaches_through_a_closed_parent(self, record):
+        """An abandoned lane's span outlives the component that opened
+        it; the job's death still closes it, on either kind of tracer."""
+        clock = FakeClock()
+        tracer = Tracer(clock, record=record)
+        job = tracer.start_span("job", category=PHASE_JOB)
+        comp = tracer.start_span("comp", parent=job)
+        lane = tracer.start_span("lane", category=PHASE_EXECUTE, parent=comp)
+        other = tracer.start_span("other", parent=comp)
+        clock.now = 1.0
+        tracer.end_span(other)
+        tracer.end_span(comp)
+        clock.now = 3.0
+        tracer.end_subtree(job, error="Boom")
+        assert (lane.end, job.end) == (3.0, 3.0)
+        assert lane.attributes == {"error": "Boom"}
+        assert (comp.end, other.end) == (1.0, 1.0)
+        assert tracer.open_spans() == []
 
     def test_open_spans_and_category_queries(self):
         clock = FakeClock()
@@ -163,6 +183,97 @@ class TestNullTracer:
         null_span = NULL_TRACER.start_span("x")
         tracer.end_span(null_span)  # must not raise or record
         assert len(tracer) == 0
+
+
+class TestNonRecordingTracer:
+    """``Tracer(clock, record=False)``: listeners only, no record."""
+
+    def test_keeps_no_span_and_no_labeled_metric(self):
+        clock = FakeClock()
+        tracer = Tracer(clock, record=False)
+        heard = []
+
+        class Listener:
+            def on_span_end(self, span):
+                heard.append((span.span_id, span.name, span.end))
+
+            def on_instant(self, at, name, attributes, parent):
+                heard.append((at, name, parent))
+
+        tracer.subscribe(Listener())
+        job = tracer.start_span("job", category=PHASE_JOB)
+        assert tracer.open_spans() == [job]
+        tracer.instant("orphan")
+        tracer.instant("inside", parent=job)
+        clock.now = 2.0
+        tracer.record_span("window", PHASE_UPLOAD, 0.5, 1.5)
+        tracer.end_span(job)
+        tracer.metrics.counter("jobs_total", app="a").increment()
+        tracer.metrics.summary("job_response_s", app="a").observe(1.0)
+        # Span ids advance exactly as on a recording tracer.
+        assert heard == [
+            (0.0, "orphan", None),
+            (0.0, "inside", job),
+            (3, "window", 1.5),
+            (1, "job", 2.0),
+        ]
+        assert job.events == [(0.0, "inside", {})]
+        assert tracer.spans == [] and len(tracer) == 0
+        assert tracer.open_spans() == []
+        assert tracer.spans_by_category(PHASE_JOB) == []
+        assert tracer.metrics.snapshot() == {}
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_monitor_reads_the_same_with_dying_jobs(self, degraded):
+        """Jobs die mid-flight (every attempt of a component fails), so
+        ``end_subtree`` closes their open descendants: a monitor behind
+        either kind of tracer folds byte-identical state."""
+        import json
+
+        from repro.apps import Job, photo_backup_app
+        from repro.core.controller import Environment, OffloadController
+        from repro.faults import DegradationPolicy
+        from repro.monitor.monitor import attach_monitor
+        from repro.serverless.platform import PlatformConfig
+        from repro.serverless.retry import RetryPolicy
+
+        def monitored(record):
+            env = Environment.build(
+                seed=3,
+                connectivity="4g",
+                platform_config=PlatformConfig(failure_probability=0.5),
+            )
+            attach_tracer(env, Tracer(env.sim, record=record))
+            monitor = attach_monitor(env)
+            controller = OffloadController(
+                env,
+                photo_backup_app(),
+                retry_policy=RetryPolicy(max_attempts=2, base_delay_s=1.0),
+                degradation=(
+                    DegradationPolicy(fallback_local=False)
+                    if degraded else None
+                ),
+            )
+            controller.profile_offline()
+            controller.plan(input_mb=2.0)
+            report = controller.run_workload([
+                Job(
+                    controller.app,
+                    input_mb=2.0,
+                    released_at=20.0 * i,
+                    deadline=20.0 * i + 3600.0,
+                )
+                for i in range(30)
+            ])
+            document = json.dumps(
+                monitor.to_dict(end_s=env.sim.now), sort_keys=True
+            )
+            return document, report
+
+        recorded, report = monitored(True)
+        bare, _ = monitored(False)
+        assert report.failures and report.results
+        assert bare == recorded
 
 
 class TestAttachTracer:
