@@ -12,18 +12,14 @@ planning models; this package provides them directly:
 * :func:`energy_summary` — fleet-level per-activity energy aggregation.
 """
 
-from repro.analysis.calculators import (
-    compare_reports,
-    crossover_bandwidth,
-    edge_breakeven_rate,
-    energy_summary,
-    savings_table,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "compare_reports",
-    "crossover_bandwidth",
-    "edge_breakeven_rate",
-    "energy_summary",
-    "savings_table",
-]
+_EXPORTS = {
+    "compare_reports": "calculators",
+    "crossover_bandwidth": "calculators",
+    "edge_breakeven_rate": "calculators",
+    "energy_summary": "calculators",
+    "savings_table": "calculators",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

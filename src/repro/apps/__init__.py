@@ -12,35 +12,23 @@ paper's framing motivates (:mod:`repro.apps.catalog`), and
 partitioning ablations.
 """
 
-from repro.apps.graph import AppGraph, Component, DataFlow
-from repro.apps.jobs import Job, JobResult
-from repro.apps.catalog import (
-    document_ocr_app,
-    ml_training_app,
-    nightly_analytics_app,
-    photo_backup_app,
-    video_highlights_app,
-)
-from repro.apps.generators import (
-    fanout_fanin_app,
-    layered_random_app,
-    linear_pipeline_app,
-    random_tree_app,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AppGraph",
-    "Component",
-    "DataFlow",
-    "Job",
-    "JobResult",
-    "document_ocr_app",
-    "fanout_fanin_app",
-    "layered_random_app",
-    "linear_pipeline_app",
-    "ml_training_app",
-    "nightly_analytics_app",
-    "photo_backup_app",
-    "random_tree_app",
-    "video_highlights_app",
-]
+_EXPORTS = {
+    "AppGraph": "graph",
+    "Component": "graph",
+    "DataFlow": "graph",
+    "Job": "jobs",
+    "JobResult": "jobs",
+    "document_ocr_app": "catalog",
+    "fanout_fanin_app": "generators",
+    "layered_random_app": "generators",
+    "linear_pipeline_app": "generators",
+    "ml_training_app": "catalog",
+    "nightly_analytics_app": "catalog",
+    "photo_backup_app": "catalog",
+    "random_tree_app": "generators",
+    "video_highlights_app": "catalog",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

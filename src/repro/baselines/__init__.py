@@ -11,19 +11,15 @@
   the paper argues non-time-critical workloads do not need.
 """
 
-from repro.baselines.edge_runner import EdgeEnvironment, EdgeJobRunner
-from repro.baselines.policies import (
-    MyopicLatencyPartitioner,
-    RandomPartitioner,
-    full_offload_controller,
-    local_only_controller,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "EdgeEnvironment",
-    "EdgeJobRunner",
-    "MyopicLatencyPartitioner",
-    "RandomPartitioner",
-    "full_offload_controller",
-    "local_only_controller",
-]
+_EXPORTS = {
+    "EdgeEnvironment": "edge_runner",
+    "EdgeJobRunner": "edge_runner",
+    "MyopicLatencyPartitioner": "policies",
+    "RandomPartitioner": "policies",
+    "full_offload_controller": "policies",
+    "local_only_controller": "policies",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -14,16 +14,15 @@ process".  This package models that process on the simulation kernel:
 build→profile→partition→allocate→deploy→canary→promote pipeline.
 """
 
-from repro.cicd.artifacts import Artifact, ArtifactRegistry
-from repro.cicd.build import BuildSystem
-from repro.cicd.deploy import DeploymentTarget
-from repro.cicd.repo import Commit, SourceRepository
+from repro import _lazy_exports
 
-__all__ = [
-    "Artifact",
-    "ArtifactRegistry",
-    "BuildSystem",
-    "Commit",
-    "DeploymentTarget",
-    "SourceRepository",
-]
+_EXPORTS = {
+    "Artifact": "artifacts",
+    "ArtifactRegistry": "artifacts",
+    "BuildSystem": "build",
+    "Commit": "repo",
+    "DeploymentTarget": "deploy",
+    "SourceRepository": "repo",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

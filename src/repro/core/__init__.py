@@ -15,83 +15,44 @@ abstract:
   the above over the simulated substrates.
 """
 
-from repro.core.allocation import (
-    AllocationDecision,
-    MemoryAllocator,
-    pareto_frontier,
-)
-from repro.core.controller import ControllerReport, Environment, OffloadController
-from repro.core.demand import (
-    BayesianLinearEstimator,
-    DemandEstimator,
-    DemandModel,
-    DemandProfile,
-    EwmaEstimator,
-    MeanEstimator,
-    QuantileEstimator,
-    RegressionEstimator,
-    StaticEstimator,
-)
-from repro.core.partitioning import (
-    ExhaustivePartitioner,
-    GreedyPartitioner,
-    MinCutPartitioner,
-    ObjectiveWeights,
-    Partition,
-    PartitionContext,
-    Partitioner,
-    TreeDPPartitioner,
-    evaluate_partition,
-)
-from repro.core.pipeline import (
-    OffloadPipeline,
-    PipelineConfig,
-    PipelineRun,
-    StageResult,
-)
-from repro.core.scheduler import (
-    BatteryAwareScheduler,
-    CostWindowScheduler,
-    DeadlineBatcher,
-    EagerScheduler,
-    Scheduler,
-)
-from repro.core.workflow_runner import WorkflowOffloadRunner, is_phase_shaped
+from repro import _lazy_exports
 
-__all__ = [
-    "AllocationDecision",
-    "BatteryAwareScheduler",
-    "BayesianLinearEstimator",
-    "ControllerReport",
-    "CostWindowScheduler",
-    "DeadlineBatcher",
-    "DemandEstimator",
-    "DemandModel",
-    "DemandProfile",
-    "EagerScheduler",
-    "Environment",
-    "EwmaEstimator",
-    "ExhaustivePartitioner",
-    "GreedyPartitioner",
-    "MeanEstimator",
-    "MemoryAllocator",
-    "MinCutPartitioner",
-    "ObjectiveWeights",
-    "OffloadController",
-    "OffloadPipeline",
-    "Partition",
-    "PartitionContext",
-    "Partitioner",
-    "PipelineConfig",
-    "PipelineRun",
-    "QuantileEstimator",
-    "RegressionEstimator",
-    "Scheduler",
-    "StageResult",
-    "StaticEstimator",
-    "TreeDPPartitioner",
-    "WorkflowOffloadRunner",
-    "evaluate_partition",
-    "is_phase_shaped",
-    "pareto_frontier",
-]
+_EXPORTS = {
+    "AllocationDecision": "allocation",
+    "BatteryAwareScheduler": "scheduler",
+    "BayesianLinearEstimator": "demand",
+    "ControllerReport": "controller",
+    "CostWindowScheduler": "scheduler",
+    "DeadlineBatcher": "scheduler",
+    "DemandEstimator": "demand",
+    "DemandModel": "demand",
+    "DemandProfile": "demand",
+    "EagerScheduler": "scheduler",
+    "Environment": "controller",
+    "EwmaEstimator": "demand",
+    "ExhaustivePartitioner": "partitioning",
+    "GreedyPartitioner": "partitioning",
+    "MeanEstimator": "demand",
+    "MemoryAllocator": "allocation",
+    "MinCutPartitioner": "partitioning",
+    "ObjectiveWeights": "partitioning",
+    "OffloadController": "controller",
+    "OffloadPipeline": "pipeline",
+    "Partition": "partitioning",
+    "PartitionContext": "partitioning",
+    "Partitioner": "partitioning",
+    "PipelineConfig": "pipeline",
+    "PipelineRun": "pipeline",
+    "QuantileEstimator": "demand",
+    "RegressionEstimator": "demand",
+    "Scheduler": "scheduler",
+    "StageResult": "pipeline",
+    "StaticEstimator": "demand",
+    "TreeDPPartitioner": "partitioning",
+    "WorkflowOffloadRunner": "workflow_runner",
+    "evaluate_partition": "partitioning",
+    "is_phase_shaped": "workflow_runner",
+    "pareto_frontier": "allocation",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

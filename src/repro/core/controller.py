@@ -68,7 +68,7 @@ from repro.serverless.platform import (
     ThrottledError,
 )
 from repro.storage.objectstore import ObjectStore, StoragePricing
-from repro.sim import Event, Simulator
+from repro.sim import Event, Process, Simulator
 from repro.sim.rng import RngStream, SeedSequenceRegistry
 from repro.telemetry.tracer import (
     PHASE_COMPONENT,
@@ -348,8 +348,12 @@ def release_jobs(
         try:
             result = yield from body
         except BaseException as error:  # noqa: BLE001 - record, don't crash
+            # Without its traceback, whose frames hold this driver and
+            # the report: the retry and hedge guards relay errors so too.
             report.failures.append(
-                JobFailure(job=job, failed_at=sim.now, error=error)
+                JobFailure(
+                    job=job, failed_at=sim.now, error=error.with_traceback(None)
+                )
             )
         else:
             report.results.append(result)
@@ -474,9 +478,9 @@ class OffloadController:
             chain for chain in self._chains if not app.predecessors(chain[0])
         ]
         self._entry_chain = entries[0] if len(entries) == 1 else None
-        heads = {chain[0] for chain in self._chains}
+        self._tails = {chain[0]: chain[-1] for chain in self._chains}
         self._links = [
-            (flow.src, flow.dst) for flow in app.flows if flow.dst in heads
+            (flow.src, flow.dst) for flow in app.flows if flow.dst in self._tails
         ]
 
     @property
@@ -1147,28 +1151,71 @@ class OffloadController:
                 yield incoming[0]
             elif incoming:
                 yield sim.all_of(incoming)
-            yield from component_body(head)
-            for src, dst in zip(chain, chain[1:]):
-                if moves_data(src, dst):
-                    yield from edge_body(src, dst)
-                yield from component_body(dst)
+            try:
+                yield from component_body(head)
+                for src, dst in zip(chain, chain[1:]):
+                    if moves_data(src, dst):
+                        yield from edge_body(src, dst)
+                    yield from component_body(dst)
+            except BaseException:
+                # The error's frames hold ``units``: it must not hold
+                # this process back.
+                units.pop(head, None)
+                strand(links_after(chain[-1]))
+                raise
             done = component_done.get(chain[-1])
             if done is not None:
                 done.succeed(None)
 
         def edge_proc(src: str, dst: str) -> Generator[Event, Any, None]:
             yield component_done[src]
-            yield from edge_body(src, dst)
+            try:
+                yield from edge_body(src, dst)
+            except BaseException:
+                units.pop((src, dst))
+                strand([(src, dst)])
+                raise
             edge_done[(src, dst)].succeed(None)
 
-        processes = []
+        def strand(links: List[Tuple[str, str]]) -> None:
+            """Release what waits on ``links``, which a failed unit left
+            never to complete.
+
+            Completion events are only ever succeeded and nothing
+            interrupts a unit, so no unit downstream of a failed one
+            ever resumes.  Left waiting, those processes and the events
+            they wait on hold one another in reference cycles after the
+            run; each is abandoned and each event's callbacks dropped
+            instead.  Nothing is scheduled, so the run is the same.
+            """
+            while links:
+                src, dst = links.pop()
+                edge = units.pop((src, dst), None)
+                if edge is not None:
+                    edge._abandon()
+                edge_done[(src, dst)].callbacks.clear()
+                chain = units.pop(dst, None)
+                if chain is not None:
+                    chain._abandon()
+                    links.extend(links_after(self._tails[dst]))
+
+        def links_after(tail: str) -> List[Tuple[str, str]]:
+            """The links out of ``tail``, whose chain will never finish."""
+            done = component_done.get(tail)
+            if done is not None:
+                done.callbacks.clear()
+            return [(tail, dst) for dst in app.successors(tail)]
+
+        # The process of every chain but the entry one, by head, and of
+        # every link that moves data, by link.
+        units: Dict[Any, Process] = {}
         for src, dst in self._links:
             if src not in component_done:
                 component_done[src] = sim.event()
             edge_done[(src, dst)] = sim.event()
             if moves_data(src, dst):
-                processes.append(
-                    sim.spawn(edge_proc(src, dst), name=f"edge.{src}->{dst}")
+                units[(src, dst)] = sim.spawn(
+                    edge_proc(src, dst), name=f"edge.{src}->{dst}"
                 )
             else:
                 # Nothing to move: the link only orders dst after src,
@@ -1179,16 +1226,16 @@ class OffloadController:
                 )
         for chain in self._chains:
             if chain is not self._entry_chain:
-                processes.append(
-                    sim.spawn(chain_body(chain), name=f"comp.{chain[0]}")
+                units[chain[0]] = sim.spawn(
+                    chain_body(chain), name=f"comp.{chain[0]}"
                 )
         if self._entry_chain is not None:
             # Every other chain and edge waits, transitively, on the one
             # entry chain, so the job process runs it itself: nothing
             # else of this job can finish, or fail, before it has.
             yield from chain_body(self._entry_chain)
-        if processes:
-            yield sim.all_of(processes)
+        if units:
+            yield sim.all_of(units.values())
 
         for observation in observations:
             self.demand.observe(observation)

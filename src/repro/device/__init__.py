@@ -11,7 +11,13 @@ starts from.  It provides:
   can run devices to empty.
 """
 
-from repro.device.energy import EnergyModel
-from repro.device.ue import DeviceSpec, LocalExecution, UserEquipment
+from repro import _lazy_exports
 
-__all__ = ["DeviceSpec", "EnergyModel", "LocalExecution", "UserEquipment"]
+_EXPORTS = {
+    "DeviceSpec": "ue",
+    "EnergyModel": "energy",
+    "LocalExecution": "ue",
+    "UserEquipment": "ue",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -8,6 +8,12 @@ bill that accrues with wall-clock time whether or not it is used, in
 contrast to the serverless platform's strictly pay-per-use billing.
 """
 
-from repro.edge.node import EdgeExecution, EdgeNode, EdgeNodeSpec
+from repro import _lazy_exports
 
-__all__ = ["EdgeExecution", "EdgeNode", "EdgeNodeSpec"]
+_EXPORTS = {
+    "EdgeExecution": "node",
+    "EdgeNode": "node",
+    "EdgeNodeSpec": "node",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

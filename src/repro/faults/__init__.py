@@ -18,23 +18,18 @@ Everything is driven by named :class:`~repro.sim.rng.RngStream` draws, so
 a chaos campaign under a fixed seed is bit-reproducible end to end.
 """
 
-from repro.faults.injector import (
-    FaultedBandwidth,
-    FaultInjector,
-    PlatformFaultModel,
-    inject_faults,
-)
-from repro.faults.policy import DegradationPolicy
-from repro.faults.schedule import LINK_KINDS, FaultKind, FaultSchedule, FaultWindow
+from repro import _lazy_exports
 
-__all__ = [
-    "DegradationPolicy",
-    "FaultInjector",
-    "FaultKind",
-    "FaultSchedule",
-    "FaultWindow",
-    "FaultedBandwidth",
-    "LINK_KINDS",
-    "PlatformFaultModel",
-    "inject_faults",
-]
+_EXPORTS = {
+    "DegradationPolicy": "policy",
+    "FaultInjector": "injector",
+    "FaultKind": "schedule",
+    "FaultSchedule": "schedule",
+    "FaultWindow": "schedule",
+    "FaultedBandwidth": "injector",
+    "LINK_KINDS": "schedule",
+    "PlatformFaultModel": "injector",
+    "inject_faults": "injector",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -14,30 +14,20 @@ coupling links, and :mod:`repro.fleet.sharded` partitions it across
 worker processes with a deterministic, byte-stable merge.
 """
 
-from repro.fleet.fleet import FleetController, FleetEnvironment, FleetReport
-from repro.fleet.sharded import (
-    ShardedFleetResult,
-    ShardedFleetSpec,
-    reference_report,
-    run_sharded,
-)
-from repro.fleet.topology import (
-    FleetTopology,
-    ShardPlan,
-    Zone,
-    partition_topology,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FleetController",
-    "FleetEnvironment",
-    "FleetReport",
-    "FleetTopology",
-    "ShardPlan",
-    "ShardedFleetResult",
-    "ShardedFleetSpec",
-    "Zone",
-    "partition_topology",
-    "reference_report",
-    "run_sharded",
-]
+_EXPORTS = {
+    "FleetController": "fleet",
+    "FleetEnvironment": "fleet",
+    "FleetReport": "fleet",
+    "FleetTopology": "topology",
+    "ShardPlan": "topology",
+    "ShardedFleetResult": "sharded",
+    "ShardedFleetSpec": "sharded",
+    "Zone": "topology",
+    "partition_topology": "topology",
+    "reference_report": "sharded",
+    "run_sharded": "sharded",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -15,26 +15,19 @@ experiment.  The primitives are deliberately simple and dependency-free:
   by every benchmark to print paper-style rows.
 """
 
-from repro.metrics.collectors import (
-    Counter,
-    Gauge,
-    MetricRegistry,
-    Summary,
-    TimeWeightedAverage,
-    stable_digest,
-)
-from repro.metrics.charts import ascii_bars, ascii_line
-from repro.metrics.tables import Table, render_table
+from repro import _lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "MetricRegistry",
-    "Summary",
-    "Table",
-    "TimeWeightedAverage",
-    "ascii_bars",
-    "ascii_line",
-    "render_table",
-    "stable_digest",
-]
+_EXPORTS = {
+    "Counter": "collectors",
+    "Gauge": "collectors",
+    "MetricRegistry": "collectors",
+    "Summary": "collectors",
+    "Table": "tables",
+    "TimeWeightedAverage": "collectors",
+    "ascii_bars": "charts",
+    "ascii_line": "charts",
+    "render_table": "tables",
+    "stable_digest": "collectors",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

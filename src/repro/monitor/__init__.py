@@ -16,68 +16,39 @@ attaching the plane never perturbs the simulation, and all outputs are
 byte-deterministic across same-seed runs and sweep worker counts.
 """
 
-from repro.monitor.diff import (
-    DiffRow,
-    TraceDiff,
-    diff_files,
-    diff_profiles,
-    load_profile,
-)
-from repro.monitor.fleet import (
-    FLEET_HEALTH_SCHEMA,
-    FLEET_RULES,
-    default_fleet_slos,
-    fleet_health_to_prometheus,
-    merge_snapshots,
-    replay_fleet_slos,
-)
-from repro.monitor.monitor import Monitor, ObservedExecution, attach_monitor
-from repro.monitor.observed import ObservedDemandFeed, observations_from_history
-from repro.monitor.sketch import QuantileSketch
-from repro.monitor.slo import (
-    DEFAULT_RULES,
-    SLO,
-    Alert,
-    AvailabilitySLO,
-    BurnRateRule,
-    ColdStartSLO,
-    CostSLO,
-    LatencySLO,
-    MonitoringPlane,
-    SLOEngine,
-    attach_monitoring,
-)
-from repro.monitor.window import WindowAggregate, WindowedSeries
+from repro import _lazy_exports
 
-__all__ = [
-    "Alert",
-    "AvailabilitySLO",
-    "BurnRateRule",
-    "ColdStartSLO",
-    "CostSLO",
-    "DEFAULT_RULES",
-    "DiffRow",
-    "FLEET_HEALTH_SCHEMA",
-    "FLEET_RULES",
-    "LatencySLO",
-    "Monitor",
-    "MonitoringPlane",
-    "ObservedDemandFeed",
-    "ObservedExecution",
-    "QuantileSketch",
-    "SLO",
-    "SLOEngine",
-    "TraceDiff",
-    "WindowAggregate",
-    "WindowedSeries",
-    "attach_monitor",
-    "attach_monitoring",
-    "default_fleet_slos",
-    "diff_files",
-    "diff_profiles",
-    "fleet_health_to_prometheus",
-    "load_profile",
-    "merge_snapshots",
-    "observations_from_history",
-    "replay_fleet_slos",
-]
+_EXPORTS = {
+    "Alert": "slo",
+    "AvailabilitySLO": "slo",
+    "BurnRateRule": "slo",
+    "ColdStartSLO": "slo",
+    "CostSLO": "slo",
+    "DEFAULT_RULES": "slo",
+    "DiffRow": "diff",
+    "FLEET_HEALTH_SCHEMA": "fleet",
+    "FLEET_RULES": "fleet",
+    "LatencySLO": "slo",
+    "Monitor": "monitor",
+    "MonitoringPlane": "slo",
+    "ObservedDemandFeed": "observed",
+    "ObservedExecution": "monitor",
+    "QuantileSketch": "sketch",
+    "SLO": "slo",
+    "SLOEngine": "slo",
+    "TraceDiff": "diff",
+    "WindowAggregate": "window",
+    "WindowedSeries": "window",
+    "attach_monitor": "monitor",
+    "attach_monitoring": "slo",
+    "default_fleet_slos": "fleet",
+    "diff_files": "diff",
+    "diff_profiles": "diff",
+    "fleet_health_to_prometheus": "fleet",
+    "load_profile": "diff",
+    "merge_snapshots": "fleet",
+    "observations_from_history": "observed",
+    "replay_fleet_slos": "fleet",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

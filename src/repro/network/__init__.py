@@ -8,22 +8,17 @@ used by EdgeCloudSim-class simulators.  A :class:`NetworkPath` chains links
 calibrated presets (3G/4G/5G/WiFi/broadband) used across the benchmarks.
 """
 
-from repro.network.link import Link, NetworkPath, TransferResult
-from repro.network.profiles import (
-    CONNECTIVITY_PROFILES,
-    ConnectivityProfile,
-    cloud_path,
-    edge_path,
-    profile,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CONNECTIVITY_PROFILES",
-    "ConnectivityProfile",
-    "Link",
-    "NetworkPath",
-    "TransferResult",
-    "cloud_path",
-    "edge_path",
-    "profile",
-]
+_EXPORTS = {
+    "CONNECTIVITY_PROFILES": "profiles",
+    "ConnectivityProfile": "profiles",
+    "Link": "link",
+    "NetworkPath": "link",
+    "TransferResult": "link",
+    "cloud_path": "profiles",
+    "edge_path": "profiles",
+    "profile": "profiles",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

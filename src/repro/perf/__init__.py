@@ -19,46 +19,27 @@ Three layers, one subsystem:
   ledger's ``bench`` rows that flags slow drifts before any single run trips a gate.
 """
 
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    BenchSpec,
-    MetricSpec,
-    REGISTERED_MODULES,
-    build_document,
-    flat_payload,
-    history_metrics,
-    load_registry,
-    machine_fingerprint,
-    record_summary,
-    register_bench,
-    scrub_volatile,
-)
-from repro.perf.check import (
-    CheckOutcome,
-    compare,
-    evaluate_bench,
-    evaluate_metric,
-    trend_outcomes,
-)
-from repro.perf.meter import RuntimeMeter
+from repro import _lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchSpec",
-    "CheckOutcome",
-    "MetricSpec",
-    "REGISTERED_MODULES",
-    "RuntimeMeter",
-    "build_document",
-    "compare",
-    "evaluate_bench",
-    "evaluate_metric",
-    "flat_payload",
-    "history_metrics",
-    "load_registry",
-    "machine_fingerprint",
-    "record_summary",
-    "register_bench",
-    "scrub_volatile",
-    "trend_outcomes",
-]
+_EXPORTS = {
+    "BENCH_SCHEMA": "bench",
+    "BenchSpec": "bench",
+    "CheckOutcome": "check",
+    "MetricSpec": "bench",
+    "REGISTERED_MODULES": "bench",
+    "RuntimeMeter": "meter",
+    "build_document": "bench",
+    "compare": "check",
+    "evaluate_bench": "check",
+    "evaluate_metric": "check",
+    "flat_payload": "bench",
+    "history_metrics": "bench",
+    "load_registry": "bench",
+    "machine_fingerprint": "bench",
+    "record_summary": "bench",
+    "register_bench": "bench",
+    "scrub_volatile": "bench",
+    "trend_outcomes": "check",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

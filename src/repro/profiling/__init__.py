@@ -8,10 +8,12 @@ stand-in for instrumented profiling runs in a CI environment.  The
 executions so estimators keep learning after deployment.
 """
 
-from repro.profiling.profiler import (
-    DemandObservation,
-    OnlineProfiler,
-    Profiler,
-)
+from repro import _lazy_exports
 
-__all__ = ["DemandObservation", "OnlineProfiler", "Profiler"]
+_EXPORTS = {
+    "DemandObservation": "profiler",
+    "OnlineProfiler": "profiler",
+    "Profiler": "profiler",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -10,44 +10,25 @@ fallback-to-local), and polls the short-horizon goodput forecasters in
 into a byte-deterministic action log mirroring the alert log.
 """
 
-from repro.remediate.engine import (
-    Action,
-    ControllerActuator,
-    RemediationEngine,
-    RemediationPlane,
-    attach_remediation,
-)
-from repro.remediate.forecast import (
-    Forecast,
-    LinkForecaster,
-    ewma,
-    holt_linear,
-)
-from repro.remediate.policy import (
-    ACTION_ESCALATE_HEDGING,
-    ACTION_FALLBACK_LOCAL,
-    ACTION_REALLOCATE_MEMORY,
-    ACTION_REPLAN_RATE,
-    ACTION_SHIFT_TRAFFIC,
-    DEFAULT_POLICY,
-    PolicyRule,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ACTION_ESCALATE_HEDGING",
-    "ACTION_FALLBACK_LOCAL",
-    "ACTION_REALLOCATE_MEMORY",
-    "ACTION_REPLAN_RATE",
-    "ACTION_SHIFT_TRAFFIC",
-    "Action",
-    "ControllerActuator",
-    "DEFAULT_POLICY",
-    "Forecast",
-    "LinkForecaster",
-    "PolicyRule",
-    "RemediationEngine",
-    "RemediationPlane",
-    "attach_remediation",
-    "ewma",
-    "holt_linear",
-]
+_EXPORTS = {
+    "ACTION_ESCALATE_HEDGING": "policy",
+    "ACTION_FALLBACK_LOCAL": "policy",
+    "ACTION_REALLOCATE_MEMORY": "policy",
+    "ACTION_REPLAN_RATE": "policy",
+    "ACTION_SHIFT_TRAFFIC": "policy",
+    "Action": "engine",
+    "ControllerActuator": "engine",
+    "DEFAULT_POLICY": "policy",
+    "Forecast": "forecast",
+    "LinkForecaster": "forecast",
+    "PolicyRule": "policy",
+    "RemediationEngine": "engine",
+    "RemediationPlane": "engine",
+    "attach_remediation": "engine",
+    "ewma": "forecast",
+    "holt_linear": "forecast",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -13,59 +13,32 @@ produces the empirically observed "duration flattens, cost keeps rising"
 shape that makes memory-size optimisation non-trivial.
 """
 
-from repro.serverless.billing import BillingModel, CostBreakdown
-from repro.serverless.function import (
-    FunctionSpec,
-    Invocation,
-    InvocationRequest,
-    execution_time,
-    vcpus_for_memory,
-)
-from repro.serverless.platform import (
-    InvocationFailedError,
-    PlatformConfig,
-    PlatformOutageError,
-    SandboxReclaimedError,
-    ServerlessPlatform,
-    ThrottledError,
-)
-from repro.serverless.retry import (
-    HedgedInvocation,
-    RetriedInvocation,
-    RetriesExhaustedError,
-    RetryPolicy,
-    invoke_hedged,
-    invoke_with_retries,
-)
-from repro.serverless.workflow import (
-    WorkflowDefinition,
-    WorkflowEngine,
-    WorkflowExecution,
-    WorkflowStep,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BillingModel",
-    "CostBreakdown",
-    "FunctionSpec",
-    "HedgedInvocation",
-    "Invocation",
-    "InvocationFailedError",
-    "InvocationRequest",
-    "PlatformConfig",
-    "PlatformOutageError",
-    "RetriedInvocation",
-    "RetriesExhaustedError",
-    "RetryPolicy",
-    "SandboxReclaimedError",
-    "ServerlessPlatform",
-    "ThrottledError",
-    "WorkflowDefinition",
-    "WorkflowEngine",
-    "WorkflowExecution",
-    "WorkflowStep",
-    "execution_time",
-    "invoke_hedged",
-    "invoke_with_retries",
-    "vcpus_for_memory",
-]
+_EXPORTS = {
+    "BillingModel": "billing",
+    "CostBreakdown": "billing",
+    "FunctionSpec": "function",
+    "HedgedInvocation": "retry",
+    "Invocation": "function",
+    "InvocationFailedError": "platform",
+    "InvocationRequest": "function",
+    "PlatformConfig": "platform",
+    "PlatformOutageError": "platform",
+    "RetriedInvocation": "retry",
+    "RetriesExhaustedError": "retry",
+    "RetryPolicy": "retry",
+    "SandboxReclaimedError": "platform",
+    "ServerlessPlatform": "platform",
+    "ThrottledError": "platform",
+    "WorkflowDefinition": "workflow",
+    "WorkflowEngine": "workflow",
+    "WorkflowExecution": "workflow",
+    "WorkflowStep": "workflow",
+    "execution_time": "function",
+    "invoke_hedged": "retry",
+    "invoke_with_retries": "retry",
+    "vcpus_for_memory": "function",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

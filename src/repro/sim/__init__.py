@@ -22,30 +22,22 @@ Typical usage::
     sim.run()
 """
 
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventAlreadyTriggered,
-    Interrupt,
-    Timeout,
-)
-from repro.sim.kernel import Process, SimulationError, Simulator
-from repro.sim.resources import Container, Resource
-from repro.sim.rng import RngStream, SeedSequenceRegistry
+from repro import _lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
-    "Event",
-    "EventAlreadyTriggered",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "RngStream",
-    "SeedSequenceRegistry",
-    "SimulationError",
-    "Simulator",
-    "Timeout",
-]
+_EXPORTS = {
+    "AllOf": "events",
+    "AnyOf": "events",
+    "Container": "resources",
+    "Event": "events",
+    "EventAlreadyTriggered": "events",
+    "Interrupt": "events",
+    "Process": "kernel",
+    "Resource": "resources",
+    "RngStream": "rng",
+    "SeedSequenceRegistry": "rng",
+    "SimulationError": "kernel",
+    "Simulator": "kernel",
+    "Timeout": "events",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

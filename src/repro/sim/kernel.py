@@ -78,6 +78,18 @@ class _Stop(BaseException):
         raise self
 
 
+def _raised_in_body(exc: BaseException) -> BaseException:
+    """``exc``, raised out of a process body, without the kernel frame
+    that resumed the body.
+
+    That frame holds the process, which is about to hold ``exc`` as its
+    value: a reference cycle.  The body's own frames stay, so a waiter
+    still sees where the error came from.
+    """
+    exc.__traceback__ = exc.__traceback__.tb_next  # type: ignore[union-attr]
+    return exc
+
+
 class _Bootstrap:
     """Fast-lane record that starts a freshly spawned process.
 
@@ -175,6 +187,19 @@ class Process(Event):
 
     # -- internals ----------------------------------------------------------
 
+    def _abandon(self) -> None:
+        """Give up on a process whose wait can never end.
+
+        For a process blocked on an event that will never trigger, and
+        that nothing will interrupt (a failed job's downstream units).
+        Waiting forever, it and its target (and whoever waits for it)
+        hold one another in a reference cycle; abandoned, it stays
+        suspended but holds neither.  Nothing is scheduled, so the run
+        is the same as if it waited forever.
+        """
+        self._detach()
+        self.callbacks.clear()
+
     def _start(self) -> None:
         """First resume: send ``None`` into the fresh generator."""
         if self._value is not _PENDING:
@@ -186,47 +211,57 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process death is a result
-            self.fail(exc)
+            self.fail(_raised_in_body(exc))
             return
         self._wait_on(target)
 
     def _resume(self, event: Event) -> None:
+        if not event._ok:
+            self._throw(event._value)
+            return
         if self._value is not _PENDING:
             return
         self._waiting_on = None
         try:
-            if event._ok:
-                target = self.generator.send(event._value)
-            else:
-                target = self.generator.throw(event._value)
+            target = self.generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process death is a result
-            self.fail(exc)
+            self.fail(_raised_in_body(exc))
             return
         self._wait_on(target)
 
-    def _throw(self, exc: BaseException) -> None:
-        if self._value is not _PENDING:
-            return
+    def _detach(self) -> None:
+        """Stop waiting on ``_waiting_on``: when it eventually fires it
+        must not resume this process."""
         waiting = self._waiting_on
         if waiting is not None and waiting.callbacks is not None:
-            # Detach from whatever we were waiting on: when it eventually
-            # fires it must not resume us a second time.
             try:
                 waiting.callbacks.remove(self._resume)
             except ValueError:  # pragma: no cover - defensive
                 pass
         self._waiting_on = None
+
+    def _throw(self, exc: BaseException) -> None:
+        if self._value is not _PENDING:
+            return
+        self._detach()
+        # ``exc`` may be another process's value: the frames it passes
+        # through here, which may hold that process, must not join it.
+        # A body that dropped its traceback keeps it dropped.
+        origin = exc.__traceback__
         try:
             target = self.generator.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as err:  # noqa: BLE001
-            self.fail(err)
+            self.fail(err if err is exc else _raised_in_body(err))
             return
+        finally:
+            if exc.__traceback__ is not None:
+                exc.__traceback__ = origin
         self._wait_on(target)
 
     def _wait_on(self, target: Event) -> None:
@@ -272,7 +307,6 @@ class Simulator:
         "_heap",
         "_fast",
         "_sequence",
-        "_entry_pool",
         "tracer",
         "meter",
     )
@@ -286,10 +320,6 @@ class Simulator:
         #: it responds to ``_run_callbacks``.
         self._fast: deque = deque()
         self._sequence = 0
-        #: Recycled ``[when, seq, event]`` heap entries.  Popped entries
-        #: return here with their event slot cleared, so steady-state
-        #: timeout traffic performs no list allocations.
-        self._entry_pool: list[list] = []
         #: The telemetry sink every instrumented subsystem consults.  The
         #: shared null tracer keeps the disabled path to one attribute
         #: read per instrumented *operation* — the kernel loop itself
@@ -376,15 +406,7 @@ class Simulator:
                 f"cannot schedule at t={when} before current time t={now}"
             )
         self._sequence += 1
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = self._sequence
-            entry[2] = event
-        else:
-            entry = [when, self._sequence, event]
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, [when, self._sequence, event])
 
     # -- execution ---------------------------------------------------------
 
@@ -433,7 +455,6 @@ class Simulator:
                 )
         fast = self._fast
         heap = self._heap
-        pool = self._entry_pool
         pop = heapq.heappop
         fast_pop = fast.popleft
         plain = Event
@@ -449,10 +470,7 @@ class Simulator:
                         # Same-time heap entries were scheduled before
                         # the clock arrived here: dispatch before the
                         # lane, one at a time (they may append more).
-                        entry = pop(heap)
-                        event = entry[2]
-                        entry[2] = None
-                        pool.append(entry)
+                        event = pop(heap)[2]
                         heap_hits += 1
                         event._run_callbacks()
                         continue
@@ -472,11 +490,8 @@ class Simulator:
                     when = heap[0][0]
                     if when > horizon:
                         break
-                    entry = pop(heap)
+                    event = pop(heap)[2]
                     self._now = when
-                    event = entry[2]
-                    entry[2] = None
-                    pool.append(entry)
                     heap_hits += 1
                     event._run_callbacks()
                 else:

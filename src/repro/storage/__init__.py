@@ -8,16 +8,13 @@ plus request latency, so partitioning decisions can account for data
 gravity.
 """
 
-from repro.storage.objectstore import (
-    ObjectNotFoundError,
-    ObjectStore,
-    StoragePricing,
-    StoredObject,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ObjectNotFoundError",
-    "ObjectStore",
-    "StoragePricing",
-    "StoredObject",
-]
+_EXPORTS = {
+    "ObjectNotFoundError": "objectstore",
+    "ObjectStore": "objectstore",
+    "StoragePricing": "objectstore",
+    "StoredObject": "objectstore",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -23,38 +23,23 @@ Quickstart::
 The same flow is exposed on the command line as ``python -m repro sweep``.
 """
 
-from repro.sweep.runner import (
-    DEFAULT_CACHE_DIR,
-    SweepEntry,
-    SweepProgress,
-    SweepResult,
-    SweepRunner,
-    run_sweep,
-)
-from repro.sweep.spec import (
-    SweepSpec,
-    canonical_json,
-    code_digest,
-    config_hash,
-    config_key,
-    resolve_scenario,
-    scenario_ref,
-    write_atomic,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "SweepEntry",
-    "SweepProgress",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "canonical_json",
-    "code_digest",
-    "config_hash",
-    "config_key",
-    "resolve_scenario",
-    "run_sweep",
-    "scenario_ref",
-    "write_atomic",
-]
+_EXPORTS = {
+    "DEFAULT_CACHE_DIR": "runner",
+    "SweepEntry": "runner",
+    "SweepProgress": "runner",
+    "SweepResult": "runner",
+    "SweepRunner": "runner",
+    "SweepSpec": "spec",
+    "canonical_json": "spec",
+    "code_digest": "spec",
+    "config_hash": "spec",
+    "config_key": "spec",
+    "resolve_scenario": "spec",
+    "run_sweep": "runner",
+    "scenario_ref": "spec",
+    "write_atomic": "spec",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

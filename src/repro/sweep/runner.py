@@ -19,7 +19,6 @@ not parse is a miss: the config runs again and its entry is rewritten.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
@@ -312,6 +311,10 @@ class SweepRunner:
             resolve_scenario(ref)
         tasks = [(ref, config) for config in configs]
         processes = min(self.workers, len(tasks))
+        # Imported here: only a pool needs it, and a serial run, or a
+        # process that never sweeps, should not pay for loading it.
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         with ctx.Pool(
             processes,

@@ -22,44 +22,25 @@ attribute read per instrumented operation::
     print(build_report(tracer).render())
 """
 
-from repro.telemetry.exporters import (
-    CHROME_TRACE_SCHEMA,
-    dumps_chrome_trace,
-    load_chrome_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.telemetry.registry import LabeledMetricsRegistry
-from repro.telemetry.report import (
-    ATTRIBUTION_PRECEDENCE,
-    JobAttribution,
-    RunReport,
-    build_report,
-    report_from_file,
-)
-from repro.telemetry.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    attach_tracer,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ATTRIBUTION_PRECEDENCE",
-    "CHROME_TRACE_SCHEMA",
-    "JobAttribution",
-    "LabeledMetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "RunReport",
-    "Span",
-    "Tracer",
-    "attach_tracer",
-    "build_report",
-    "dumps_chrome_trace",
-    "load_chrome_trace",
-    "report_from_file",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "ATTRIBUTION_PRECEDENCE": "report",
+    "CHROME_TRACE_SCHEMA": "exporters",
+    "JobAttribution": "report",
+    "LabeledMetricsRegistry": "registry",
+    "NULL_TRACER": "tracer",
+    "NullTracer": "tracer",
+    "RunReport": "report",
+    "Span": "tracer",
+    "Tracer": "tracer",
+    "attach_tracer": "tracer",
+    "build_report": "report",
+    "dumps_chrome_trace": "exporters",
+    "load_chrome_trace": "exporters",
+    "report_from_file": "report",
+    "to_chrome_trace": "exporters",
+    "write_chrome_trace": "exporters",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -6,16 +6,13 @@ prove that a refactor or optimisation changed *nothing* it did not mean
 to — the simulator's core guarantee, locked in as a test.
 """
 
-from repro.testing.golden import (
-    GOLDEN_SEED,
-    golden_fault_schedule,
-    run_golden_scenario,
-    trace_digest,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "GOLDEN_SEED",
-    "golden_fault_schedule",
-    "run_golden_scenario",
-    "trace_digest",
-]
+_EXPORTS = {
+    "GOLDEN_SEED": "golden",
+    "golden_fault_schedule": "golden",
+    "run_golden_scenario": "golden",
+    "trace_digest": "golden",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

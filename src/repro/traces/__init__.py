@@ -12,40 +12,23 @@ signals reproducibly:
   :class:`DiurnalBandwidth`.
 """
 
-from repro.traces.arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    DeterministicArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-)
-from repro.traces.replay import (
-    load_report_summary,
-    load_workload,
-    save_report,
-    save_workload,
-)
-from repro.traces.bandwidth import (
-    BandwidthTrace,
-    ConstantBandwidth,
-    DiurnalBandwidth,
-    MarkovBandwidth,
-    StepBandwidth,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "BandwidthTrace",
-    "BurstyArrivals",
-    "ConstantBandwidth",
-    "DeterministicArrivals",
-    "DiurnalArrivals",
-    "DiurnalBandwidth",
-    "MarkovBandwidth",
-    "PoissonArrivals",
-    "StepBandwidth",
-    "load_report_summary",
-    "load_workload",
-    "save_report",
-    "save_workload",
-]
+_EXPORTS = {
+    "ArrivalProcess": "arrivals",
+    "BandwidthTrace": "bandwidth",
+    "BurstyArrivals": "arrivals",
+    "ConstantBandwidth": "bandwidth",
+    "DeterministicArrivals": "arrivals",
+    "DiurnalArrivals": "arrivals",
+    "DiurnalBandwidth": "bandwidth",
+    "MarkovBandwidth": "bandwidth",
+    "PoissonArrivals": "arrivals",
+    "StepBandwidth": "bandwidth",
+    "load_report_summary": "replay",
+    "load_workload": "replay",
+    "save_report": "replay",
+    "save_workload": "replay",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

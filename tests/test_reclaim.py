@@ -139,6 +139,25 @@ class TestWorkloads:
             lambda: run_golden_scenario(with_faults=True, traced=True)
         )
 
+    def test_failed_jobs_leave_no_cycles(self):
+        """Failed jobs record errors without tracebacks, and release the
+        units left waiting on a component that will never finish."""
+        from repro.core.controller import Environment
+        from repro.serverless.platform import PlatformConfig
+        from repro.sweep.scenarios import offload_setup
+
+        failures = []
+
+        def workload():
+            env = Environment.build(
+                seed=0, platform_config=PlatformConfig(failure_probability=0.5)
+            )
+            controller, jobs = offload_setup(env, {"jobs": 10})
+            failures.append(len(controller.run_workload(jobs).failures))
+
+        assert_no_cyclic_garbage(workload)
+        assert failures[-1] > 0
+
 
 class TestRoots:
     def test_a_granted_request_is_not_its_own_value(self):
@@ -187,6 +206,34 @@ class TestRoots:
             sim.run(until=target)
 
         assert_no_cyclic_garbage(workload)
+
+    def test_a_failed_process_leaves_no_cycle(self):
+        """One process raises, one catches while holding its handle: the
+        error keeps the frames it was raised through and no other."""
+        caught = []
+
+        def workload():
+            sim = Simulator()
+
+            def failing():
+                yield sim.timeout(1.0)
+                raise ValueError("boom")
+
+            def catcher(process):
+                try:
+                    yield process
+                except ValueError as error:
+                    caught.append(error)
+
+            sim.spawn(catcher(sim.spawn(failing())))
+            sim.run()
+
+        assert_no_cyclic_garbage(workload)
+        frames, tb = [], caught[-1].__traceback__
+        while tb is not None:
+            frames.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert frames == ["failing"]
 
     def test_a_remediation_engine_does_not_hold_its_slo_engine(self):
         from repro.remediate import ControllerActuator, RemediationEngine
