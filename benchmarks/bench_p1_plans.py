@@ -8,9 +8,10 @@ closed loop can react.  This bench isolates the plan path from the
 simulation loop: one controller is built and profiled offline once,
 then ``plan(input_mb)`` is timed over a fixed cycle of input sizes
 (redeploys are mostly no-ops after the first pass — exactly the steady
-state replanning sees).  Once the cycle has repeated, every context is
-one the controller's plan memo has already solved, so the timed plans
-are memo hits: context build, key lookup, deploy check and metering.
+state replanning sees).  Once the cycle has repeated, every input size
+is one the controller's plan memo has already solved, so the timed
+plans are memo hits: rate reads, key lookup, deploy check and metering,
+with no context built.
 
 Deterministic checks: the runtime meter's ``plans_computed`` counter
 must equal the number of plan calls (the plan path is a metered hot

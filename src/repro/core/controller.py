@@ -312,7 +312,7 @@ class ControllerReport:
         return data[lower] * (1 - weight) + data[upper] * weight
 
 
-#: Solved plans keyed by planning context: see :meth:`OffloadController.plan`.
+#: Solved plans keyed by planning inputs: see :meth:`OffloadController.plan`.
 PlanMemo = Dict[
     Tuple[Hashable, ...], Tuple[Partition, Dict[str, AllocationDecision]]
 ]
@@ -443,7 +443,7 @@ class OffloadController:
 
         self.partition: Optional[Partition] = None
         self.allocation: Dict[str, AllocationDecision] = {}
-        #: Solved plans by planning context (see :meth:`plan`); a fleet
+        #: Solved plans by planning inputs (see :meth:`plan`); a fleet
         #: hands one memo to all of its controllers, a solo controller
         #: keeps its own.
         self._plan_memo: PlanMemo = plan_memo if plan_memo is not None else {}
@@ -596,11 +596,7 @@ class OffloadController:
             weights=self.weights,
         )
 
-    def plan(
-        self,
-        input_mb: float = 1.0,
-        groups: Optional[PlanMemo] = None,
-    ) -> Partition:
+    def plan(self, input_mb: float = 1.0) -> Partition:
         """Partition, allocate, and deploy for the expected input size.
 
         Safe to call repeatedly: only functions whose memory changed are
@@ -609,18 +605,9 @@ class OffloadController:
 
         With a :attr:`~repro.core.partitioning.Partitioner.pure`
         partitioner the solved partition and allocation are memoised by
-        ``(partitioner, allocator, demand model, latency SLO, context
-        key)``, the first three by identity, so a context seen before (by
-        this controller or by another sharing its memo) skips both
-        partition passes and ``allocate_app``.  The hit is exact:
-        ``allocate_app`` is pure and reads the demand model only through
-        ``predict`` at ``input_mb``, whose values are ``context.work``.
-
-        ``groups`` is the solved plans of one zone-wide planning pass
-        (see :func:`plan_zone`), by :meth:`_group_key`: a controller
-        whose planning inputs equal an earlier one's takes that plan
-        without building a context or probing the memo.  Without it,
-        this controller is a group of its own.
+        :meth:`_plan_key`, so planning inputs seen before (by this
+        controller or by another sharing its memo) skip building the
+        context, both partition passes and ``allocate_app``.
 
         A hit still opens the ``plan`` span, books the meter and reads
         the two link rates, and the deploy pass returns at once unless a
@@ -636,25 +623,16 @@ class OffloadController:
         )
         uplink_bps = self._usable_rate(self.env.uplink, "uplink")
         downlink_bps = self._usable_rate(self.env.downlink, "downlink")
-        group_key = solved = None
-        if groups is not None and self.partitioner.pure:
-            group_key = self._group_key(input_mb, uplink_bps, downlink_bps)
-            solved = groups.get(group_key)
+        key = solved = None
+        if self.partitioner.pure:
+            key = self._plan_key(input_mb, uplink_bps, downlink_bps)
+            solved = self._plan_memo.get(key)
         if solved is None:
-            context = self._context(input_mb, uplink_bps, downlink_bps)
-            memo_key = None
-            if self.partitioner.pure:
-                memo_key = (
-                    self.partitioner, self.allocator, self.demand,
-                    self.latency_slo_s, context.key(),
-                )
-                solved = self._plan_memo.get(memo_key)
-            if solved is None:
-                solved = self._solve(context, input_mb)
-                if memo_key is not None:
-                    self._plan_memo[memo_key] = solved
-            if group_key is not None:
-                groups[group_key] = solved
+            solved = self._solve(
+                self._context(input_mb, uplink_bps, downlink_bps), input_mb
+            )
+            if key is not None:
+                self._plan_memo[key] = solved
         partition, allocation = solved
         self.partition = partition
         self.allocation = dict(allocation)
@@ -668,24 +646,32 @@ class OffloadController:
         meter.plan_wall_s += perf_counter() - plan_started
         return partition
 
-    def _group_key(
+    def _plan_key(
         self, input_mb: float, uplink_bps: float, downlink_bps: float
     ) -> Tuple[Hashable, ...]:
-        """What this controller's plan depends on, for :func:`plan_zone`.
+        """Everything this controller's plan depends on, for the memo.
 
         Every input :meth:`_context` reads, the two rates included, and
-        every other part of the memo key, plus the memo itself: two
-        controllers with equal keys build equal contexts and probe the
-        same memo under the same key.  The demand predictions are
-        covered by the model (by identity), the app and the input size,
-        because nothing observes demand during a planning pass.
+        what :meth:`_solve` reads beside the context: the partitioner,
+        the allocator and the demand model by identity, and the latency
+        SLO.  The predictions are pinned by each estimator with its
+        ``observation_count``: a prediction depends only on the
+        estimator's state, and every observation path goes through
+        :meth:`~repro.core.demand.DemandEstimator.observe`, which bumps
+        the count.  Equal keys therefore build equal contexts, and
+        ``allocate_app`` is pure and reads demand only through those
+        predictions, so a hit is exactly what solving again would give.
         """
         env = self.env
         spec = env.ue.spec
         storage = env.storage
         return (
             self.partitioner, self.allocator, self.demand,
-            id(self._plan_memo), self.app, self.latency_slo_s, input_mb,
+            tuple(
+                (estimator, estimator.observation_count)
+                for estimator in self.demand.estimators.values()
+            ),
+            self.app, self.latency_slo_s, input_mb,
             spec.cycles_per_second, spec.energy,
             env.platform.config.billing, self.weights,
             tuple(
@@ -1420,27 +1406,6 @@ class OffloadController:
         return run_jobs(self.env.sim, self.start, jobs)
 
 
-def plan_zone(
-    controllers: Iterable[OffloadController], input_mb: Optional[float] = None
-) -> None:
-    """Plan every controller, solving once per distinct planning context.
-
-    Each controller plans at ``input_mb``, or at its own
-    :attr:`~OffloadController.planned_input_mb` when that is ``None``,
-    in the given order.  The controllers share one group table (see
-    :meth:`OffloadController.plan`), so those whose planning inputs are
-    equal build one context, probe the memo once and solve at most once
-    between them; each still gets its own partition, allocation, plan
-    span, deploy pass and meter entries, exactly as planning it alone.
-    """
-    groups: PlanMemo = {}
-    for controller in controllers:
-        controller.plan(
-            controller.planned_input_mb if input_mb is None else input_mb,
-            groups,
-        )
-
-
 def _raising(error: BaseException) -> Generator[Event, Any, JobResult]:
     """A job body whose first step raises ``error``."""
     raise error
@@ -1453,7 +1418,6 @@ __all__ = [
     "JobFailure",
     "JobRejectedError",
     "OffloadController",
-    "plan_zone",
     "release_jobs",
     "run_jobs",
 ]

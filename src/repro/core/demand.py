@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.apps.graph import AppGraph
 from repro.profiling.profiler import DemandObservation
@@ -394,10 +394,6 @@ class DemandModel:
         self.estimators: Dict[str, DemandEstimator] = {
             name: factory(name, **estimator_kwargs) for name in app.component_names
         }
-        #: The last prediction per component, see :meth:`predict`.
-        self._predicted: Dict[
-            str, Tuple[DemandEstimator, int, float, float]
-        ] = {}
 
     def observe(self, observation: DemandObservation) -> None:
         """Route one observation to its component's estimator."""
@@ -440,28 +436,8 @@ class DemandModel:
         return ingested
 
     def predict(self, component: str, input_mb: float) -> float:
-        """Predicted demand of ``component`` at ``input_mb``.
-
-        The last prediction per component is kept with its estimator's
-        ``observation_count`` and reused while the estimator, the count
-        and the input are unchanged.  The reuse is exact: an estimator's
-        prediction depends only on its state, and every observation
-        path goes through :meth:`DemandEstimator.observe`, which bumps
-        the count.
-        """
-        estimator = self.estimators[component]
-        count = estimator.observation_count
-        last = self._predicted.get(component)
-        if (
-            last is not None
-            and last[0] is estimator
-            and last[1] == count
-            and last[2] == input_mb
-        ):
-            return last[3]
-        value = estimator.predict(input_mb)
-        self._predicted[component] = (estimator, count, input_mb, value)
-        return value
+        """Predicted demand of ``component`` at ``input_mb``."""
+        return self.estimators[component].predict(input_mb)
 
     def profiles(self) -> Dict[str, DemandProfile]:
         """Export every component's :class:`DemandProfile`."""

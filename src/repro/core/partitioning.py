@@ -28,11 +28,10 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
     FrozenSet,
-    Hashable,
     Iterable,
     List,
     Optional,
@@ -160,21 +159,6 @@ class PartitionContext:
         if min(self.uplink_bps, self.downlink_bps) <= 0:
             raise ValueError("link rates must be > 0")
 
-    def key(self) -> Tuple[Hashable, ...]:
-        """A hashable value, equal exactly when every field is equal.
-
-        Built from every dataclass field in declaration order, with dicts
-        turned into sorted item tuples, so a field added later is covered
-        without touching this method.  ``app`` compares by identity.
-        Equal keys price every partition identically, which is what lets
-        :meth:`~repro.core.controller.OffloadController.plan` reuse a
-        solved plan.
-        """
-        return tuple(
-            tuple(sorted(value.items())) if isinstance(value, dict) else value
-            for value in (getattr(self, name) for name in _CONTEXT_FIELDS)
-        )
-
     # -- per-node terms --------------------------------------------------
 
     def memory_for(self, component: str) -> float:
@@ -237,9 +221,6 @@ class PartitionContext:
             nbytes = self.app.flow(src, dst).bytes_for(self.input_mb)
             return nbytes / 1e9 * self.egress_price_per_gb
         return 0.0
-
-
-_CONTEXT_FIELDS = tuple(f.name for f in fields(PartitionContext))
 
 
 @dataclass(frozen=True)
@@ -334,8 +315,8 @@ class Partitioner(ABC):
 
     #: True when :meth:`partition` is a function of the context alone (no
     #: randomness, no state carried between calls).  Only then may a
-    #: caller reuse one result for every context with the same
-    #: :meth:`PartitionContext.key`.
+    #: caller reuse one result for every context equal to one it has
+    #: solved, as the controller's plan memo does.
     pure: bool = False
 
     @abstractmethod

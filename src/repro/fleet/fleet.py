@@ -22,7 +22,6 @@ from repro.core.controller import (
     Environment,
     OffloadController,
     PlanMemo,
-    plan_zone,
     release_jobs,
 )
 from repro.core.demand import DemandModel, RegressionEstimator
@@ -199,8 +198,9 @@ class FleetController:
     warm pools are communal — the fleet's key economy).  Each device
     still plans against its own connectivity, but the controllers share
     one partitioner, one allocator and one plan memo, so a device whose
-    planning context another device already solved reuses that plan
-    (see :meth:`~repro.core.controller.OffloadController.plan`).
+    planning inputs equal those of a plan already solved, by itself or
+    by another device, reuses that plan without building a context (see
+    :meth:`~repro.core.controller.OffloadController.plan`).
     """
 
     def __init__(
@@ -243,8 +243,9 @@ class FleetController:
         """Plan every device; functions are shared, so later plans reuse
         the deployments of earlier ones unless connectivity changes the
         allocation, and devices with equal planning inputs share one
-        solve (:func:`~repro.core.controller.plan_zone`)."""
-        plan_zone(self.controllers, input_mb)
+        solve through the plan memo."""
+        for controller in self.controllers:
+            controller.plan(input_mb)
 
     def launch(
         self, jobs_by_device: Dict[int, List[Job]]

@@ -24,7 +24,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.controller import plan_zone
 from repro.monitor.fleet import (
     FLEET_RULES,
     default_fleet_rule_overrides,
@@ -197,7 +196,8 @@ class ControllerActuator:
             controller.memory_floor_mb = above[0]
             raised.append(controller)
             applied = above[0] if applied is None else applied
-        plan_zone(raised)
+        for controller in raised:
+            controller.plan(controller.planned_input_mb)
         return None if applied is None else f"memory_floor_mb={applied!r}"
 
     def _replan_rate(self, forecast: Forecast) -> Optional[str]:
@@ -210,7 +210,8 @@ class ControllerActuator:
                     forecast.forecast_bps
                 )
                 changed.append(controller)
-        plan_zone(changed)
+        for controller in changed:
+            controller.plan(controller.planned_input_mb)
         return forecast.detail() if changed else None
 
     def clear_rate_override(self, link: str) -> Optional[str]:
@@ -220,7 +221,8 @@ class ControllerActuator:
             if link in controller.plan_rate_overrides:
                 del controller.plan_rate_overrides[link]
                 changed.append(controller)
-        plan_zone(changed)
+        for controller in changed:
+            controller.plan(controller.planned_input_mb)
         return f"link={link}" if changed else None
 
 

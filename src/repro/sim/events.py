@@ -176,11 +176,27 @@ class _Condition(Event):
         for event in self.events:
             if event.callbacks is None:
                 self._on_child(event)
+                if self._value is not _PENDING:
+                    break
             else:
                 event.callbacks.append(self._on_child)
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e._value for e in self.events if e._value is not _PENDING and e._ok}
+
+    def _release(self) -> None:
+        """Unhook from every child still pending, once this has fired.
+
+        The callback would return at once, so dispatch is unchanged; a
+        pending child that never fires (a sibling still in flight when
+        the run stops) then no longer holds this condition, which holds
+        it back through :attr:`events`, in a cycle.
+        """
+        on_child = self._on_child
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks is not None and on_child in callbacks:
+                callbacks.remove(on_child)
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
@@ -200,6 +216,7 @@ class AllOf(_Condition):
             return
         if not event._ok:
             self.fail(event._value)
+            self._release()
             return
         self._remaining -= 1
         if self._remaining == 0:
@@ -221,6 +238,7 @@ class AnyOf(_Condition):
             return
         if event._ok:
             self.succeed(self._collect())
+            self._release()
             return
         self._remaining -= 1
         if self._remaining == 0:

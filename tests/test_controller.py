@@ -4,7 +4,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from repro import (
     OffloadController,
     photo_backup_app,
 )
-from repro.apps.graph import AppGraph
 from repro.apps.generators import (
     fanout_fanin_app,
     layered_random_app,
@@ -33,7 +32,6 @@ from repro.core.partitioning import (
     FixedPartitioner,
     MinCutPartitioner,
     Partition,
-    PartitionContext,
     Partitioner,
     SimulatedAnnealingPartitioner,
 )
@@ -299,50 +297,7 @@ def generated_app(family, size, seed):
     return layered_random_app(max(size // 2, 2), 2, rng)
 
 
-def perturbed(value):
-    """A value of the same type that differs from ``value``."""
-    if isinstance(value, bool):
-        return not value
-    if isinstance(value, (int, float)):
-        return value * 2.0 + 1.0
-    if isinstance(value, dict):
-        if not value:
-            return {"extra": 1.0}
-        name = next(iter(value))
-        return {**value, name: perturbed(value[name])}
-    if is_dataclass(value):
-        first = fields(value)[0].name
-        return replace(value, **{first: perturbed(getattr(value, first))})
-    if isinstance(value, AppGraph):
-        return AppGraph(value.name, list(value.components), list(value.flows))
-    raise TypeError(f"no perturbation for {type(value).__name__}")
-
-
 class TestPlanMemo:
-    def test_key_covers_every_context_field(self):
-        app = photo_backup_app()
-        context = PartitionContext(
-            app=app,
-            input_mb=4.0,
-            work={name: 1.0 for name in app.component_names},
-            memory_plan={"transcode": 1024.0},
-        )
-        key = context.key()
-        assert hash(key) == hash(replace(context).key())
-        for field in fields(PartitionContext):
-            value = perturbed(getattr(context, field.name))
-            changed = replace(context, **{field.name: value})
-            assert changed.key() != key, field.name
-
-    def test_key_ignores_dict_insertion_order(self):
-        app = photo_backup_app()
-        work = {name: 1.0 for name in app.component_names}
-        first = PartitionContext(app=app, input_mb=1.0, work=work)
-        second = PartitionContext(
-            app=app, input_mb=1.0, work=dict(reversed(list(work.items())))
-        )
-        assert first.key() == second.key()
-
     @pytest.mark.parametrize("swap", ["allocator", "latency_slo_s"])
     def test_swapping_allocator_or_slo_misses_the_memo(self, swap):
         env = Environment.build(seed=0, connectivity="4g")
@@ -431,10 +386,10 @@ class TestPlanMemo:
             solves.append(input_mb)
             return solve(self, context, input_mb)
 
-        def checked_plan(self, input_mb=1.0, groups=None):
+        def checked_plan(self, input_mb=1.0):
             expected = reference_plan(self, input_mb)
             before = len(solves)
-            partition = plan(self, input_mb, groups)
+            partition = plan(self, input_mb)
             if len(solves) == before:
                 hits.append(input_mb)
                 assert (partition, self.allocation) == expected
@@ -459,37 +414,37 @@ class TestPlanMemo:
 
 
 class TestExactMemos:
-    """The re-plan memos (predictions, allocations, deploy passes) give
+    """The re-plan memos (plans, allocations, deploy passes) give
     exactly what recomputing gives."""
-
-    @staticmethod
-    def counted_estimator(model, name):
-        estimator = model.estimators[name]
-        calls = []
-        predict = estimator.predict
-
-        def counted(input_mb):
-            calls.append(input_mb)
-            return predict(input_mb)
-
-        estimator.predict = counted
-        return predict, calls
 
     @pytest.mark.parametrize(
         "path", ["observe", "observe_profile", "ingest_history", "estimator"]
     )
     def test_prediction_memo_invalidates_on_every_observation_path(
-        self, path
+        self, path, monkeypatch
     ):
-        app = photo_backup_app()
-        model = DemandModel(app, RegressionEstimator)
-        name = app.component_names[-1]
-        predict, calls = self.counted_estimator(model, name)
-        first = model.predict(name, 4.0)
-        assert model.predict(name, 4.0) == first
-        assert calls == [4.0]
+        """The plan memo pins each prediction by its estimator's
+        observation count, so an observation on any path makes the next
+        plan predict and solve again."""
+        solves = []
+        solve = OffloadController._solve
+
+        def counted(self, context, input_mb):
+            solves.append(context.work)
+            return solve(self, context, input_mb)
+
+        monkeypatch.setattr(OffloadController, "_solve", counted)
+        controller = make_controller()
+        controller.profile_offline()
+        model = controller.demand
+        name = controller.app.component_names[-1]
+        # The first plan sizes the functions, so the second plans at
+        # those sizes and is the first that a third can hit.
+        for _ in range(3):
+            controller.plan(4.0)
+        assert len(solves) == 2
         observation = DemandObservation(
-            component=name, input_mb=4.0, measured_gcycles=9.0, at_time=0.0
+            component=name, input_mb=4.0, measured_gcycles=90.0, at_time=0.0
         )
         if path == "observe":
             model.observe(observation)
@@ -499,21 +454,11 @@ class TestExactMemos:
             assert model.ingest_history([observation]) == 1
         else:
             model.estimators[name].observe(observation)
-        moved = model.predict(name, 4.0)
-        assert calls == [4.0, 4.0]
-        assert moved == predict(4.0) == 9.0 != first
-
-    def test_prediction_memo_misses_on_another_input_or_estimator(self):
-        app = photo_backup_app()
-        model = DemandModel(app, RegressionEstimator)
-        name = app.component_names[0]
-        _, calls = self.counted_estimator(model, name)
-        model.predict(name, 1.0)
-        model.predict(name, 2.0)
-        model.predict(name, 2.0)
-        assert calls == [1.0, 2.0]
-        model.estimators[name] = StaticEstimator(name, 7.5)
-        assert model.predict(name, 2.0) == 7.5
+        expected = reference_plan(controller, 4.0)
+        assert controller.plan(4.0) == expected[0]
+        assert controller.allocation == expected[1]
+        assert len(solves) == 3
+        assert solves[2][name] == model.predict(name, 4.0) != solves[1][name]
 
     #: One allocator per strategy and one app per generator draw, shared
     #: by every example, so the memos fill up and later draws hit

@@ -160,9 +160,9 @@ class TestMeterSites:
         "fleet, plans, calls, computed, predictions, deploys",
         [
             # The golden remediated fleet plans each controller once.
-            ("golden", 8, 4, 4, 28, 10),
+            ("golden", 8, 4, 4, 48, 10),
             # Remediation re-plans dominate 4 zones of 25 UEs.
-            ("zones_of_25", 625, 75, 25, 175, 20),
+            ("zones_of_25", 625, 75, 25, 900, 20),
         ],
         ids=["golden", "zones_of_25"],
     )
@@ -171,9 +171,10 @@ class TestMeterSites:
         deploys,
     ):
         """Pins the exact memos of the re-plan path: ``allocate_app``
-        computes once per distinct input, a demand estimator predicts
-        once per observation count, and deploys stay what a full spec
-        comparison on every plan makes."""
+        computes once per distinct input, demand is predicted only for
+        the contexts that plan-memo misses build and the allocations
+        they solve, and deploys stay what a full spec comparison on
+        every plan makes."""
         from repro.core.allocation import MemoryAllocator
         from repro.core.controller import OffloadController
         from repro.core.demand import RegressionEstimator

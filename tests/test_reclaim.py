@@ -15,6 +15,8 @@ import sys
 from collections import Counter
 from typing import Any, Callable, List
 
+import pytest
+
 from repro.sim import Simulator
 from repro.sim.resources import Resource
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -139,9 +141,12 @@ class TestWorkloads:
             lambda: run_golden_scenario(with_faults=True, traced=True)
         )
 
-    def test_failed_jobs_leave_no_cycles(self):
-        """Failed jobs record errors without tracebacks, and release the
-        units left waiting on a component that will never finish."""
+    @pytest.mark.parametrize("seed", range(8))
+    def test_failed_jobs_leave_no_cycles(self, seed):
+        """Failed jobs record errors without tracebacks, release the units
+        left waiting on a component that will never finish, and a job's
+        join lets go of a sibling still in flight when the run stops.
+        The workload closes its simulator, as a fleet group does."""
         from repro.core.controller import Environment
         from repro.serverless.platform import PlatformConfig
         from repro.sweep.scenarios import offload_setup
@@ -150,10 +155,12 @@ class TestWorkloads:
 
         def workload():
             env = Environment.build(
-                seed=0, platform_config=PlatformConfig(failure_probability=0.5)
+                seed=seed,
+                platform_config=PlatformConfig(failure_probability=0.5),
             )
             controller, jobs = offload_setup(env, {"jobs": 10})
             failures.append(len(controller.run_workload(jobs).failures))
+            env.sim.close()
 
         assert_no_cyclic_garbage(workload)
         assert failures[-1] > 0

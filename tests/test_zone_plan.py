@@ -1,18 +1,20 @@
-"""Zone-wide plans equal per-controller plans (a Hypothesis differential).
+"""Memoized fleet plans equal fresh plans (a Hypothesis differential).
 
-:func:`repro.core.controller.plan_zone` plans many controllers at once,
-building one context, probing the memo once and solving at most once per
-group of controllers whose planning inputs are equal.  Two worlds are
-built alike: one plans through ``plan_zone`` (directly, as the
-remediation actuator does, and through ``FleetController.plan``), the
-other calls ``OffloadController.plan`` on each controller in the same
-order.  After every step both must hold the same partitions,
-allocations, last-known link rates, planned sizes, deployed functions,
-meter counts, plan memo sizes and plan spans.  The draws mix
-connectivity presets, couple zones with different demand models behind
-one planning pass, and pin rates, memory floors and input sizes that
-differ between controllers, so equal and unequal inputs sit side by
-side.
+The controllers of a fleet share one plan memo keyed by their planning
+inputs, so a controller whose inputs equal those of a plan already
+solved, by itself or by another controller, takes that plan without
+building a context.  Two worlds are built alike: one plans through the
+shared memos (through ``FleetController.plan``, then controller by
+controller, as the remediation actuator does), the other clears each
+controller's memo before every plan, so it always solves.  After every
+step both must hold the same partitions, allocations, last-known link
+rates, planned sizes, deployed functions, meter counts and plan spans,
+and every memoized plan must have been solved for exactly the context
+it would build itself.  The draws mix connectivity presets, couple
+zones with different demand models on one platform, pin rates, memory
+floors and input sizes that differ between controllers, so equal and
+unequal inputs sit side by side, and let one zone learn between steps,
+so memo entries go stale.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.catalog import CATALOG
-from repro.core.controller import Environment, plan_zone
+from repro.core.controller import Environment
 from repro.device.ue import DeviceSpec, UserEquipment
 from repro.fleet import FleetController, FleetEnvironment
 from repro.metrics import MetricRegistry
@@ -107,14 +109,25 @@ class World:
                 for name in sorted(platform.deployed_functions())
             ],
             "plans_computed": self.sim.meter.plans_computed,
-            "memo_sizes": [
-                len(f.controllers[0]._plan_memo) for f in self.fleets
-            ],
             "spans": [
                 (s.span_id, s.name, s.category, s.start, s.end, s.attributes)
                 for s in self.tracer.spans
             ],
         }
+
+
+def record_solves(world) -> Dict[int, Any]:
+    """Map each partition the world's controllers solve, by id, to the
+    context it was solved for (the memo keeps every one alive)."""
+    solved_from: Dict[int, Any] = {}
+    for controller in world.controllers:
+        def solve(context, input_mb, solve=controller._solve):
+            solved = solve(context, input_mb)
+            solved_from[id(solved[0])] = context
+            return solved
+
+        controller._solve = solve
+    return solved_from
 
 
 zones_strategy = st.lists(
@@ -131,11 +144,25 @@ zones_strategy = st.lists(
 @given(zones=zones_strategy, data=st.data())
 def test_zone_plans_equal_per_controller_plans(zones, data):
     grouped, alone = World(zones), World(zones)
+    solved_from = record_solves(grouped)
+
+    def assert_exact(controller, context):
+        # A memoized plan was solved for exactly the context this plan
+        # would build: the plan key leaves out no planning input.
+        assert solved_from[id(controller.partition)] == context
+
+    def fresh_plan(controller, input_mb):
+        controller._plan_memo.clear()
+        controller.plan(input_mb)
+
     input_mb = data.draw(st.sampled_from(SIZES), label="input_mb")
+    contexts = [c.build_context(input_mb) for c in grouped.controllers]
     for fleet in grouped.fleets:
         fleet.plan(input_mb)
+    for controller, context in zip(grouped.controllers, contexts):
+        assert_exact(controller, context)
     for controller in alone.controllers:
-        controller.plan(input_mb)
+        fresh_plan(controller, input_mb)
     assert grouped.state() == alone.state()
 
     n = len(grouped.controllers)
@@ -178,10 +205,11 @@ def test_zone_plans_equal_per_controller_plans(zones, data):
                     measured_gcycles=7.0,
                     at_time=0.0,
                 ))
-        plan_zone([grouped.controllers[i] for i in order], size)
         for i in order:
-            controller = alone.controllers[i]
-            controller.plan(
-                controller.planned_input_mb if size is None else size
-            )
+            memoized, fresh = grouped.controllers[i], alone.controllers[i]
+            planned = memoized.planned_input_mb if size is None else size
+            context = memoized.build_context(planned)
+            memoized.plan(planned)
+            assert_exact(memoized, context)
+            fresh_plan(fresh, planned)
         assert grouped.state() == alone.state()
