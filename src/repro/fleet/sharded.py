@@ -984,7 +984,7 @@ def run_sharded(
 
     Shards are one sweep config each, executed by the
     :class:`~repro.sweep.runner.SweepRunner` machinery (in-process when
-    ``workers == 1``, a multiprocessing pool otherwise) — completion
+    ``workers == 1``, worker processes otherwise) — completion
     order cannot influence the merge, and a ``cache_dir`` turns repeat
     runs of unchanged shards into cache hits.  ``progress`` receives one
     :class:`~repro.sweep.runner.SweepProgress` per finished shard (live

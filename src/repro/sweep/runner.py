@@ -1,10 +1,11 @@
 """Parallel sweep execution: fan out, merge deterministically, cache.
 
 :class:`SweepRunner` runs every config of a :class:`~repro.sweep.spec.SweepSpec`
-— across ``multiprocessing`` worker processes when ``workers > 1`` — and
-returns a :class:`SweepResult` whose entries are ordered by canonical
-config key.  Completion order never influences the output, so the merged
-JSON is byte-identical regardless of the worker count.
+— across worker processes (:mod:`repro.sweep.fanout`) when
+``workers > 1`` — and returns a :class:`SweepResult` whose entries are
+ordered by canonical config key.  Completion order never influences the
+output, so the merged JSON is byte-identical regardless of the worker
+count.
 
 Results are JSON-normalised (round-tripped through canonical JSON) the
 moment they arrive, so a result served from the on-disk cache is
@@ -19,7 +20,6 @@ not parse is a miss: the config runs again and its entry is rewritten.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,22 +167,6 @@ class SweepResult:
         }
 
 
-def _pool_initializer(parent_path: List[str]) -> None:
-    """Mirror the parent's ``sys.path`` so scenario modules that live
-    outside installed packages (benchmarks, tools) stay importable."""
-    for entry in reversed(parent_path):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-
-
-def _run_point(task: Tuple[str, Dict[str, Any]]) -> Tuple[str, str]:
-    """Worker body: resolve the scenario, run one config, return the
-    result as canonical JSON text (normalised at the source)."""
-    ref, config = task
-    scenario = resolve_scenario(ref)
-    return config_key(config), canonical_json(scenario(dict(config)))
-
-
 class SweepRunner:
     """Executes a :class:`SweepSpec` and merges the results.
 
@@ -193,14 +177,16 @@ class SweepRunner:
     workers:
         Worker processes; ``1`` (the default) runs in-process.  A bare
         callable scenario is only allowed in-process — multi-worker runs
-        need an importable ``module:function`` reference.
+        need an importable ``module:function`` reference.  A scenario
+        error in a worker is re-raised here with its type, and a worker
+        that dies fails the run with a :class:`RuntimeError`.
     cache_dir:
         Directory for the per-config result cache; ``None`` disables
         caching entirely.
     progress:
         Optional callback fired with a :class:`SweepProgress` as each
         config completes (cache hits fire immediately).  Completion
-        order is nondeterministic under a pool; the callback must not
+        order is nondeterministic across workers; the callback must not
         raise and must not influence results.
     """
 
@@ -305,30 +291,11 @@ class SweepRunner:
                 if on_result is not None:
                     on_result(key, out[key])
             return out
-        if callable(self.spec.scenario) and not isinstance(self.spec.scenario, str):
-            # Re-resolvable by name in the worker; the ref was validated
-            # by scenario_ref, but a lambda/closure would not import.
-            resolve_scenario(ref)
-        tasks = [(ref, config) for config in configs]
-        processes = min(self.workers, len(tasks))
-        # Imported here: only a pool needs it, and a serial run, or a
-        # process that never sweeps, should not pay for loading it.
-        import multiprocessing
+        # Imported here: it loads ``multiprocessing``, which a serial
+        # run, or a process that never sweeps, should not pay for.
+        from repro.sweep.fanout import fan_out
 
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes,
-            initializer=_pool_initializer,
-            initargs=(list(sys.path),),
-        ) as pool:
-            # imap_unordered keeps workers saturated; keying by canonical
-            # config key makes the collection order-independent.
-            out = {}
-            for key, text in pool.imap_unordered(_run_point, tasks):
-                out[key] = json.loads(text)
-                if on_result is not None:
-                    on_result(key, out[key])
-            return out
+        return fan_out(ref, configs, self.workers, on_result)
 
     # -- cache -------------------------------------------------------------
 

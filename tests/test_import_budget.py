@@ -82,10 +82,29 @@ def test_e1_imports_load_only_what_e1_runs():
     loaded = loaded_after(E1_IMPORTS)
     assert "repro.fleet.sharded" in loaded  # the probe saw the imports
     assert "multiprocessing" not in loaded
+    assert "repro.sweep.fanout" not in loaded
     assert sorted(m for m in NOT_RUN_BY_E1 if m in loaded) == []
     assert sorted(
         m for m in loaded if m == "repro.cicd" or m.startswith("repro.cicd.")
     ) == []
+
+
+def test_fleet_fanout_loads_no_pool_machinery():
+    """A 2-worker fan-out is processes and pipes: no pool, no queues,
+    no locks."""
+    loaded = loaded_after(
+        E1_IMPORTS
+        + "spec = ShardedFleetSpec(topology=FleetTopology.uniform(2, 1, seed=0))\n"
+        "assert run_sharded(spec, n_shards=2, workers=2).exact\n"
+    )
+    assert "multiprocessing.connection" in loaded  # the probe fanned out
+    pool_machinery = (
+        "multiprocessing.pool",
+        "multiprocessing.queues",
+        "multiprocessing.synchronize",
+        "queue",
+    )
+    assert sorted(m for m in pool_machinery if m in loaded) == []
 
 
 @pytest.mark.parametrize("name", PACKAGES)

@@ -2,6 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,22 @@ KERNEL_SMOKE = "repro.sweep.scenarios:kernel_smoke"
 def double(config):
     """A trivial local scenario for in-process runner tests."""
     return {"doubled": config["x"] * 2, "tag": config.get("tag", "none")}
+
+
+def exits_on_three(config):
+    """Kills its worker process outright on ``x == 3``."""
+    if config["x"] == 3:
+        os._exit(3)
+    return {"x": config["x"]}
+
+
+def raises_on_three(config):
+    if config["x"] == 3:
+        error = ValueError("three is not allowed")
+        if config.get("unpicklable"):
+            error.hook = lambda: None
+        raise error
+    return {"x": config["x"]}
 
 
 class TestCanonicalisation:
@@ -141,6 +161,77 @@ class TestSweepRunner:
         serial = SweepRunner(spec, workers=1).run()
         parallel = SweepRunner(spec, workers=2).run()
         assert serial.merged_json() == parallel.merged_json()
+
+    def test_progress_fires_once_per_config_across_workers(self):
+        spec = SweepSpec(
+            scenario=KERNEL_SMOKE,
+            grid={"processes": [2, 3, 4, 5], "interrupt_every": [2]},
+        )
+        seen = []
+        SweepRunner(spec, workers=2, progress=seen.append).run()
+        assert sorted(beat.key for beat in seen) == sorted(
+            config_key(config) for config in spec.expand()
+        )
+        assert [beat.completed for beat in seen] == [1, 2, 3, 4]
+        assert all(beat.total == 4 and not beat.cached for beat in seen)
+
+    def test_worker_error_reaches_the_caller_with_its_type(self):
+        spec = SweepSpec(scenario=raises_on_three, grid={"x": [1, 2, 3, 4]})
+        with pytest.raises(ValueError, match="three is not allowed") as caught:
+            SweepRunner(spec, workers=2).run()
+        # The worker's traceback rides along as the cause.
+        assert "in raises_on_three" in str(caught.value.__cause__)
+
+    def test_worker_error_that_does_not_pickle_arrives_by_name(self):
+        spec = SweepSpec(
+            scenario=raises_on_three,
+            base={"unpicklable": True},
+            grid={"x": [1, 2, 3, 4]},
+        )
+        with pytest.raises(RuntimeError, match="ValueError: three is not allowed"):
+            SweepRunner(spec, workers=2).run()
+
+    def test_dead_worker_fails_the_sweep_and_leaves_no_child(self):
+        """A worker killed mid-config fails the sweep within seconds,
+        naming the config; every worker has been reaped by then."""
+        script = (
+            "import os, sys\n"
+            "from repro.sweep import SweepRunner, SweepSpec\n"
+            "spec = SweepSpec(scenario='tests.test_sweep:exits_on_three',\n"
+            "                 grid={'x': [1, 2, 3, 4]})\n"
+            "try:\n"
+            "    SweepRunner(spec, workers=2).run()\n"
+            "except RuntimeError as error:\n"
+            "    print(error)\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "        print('a child is left')\n"
+            "    except ChildProcessError:\n"
+            "        print('no child left')\n"
+            "    sys.exit(1)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(
+            filter(None, [str(root / "src"), str(root), os.environ.get("PYTHONPATH")])
+        )
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - started
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines == [
+            f"sweep worker died (exit code 3) running config "
+            f"{config_key({'x': 3})}",
+            "no child left",
+        ], done.stderr
+        assert elapsed < 10, elapsed
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -285,6 +376,37 @@ class TestBuiltinScenarios:
         assert result["failures"] == 0
         assert result["sim_events"] > 0
         canonical_json(result)  # JSON-safe, NaN-free
+
+    @pytest.mark.parametrize(
+        "ref, config",
+        [
+            ("repro.sweep.scenarios:offload_run", {"jobs": 3, "seed": 1}),
+            ("repro.sweep.scenarios:monitored_run", {}),
+            (KERNEL_SMOKE, {"processes": 5, "interrupt_every": 2}),
+            ("repro.fleet.sharded:shard_run", "unmonitored"),
+            ("repro.fleet.sharded:shard_run", "remediated"),
+        ],
+        ids=["offload_run", "monitored_run", "kernel_smoke",
+             "shard_run-unmonitored", "shard_run-remediated"],
+    )
+    def test_scenario_returns_plain_json_data(self, ref, config):
+        """A scenario returns plain JSON data: its canonical JSON text
+        decodes to an equal value, so a result is the same whether it
+        was kept as returned or sent as text.  ``==`` tells a tuple from
+        a list and ``1`` from ``"1"``."""
+        if ref.endswith(":shard_run"):
+            from repro.fleet import FleetTopology, ShardedFleetSpec
+
+            monitored = config == "remediated"
+            spec = ShardedFleetSpec(
+                topology=FleetTopology.uniform(2, 2, jobs_per_ue=2, seed=0),
+                monitor=monitored,
+                chaos="uplink-outage" if monitored else "none",
+                remediate=monitored,
+            )
+            config = {"shard": 0, "spec": spec.to_dict(), "zones": ["z000", "z001"]}
+        result = resolve_scenario(ref)(dict(config))
+        assert json.loads(canonical_json(result)) == result
 
     def test_offload_run_rejects_unknown_names(self):
         from repro.sweep.scenarios import offload_run

@@ -13,8 +13,9 @@ and every memoized plan must have been solved for exactly the context
 it would build itself.  The draws mix connectivity presets, couple
 zones with different demand models on one platform, pin rates, memory
 floors and input sizes that differ between controllers, so equal and
-unequal inputs sit side by side, and let one zone learn between steps,
-so memo entries go stale.
+unequal inputs sit side by side, and let one zone learn a measurement
+of a drawn component between steps, so memo entries go stale and the
+plans they priced move.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ SIZES = (0.5, 4.0, 16.0)
 #: 1e8 B/s makes every transfer free.
 RATES = (None, 125.0, 1.25e6, 1e8)
 FLOORS = (0.0, 1024.0, 3008.0)
+#: Measured work of one learnt observation, in gigacycles: far below and
+#: far above every catalog component's, so a plan moves.
+WORKS = (0.01, 40.0, 1000.0)
 
 
 class World:
@@ -187,6 +191,21 @@ def test_zone_plans_equal_per_controller_plans(zones, data):
         learn = data.draw(
             st.none() | st.integers(0, len(zones) - 1), label="learning zone"
         )
+        if learn is not None:
+            # Online learning moves one zone's demand model, so its
+            # memo entries are priced at stale work: a tiny or a huge
+            # measurement of any component, local-only ones included.
+            observation = DemandObservation(
+                component=data.draw(
+                    st.sampled_from(grouped.fleets[learn].app.component_names),
+                    label="observed component",
+                ),
+                input_mb=data.draw(st.sampled_from(SIZES), label="observed size"),
+                measured_gcycles=data.draw(
+                    st.sampled_from(WORKS), label="measured work"
+                ),
+                at_time=0.0,
+            )
         for world in (grouped, alone):
             for controller, (up, down, floor) in zip(world.controllers, pins):
                 for link, rate in (("uplink", up), ("downlink", down)):
@@ -196,15 +215,7 @@ def test_zone_plans_equal_per_controller_plans(zones, data):
                         controller.plan_rate_overrides[link] = rate
                 controller.memory_floor_mb = floor
             if learn is not None:
-                # Online learning moves one zone's demand model, so its
-                # memo entries are priced at stale work.
-                fleet = world.fleets[learn]
-                fleet.demand.observe(DemandObservation(
-                    component=fleet.app.component_names[-1],
-                    input_mb=4.0,
-                    measured_gcycles=7.0,
-                    at_time=0.0,
-                ))
+                world.fleets[learn].demand.observe(observation)
         for i in order:
             memoized, fresh = grouped.controllers[i], alone.controllers[i]
             planned = memoized.planned_input_mb if size is None else size
