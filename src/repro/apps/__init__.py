@@ -28,6 +28,7 @@ _EXPORTS = {
     "nightly_analytics_app": "catalog",
     "photo_backup_app": "catalog",
     "random_tree_app": "generators",
+    "run_dag": "graph",
     "video_highlights_app": "catalog",
 }
 

@@ -3,16 +3,29 @@
 The partitioning contribution (C3) operates on these graphs: every
 component is assigned to the UE or to the cloud, non-offloadable
 components are pinned to the UE, and each cut edge pays its data size in
-transfer time/energy.
+transfer time/energy.  :func:`run_dag` runs one job of a graph, for
+every executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Tuple,
+)
 
 from repro.apps.dag import find_cycle, topological_order
+
+if TYPE_CHECKING:
+    from repro.sim import Event, Process, Simulator
 
 
 @dataclass(frozen=True)
@@ -185,7 +198,7 @@ class AppGraph:
         predecessor and it is that predecessor's only successor.  So a
         flow links two chains exactly when its destination heads a
         chain; every other flow runs inside one.  The runtime runs each
-        chain in one process (see ``OffloadController``).
+        chain in one process (see :func:`run_dag`).
         """
         pred, succ = self._pred, self._succ
         chains = []
@@ -200,6 +213,19 @@ class AppGraph:
                 after = succ[after[0]]
             chains.append(tuple(chain))
         return tuple(chains)
+
+    @cached_property
+    def chain_layout(self) -> Tuple[Any, ...]:
+        """``(chains, entry, tails, links)``, how :func:`run_dag` lays a
+        job out: the serial chains; the chain the job process runs itself
+        (None unless exactly one component has no predecessor); each
+        chain's tail by its head; the flows into chain heads, in flow
+        order."""
+        chains = self.serial_chains
+        entries = [chain for chain in chains if not self._pred[chain[0]]]
+        tails = {chain[0]: chain[-1] for chain in chains}
+        links = [(f.src, f.dst) for f in self._sorted_flows if f.dst in tails]
+        return chains, entries[0] if len(entries) == 1 else None, tails, links
 
     @property
     def entry_components(self) -> List[str]:
@@ -263,4 +289,116 @@ class AppGraph:
         )
 
 
-__all__ = ["AppGraph", "Component", "DataFlow"]
+def run_dag(
+    sim: "Simulator",
+    app: AppGraph,
+    component_body: Callable[[str], Generator["Event", Any, Any]],
+    edge_body: Callable[[str, str], Generator["Event", Any, Any]],
+    moves_data: Callable[[str, str], bool],
+) -> Generator["Event", Any, None]:
+    """Run one job of ``app``; delegate into it (``yield from``) from the
+    job process.  Only the three callables differ between executors.
+
+    Each serial chain (see :attr:`AppGraph.chain_layout`) runs in one
+    process: it waits for its head's inputs, then runs its components
+    through ``component_body`` and the flows between them that
+    ``moves_data`` through ``edge_body``, back to back.  The job process
+    runs the entry chain itself, after spawning the rest; every other
+    unit waits on it.  A link between chains that moves data runs in a
+    process of its own; one that does not is a callback ordering its
+    destination after its source.  A body's error fails the job, and
+    what waits downstream of it is released (``strand``).
+    """
+    chains, entry, tails, links = app.chain_layout
+    # Completion events of chain tails that have successors, and of the
+    # links between chains; a flow inside a chain needs neither.
+    component_done: Dict[str, "Event"] = {}
+    edge_done: Dict[Tuple[str, str], "Event"] = {}
+
+    def chain_body(chain: Tuple[str, ...]) -> Generator["Event", Any, None]:
+        head = chain[0]
+        incoming = [edge_done[(pred, head)] for pred in app._pred[head]]
+        if len(incoming) == 1:
+            yield incoming[0]
+        elif incoming:
+            yield sim.all_of(incoming)
+        try:
+            yield from component_body(head)
+            for src, dst in zip(chain, chain[1:]):
+                if moves_data(src, dst):
+                    yield from edge_body(src, dst)
+                yield from component_body(dst)
+        except BaseException:
+            # The error's frames hold ``units``: it must not hold this
+            # process back.
+            units.pop(head, None)
+            strand(links_after(chain[-1]))
+            raise
+        done = component_done.get(chain[-1])
+        if done is not None:
+            done.succeed(None)
+
+    def link_body(src: str, dst: str) -> Generator["Event", Any, None]:
+        yield component_done[src]
+        try:
+            yield from edge_body(src, dst)
+        except BaseException:
+            units.pop((src, dst))
+            strand([(src, dst)])
+            raise
+        edge_done[(src, dst)].succeed(None)
+
+    def strand(stranded: List[Tuple[str, str]]) -> None:
+        """Release what waits on the ``stranded`` links of a failed unit.
+
+        Nothing interrupts a unit, so none downstream of a failed one
+        ever resumes; left waiting, they and their events would hold one
+        another in reference cycles.  Each is abandoned and each event's
+        callbacks dropped instead.  Nothing is scheduled, so the run is
+        the same.
+        """
+        while stranded:
+            src, dst = stranded.pop()
+            link = units.pop((src, dst), None)
+            if link is not None:
+                link._abandon()
+            edge_done[(src, dst)].callbacks.clear()
+            chain = units.pop(dst, None)
+            if chain is not None:
+                chain._abandon()
+                stranded.extend(links_after(tails[dst]))
+
+    def links_after(tail: str) -> List[Tuple[str, str]]:
+        """The links out of ``tail``, whose chain will never finish."""
+        done = component_done.get(tail)
+        if done is not None:
+            done.callbacks.clear()
+        return [(tail, dst) for dst in app._succ[tail]]
+
+    # The process of every chain but the entry one, by head, and of every
+    # link that moves data, by link.
+    units: Dict[Any, "Process"] = {}
+    for src, dst in links:
+        if src not in component_done:
+            component_done[src] = sim.event()
+        edge_done[(src, dst)] = sim.event()
+        if moves_data(src, dst):
+            units[(src, dst)] = sim.spawn(
+                link_body(src, dst), name=f"edge.{src}->{dst}"
+            )
+        else:
+            component_done[src].callbacks.append(
+                lambda _event, done=edge_done[(src, dst)]: done.succeed(None)
+            )
+    for chain in chains:
+        if chain is not entry:
+            units[chain[0]] = sim.spawn(
+                chain_body(chain), name=f"comp.{chain[0]}"
+            )
+    if entry is not None:
+        yield from chain_body(entry)
+    if units:
+        yield sim.all_of(units.values())
+
+
+__all__ = ["AppGraph", "Component", "DataFlow", "run_dag"]

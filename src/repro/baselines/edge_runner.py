@@ -10,13 +10,11 @@ version of the paper's core argument.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional
 
-from repro.apps.graph import AppGraph
+from repro.apps.graph import AppGraph, run_dag
 from repro.apps.jobs import Job, JobResult
-from repro.core.controller import ControllerReport, Environment, run_jobs
+from repro.core.controller import Environment, JobRunner
 from repro.core.partitioning import Partition
 from repro.device.ue import DeviceSpec, UserEquipment
 from repro.edge.node import EdgeNode, EdgeNodeSpec
@@ -24,7 +22,7 @@ from repro.metrics import MetricRegistry
 from repro.network.link import NetworkPath
 from repro.network.profiles import edge_path, profile as connectivity_profile
 from repro.sim import Event, Simulator
-from repro.sim.rng import RngStream, SeedSequenceRegistry
+from repro.sim.rng import SeedSequenceRegistry
 
 
 class EdgeEnvironment:
@@ -79,8 +77,14 @@ class EdgeEnvironment:
         )
 
 
-class EdgeJobRunner:
-    """Runs jobs with offloadable components on the edge node."""
+class EdgeJobRunner(JobRunner):
+    """Runs jobs with offloadable components on the edge node.
+
+    A job runs on the controller's driver, :func:`~repro.apps.graph.run_dag`;
+    only the bodies differ.  A component runs on the edge node (the UE
+    idles meanwhile) or on the UE, and a flow between the two moves its
+    bytes over the uplink or the downlink radio.
+    """
 
     def __init__(
         self,
@@ -94,25 +98,12 @@ class EdgeJobRunner:
         self.partition.validate(app)
         self._exec_rng = env.rng.stream(f"edge_runner.{app.name}.exec")
 
-    def submit(self, job: Job) -> Event:
-        """Execute one job immediately; process yields a JobResult."""
-        return self.env.sim.spawn(self.start(job), name=f"edgejob{job.job_id}")
-
-    def start(self, job: Job) -> Generator[Event, Any, JobResult]:
-        """Check one job and return its body for the caller to run.
-
-        The caller delegates into the body (``yield from``); a job for
-        another application raises here, at the call.
-        """
-        if job.app.name != self.app.name:
-            raise ValueError("job belongs to a different application")
-        return self._job_proc(job)
-
     def _job_proc(self, job: Job) -> Generator[Event, Any, JobResult]:
-        sim = self.env.sim
+        env = self.env
+        sim = env.sim
         started = sim.now
-        app = self.app
         partition = self.partition
+        energy_model = env.ue.spec.energy
         energy_j = 0.0
         energy_breakdown: Dict[str, float] = {}
         finish_times: Dict[str, float] = {}
@@ -122,69 +113,34 @@ class EdgeJobRunner:
             energy_j += joules
             energy_breakdown[kind] = energy_breakdown.get(kind, 0.0) + joules
 
-        component_done: Dict[str, Event] = {
-            name: sim.event() for name in app.component_names
-        }
-        edge_done: Dict[Tuple[str, str], Event] = {
-            (flow.src, flow.dst): sim.event() for flow in app.flows
-        }
-
-        def component_proc(name: str) -> Generator[Event, Any, None]:
-            incoming = [edge_done[(p, name)] for p in app.predecessors(name)]
-            if incoming:
-                yield sim.all_of(incoming)
-            actual = self.env.actual_work(
-                job.component_work(name), self._exec_rng
-            )
+        def component_body(name: str) -> Generator[Event, Any, None]:
+            actual = env.actual_work(job.component_work(name), self._exec_rng)
             if partition.is_cloud(name):  # "cloud" side = the edge node here
-                execution = yield self.env.edge.execute(actual)
-                charge(
-                    "idle",
-                    self.env.ue.spec.energy.idle_energy(execution.latency),
-                )
+                execution = yield from env.edge.execute_body(actual)
+                charge("idle", energy_model.idle_energy(execution.latency))
             else:
-                execution = yield from self.env.ue.execute_body(actual)
+                execution = yield from env.ue.execute_body(actual)
                 charge("compute", execution.energy_j)
             finish_times[name] = sim.now
-            component_done[name].succeed(None)
 
-        def edge_proc(src: str, dst: str) -> Generator[Event, Any, None]:
-            yield component_done[src]
-            src_remote = partition.is_cloud(src)
-            dst_remote = partition.is_cloud(dst)
-            if src_remote != dst_remote:
-                nbytes = job.flow_bytes(src, dst)
-                if not src_remote and dst_remote:
-                    result = yield from self.env.ue.radio_body(
-                        nbytes, self.env.uplink, transmit=True
-                    )
-                    charge(
-                        "tx",
-                        self.env.ue.spec.energy.transmit_energy(
-                            result.radio_seconds
-                        ),
-                    )
-                else:
-                    result = yield from self.env.ue.radio_body(
-                        nbytes, self.env.downlink, transmit=False
-                    )
-                    charge(
-                        "rx",
-                        self.env.ue.spec.energy.receive_energy(
-                            result.radio_seconds
-                        ),
-                    )
-            edge_done[(src, dst)].succeed(None)
+        def edge_body(src: str, dst: str) -> Generator[Event, Any, None]:
+            nbytes = job.flow_bytes(src, dst)
+            if partition.is_cloud(dst):
+                result = yield from env.ue.radio_body(
+                    nbytes, env.uplink, transmit=True
+                )
+                charge("tx", energy_model.transmit_energy(result.radio_seconds))
+            else:
+                result = yield from env.ue.radio_body(
+                    nbytes, env.downlink, transmit=False
+                )
+                charge("rx", energy_model.receive_energy(result.radio_seconds))
 
-        processes = [
-            sim.spawn(edge_proc(f.src, f.dst), name=f"edge.{f.src}->{f.dst}")
-            for f in app.flows
-        ]
-        processes += [
-            sim.spawn(component_proc(n), name=f"comp.{n}")
-            for n in app.component_names
-        ]
-        yield sim.all_of(processes)
+        def moves_data(src: str, dst: str) -> bool:
+            """Only a flow between the UE and the edge node moves bytes."""
+            return partition.is_cloud(src) != partition.is_cloud(dst)
+
+        yield from run_dag(sim, self.app, component_body, edge_body, moves_data)
 
         return JobResult(
             job=job,
@@ -195,10 +151,6 @@ class EdgeJobRunner:
             component_finish_times=finish_times,
             energy_breakdown=energy_breakdown,
         )
-
-    def run_workload(self, jobs: List[Job]) -> ControllerReport:
-        """Release each job at its ``released_at`` and run to completion."""
-        return run_jobs(self.env.sim, self.start, jobs)
 
 
 __all__ = ["EdgeEnvironment", "EdgeJobRunner"]

@@ -29,6 +29,7 @@ _EXPORTS = {
     "DemandProfile": "demand",
     "EagerScheduler": "scheduler",
     "Environment": "controller",
+    "JobRunner": "controller",
     "EwmaEstimator": "demand",
     "ExhaustivePartitioner": "partitioning",
     "GreedyPartitioner": "partitioning",

@@ -33,7 +33,7 @@ from typing import (
     Tuple,
 )
 
-from repro.apps.graph import AppGraph
+from repro.apps.graph import AppGraph, run_dag
 from repro.apps.jobs import Job, JobResult
 from repro.core.allocation import AllocationDecision, MemoryAllocator
 from repro.core.demand import DemandModel, RegressionEstimator
@@ -68,7 +68,7 @@ from repro.serverless.platform import (
     ThrottledError,
 )
 from repro.storage.objectstore import ObjectStore, StoragePricing
-from repro.sim import Event, Process, Simulator
+from repro.sim import Event, Simulator
 from repro.sim.rng import RngStream, SeedSequenceRegistry
 from repro.telemetry.tracer import (
     PHASE_COMPONENT,
@@ -375,7 +375,47 @@ def run_jobs(
     return report
 
 
-class OffloadController:
+class JobRunner:
+    """The entry points every executor of one app's jobs shares.
+
+    A subclass sets ``env`` and ``app`` and defines ``_job_proc(job)``,
+    the generator that runs one job and returns its :class:`JobResult`.
+    """
+
+    env: Any
+    app: AppGraph
+
+    def submit(self, job: Job) -> Event:
+        """Run one job in a process of its own; it yields the JobResult.
+
+        For a caller that spawns the job and waits on it, such as a
+        deployment pipeline's canary; :func:`release_jobs` runs
+        :meth:`start` inside its drivers instead.
+        """
+        return self.env.sim.spawn(
+            self.start(job), name=f"job{job.job_id}.{self.app.name}"
+        )
+
+    def start(self, job: Job) -> Generator[Event, Any, JobResult]:
+        """Check one job and return its body for the caller to run.
+
+        The caller delegates into the body (``yield from``), which
+        returns the :class:`JobResult`.  A job for another application
+        raises :class:`ValueError` here, at the call.
+        """
+        if job.app.name != self.app.name:
+            raise ValueError(
+                f"job for app {job.app.name!r} submitted to "
+                f"{type(self).__name__} for {self.app.name!r}"
+            )
+        return self._job_proc(job)
+
+    def run_workload(self, jobs: List[Job]) -> ControllerReport:
+        """Release each job at its ``released_at`` and run to completion."""
+        return run_jobs(self.env.sim, self.start, jobs)
+
+
+class OffloadController(JobRunner):
     """Runs one application under the paper's offloading framework."""
 
     def __init__(
@@ -469,19 +509,6 @@ class OffloadController:
         #: ``(platform deploy generation, memory floor, memory by
         #: component)`` after the last deploy pass; see :meth:`_deploy`.
         self._deployed: Optional[Tuple[int, float, Dict[str, float]]] = None
-        #: How :meth:`_job_body` lays a job out on processes: the app's
-        #: serial chains, the one entry chain the job process runs itself
-        #: (None unless exactly one component has no predecessor) and
-        #: the flows between chains, in flow order.
-        self._chains = app.serial_chains
-        entries = [
-            chain for chain in self._chains if not app.predecessors(chain[0])
-        ]
-        self._entry_chain = entries[0] if len(entries) == 1 else None
-        self._tails = {chain[0]: chain[-1] for chain in self._chains}
-        self._links = [
-            (flow.src, flow.dst) for flow in app.flows if flow.dst in self._tails
-        ]
 
     @property
     def planned_input_mb(self) -> float:
@@ -814,38 +841,21 @@ class OffloadController:
 
     # -- execution ---------------------------------------------------------
 
-    def submit(self, job: Job) -> Event:
-        """Run one job in a process of its own; it yields the JobResult.
-
-        For a caller that spawns the job and waits on it, such as a
-        deployment pipeline's canary; :func:`release_jobs` runs
-        :meth:`start` inside its drivers instead.
-        """
-        return self.env.sim.spawn(
-            self.start(job), name=f"job{job.job_id}.{self.app.name}"
-        )
-
     def start(self, job: Job) -> Generator[Event, Any, JobResult]:
         """Admit one job and return its body for the caller to run.
 
-        The caller delegates into the body (``yield from``), which
-        returns the :class:`JobResult`.  A job for another application
-        raises :class:`ValueError` here, at the call.  Admission control
-        runs here too, at the call's sim time; a job it rejects gets a
-        body whose first step raises :class:`JobRejectedError`.
+        As :meth:`JobRunner.start`, and admission control runs here too,
+        at the call's sim time; a job it rejects gets a body whose first
+        step raises :class:`JobRejectedError`.
         """
-        if job.app.name != self.app.name:
-            raise ValueError(
-                f"job for app {job.app.name!r} submitted to controller "
-                f"for {self.app.name!r}"
-            )
+        body = super().start(job)
         if self.partition is None:
             self.plan(job.input_mb)
         if self.admission_control and not math.isinf(job.deadline):
             estimate = self.estimate_completion(job)
             if self.env.sim.now + estimate > job.deadline:
                 return _raising(JobRejectedError(job, estimate))
-        return self._job_proc(job)
+        return body
 
     def _job_proc(self, job: Job) -> Generator[Event, Any, JobResult]:
         sim = self.env.sim
@@ -931,11 +941,6 @@ class OffloadController:
             nonlocal energy_j
             energy_j += joules
             energy_breakdown[kind] = energy_breakdown.get(kind, 0.0) + joules
-
-        # Completion events of chain tails that have successors, and of
-        # the links between chains; a fused link needs neither.
-        component_done: Dict[str, Event] = {}
-        edge_done: Dict[Tuple[str, str], Event] = {}
 
         observations: List[DemandObservation] = []
 
@@ -1128,100 +1133,7 @@ class OffloadController:
                 return True
             return src_cloud and self.env.storage is not None
 
-        def chain_body(chain: Tuple[str, ...]) -> Generator[Event, Any, None]:
-            """Wait for the head's inputs, then run the chain's components
-            and the fused links between them back to back."""
-            head = chain[0]
-            incoming = [edge_done[(pred, head)] for pred in app.predecessors(head)]
-            if len(incoming) == 1:
-                yield incoming[0]
-            elif incoming:
-                yield sim.all_of(incoming)
-            try:
-                yield from component_body(head)
-                for src, dst in zip(chain, chain[1:]):
-                    if moves_data(src, dst):
-                        yield from edge_body(src, dst)
-                    yield from component_body(dst)
-            except BaseException:
-                # The error's frames hold ``units``: it must not hold
-                # this process back.
-                units.pop(head, None)
-                strand(links_after(chain[-1]))
-                raise
-            done = component_done.get(chain[-1])
-            if done is not None:
-                done.succeed(None)
-
-        def edge_proc(src: str, dst: str) -> Generator[Event, Any, None]:
-            yield component_done[src]
-            try:
-                yield from edge_body(src, dst)
-            except BaseException:
-                units.pop((src, dst))
-                strand([(src, dst)])
-                raise
-            edge_done[(src, dst)].succeed(None)
-
-        def strand(links: List[Tuple[str, str]]) -> None:
-            """Release what waits on ``links``, which a failed unit left
-            never to complete.
-
-            Completion events are only ever succeeded and nothing
-            interrupts a unit, so no unit downstream of a failed one
-            ever resumes.  Left waiting, those processes and the events
-            they wait on hold one another in reference cycles after the
-            run; each is abandoned and each event's callbacks dropped
-            instead.  Nothing is scheduled, so the run is the same.
-            """
-            while links:
-                src, dst = links.pop()
-                edge = units.pop((src, dst), None)
-                if edge is not None:
-                    edge._abandon()
-                edge_done[(src, dst)].callbacks.clear()
-                chain = units.pop(dst, None)
-                if chain is not None:
-                    chain._abandon()
-                    links.extend(links_after(self._tails[dst]))
-
-        def links_after(tail: str) -> List[Tuple[str, str]]:
-            """The links out of ``tail``, whose chain will never finish."""
-            done = component_done.get(tail)
-            if done is not None:
-                done.callbacks.clear()
-            return [(tail, dst) for dst in app.successors(tail)]
-
-        # The process of every chain but the entry one, by head, and of
-        # every link that moves data, by link.
-        units: Dict[Any, Process] = {}
-        for src, dst in self._links:
-            if src not in component_done:
-                component_done[src] = sim.event()
-            edge_done[(src, dst)] = sim.event()
-            if moves_data(src, dst):
-                units[(src, dst)] = sim.spawn(
-                    edge_proc(src, dst), name=f"edge.{src}->{dst}"
-                )
-            else:
-                # Nothing to move: the link only orders dst after src,
-                # which a callback on src's completion does without a
-                # process, a bootstrap and a resumption of its own.
-                component_done[src].callbacks.append(
-                    lambda _event, done=edge_done[(src, dst)]: done.succeed(None)
-                )
-        for chain in self._chains:
-            if chain is not self._entry_chain:
-                units[chain[0]] = sim.spawn(
-                    chain_body(chain), name=f"comp.{chain[0]}"
-                )
-        if self._entry_chain is not None:
-            # Every other chain and edge waits, transitively, on the one
-            # entry chain, so the job process runs it itself: nothing
-            # else of this job can finish, or fail, before it has.
-            yield from chain_body(self._entry_chain)
-        if units:
-            yield sim.all_of(units.values())
+        yield from run_dag(sim, app, component_body, edge_body, moves_data)
 
         for observation in observations:
             self.demand.observe(observation)
@@ -1399,12 +1311,6 @@ class OffloadController:
             self._jobs_since_replan = 0
             self.plan(job.input_mb)
 
-    # -- workload driver ----------------------------------------------------
-
-    def run_workload(self, jobs: List[Job]) -> ControllerReport:
-        """Release each job at its ``released_at`` and run to completion."""
-        return run_jobs(self.env.sim, self.start, jobs)
-
 
 def _raising(error: BaseException) -> Generator[Event, Any, JobResult]:
     """A job body whose first step raises ``error``."""
@@ -1417,6 +1323,7 @@ __all__ = [
     "Environment",
     "JobFailure",
     "JobRejectedError",
+    "JobRunner",
     "OffloadController",
     "release_jobs",
     "run_jobs",

@@ -17,12 +17,11 @@ Ablation A6 quantifies the trade against the controller.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.apps.graph import AppGraph
 from repro.apps.jobs import Job, JobResult
-from repro.core.controller import ControllerReport, Environment, run_jobs
+from repro.core.controller import Environment, JobRunner
 from repro.core.partitioning import Partition
 from repro.serverless.function import FunctionSpec
 from repro.serverless.retry import RetryPolicy
@@ -34,6 +33,17 @@ from repro.serverless.workflow import (
 from repro.sim import Event
 
 
+def _has_cloud_ancestor(app: AppGraph, partition: Partition) -> Dict[str, bool]:
+    """Whether each component runs downstream of a cloud component."""
+    has_cloud_ancestor: Dict[str, bool] = {}
+    for name in app.component_names:  # topological
+        has_cloud_ancestor[name] = any(
+            partition.is_cloud(p) or has_cloud_ancestor[p]
+            for p in app.predecessors(name)
+        )
+    return has_cloud_ancestor
+
+
 def is_phase_shaped(app: AppGraph, partition: Partition) -> bool:
     """True when no local component sits *between* cloud components.
 
@@ -42,27 +52,19 @@ def is_phase_shaped(app: AppGraph, partition: Partition) -> bool:
     uninterrupted server-side workflow.
     """
     partition.validate(app)
-    has_cloud_ancestor: Dict[str, bool] = {}
-    for name in app.component_names:  # topological
-        has_cloud_ancestor[name] = any(
-            partition.is_cloud(p) or has_cloud_ancestor[p]
-            for p in app.predecessors(name)
-        )
-    has_cloud_descendant: Dict[str, bool] = {}
-    for name in reversed(app.component_names):
-        has_cloud_descendant[name] = any(
-            partition.is_cloud(s) or has_cloud_descendant[s]
-            for s in app.successors(name)
-        )
-    for name in app.component_names:
-        if partition.is_cloud(name):
-            continue
-        if has_cloud_ancestor[name] and has_cloud_descendant[name]:
-            return False
-    return True
+    # Such a component exists exactly when a cloud component has a local
+    # predecessor with a cloud ancestor: the last local component on the
+    # path to the cloud descendant is one.
+    downstream = _has_cloud_ancestor(app, partition)
+    return not any(
+        partition.is_cloud(f.dst)
+        and not partition.is_cloud(f.src)
+        and downstream[f.src]
+        for f in app.flows
+    )
 
 
-class WorkflowOffloadRunner:
+class WorkflowOffloadRunner(JobRunner):
     """Executes jobs as local-prologue → cloud workflow → local-epilogue.
 
     The runner deploys one function per cloud component (at the supplied
@@ -112,6 +114,21 @@ class WorkflowOffloadRunner:
                     parallel_fraction=component.parallel_fraction,
                 )
             )
+        # The phases are fixed with the partition: a local component runs
+        # in the prologue unless it has a cloud ancestor.  Phase-shaped,
+        # every flow into the cloud leaves the prologue and every flow out
+        # of it enters the epilogue.
+        cloud = set(self.cloud_components)
+        downstream = _has_cloud_ancestor(app, partition)
+        local = [n for n in app.component_names if n not in cloud]
+        self._prologue = [n for n in local if not downstream[n]]
+        self._epilogue = [n for n in local if downstream[n]]
+        cut = [
+            (f.src, f.dst) for f in app.flows
+            if (f.src in cloud) != (f.dst in cloud)
+        ]
+        self._uploads = [(src, dst) for src, dst in cut if dst in cloud]
+        self._downloads = [(src, dst) for src, dst in cut if src in cloud]
         self.definition: Optional[WorkflowDefinition] = None
         if self.cloud_components:
             self.definition = WorkflowDefinition(
@@ -135,20 +152,6 @@ class WorkflowOffloadRunner:
 
     # -- execution ---------------------------------------------------------
 
-    def submit(self, job: Job) -> Event:
-        """Execute one job; the process event yields a JobResult."""
-        return self.env.sim.spawn(self.start(job), name=f"wfjob{job.job_id}")
-
-    def start(self, job: Job) -> Generator[Event, Any, JobResult]:
-        """Check one job and return its body for the caller to run.
-
-        The caller delegates into the body (``yield from``); a job for
-        another application raises here, at the call.
-        """
-        if job.app.name != self.app.name:
-            raise ValueError("job belongs to a different application")
-        return self._job_proc(job)
-
     def _local_phase(
         self,
         job: Job,
@@ -158,7 +161,10 @@ class WorkflowOffloadRunner:
         """Run a set of local components respecting their mutual edges.
 
         Returns the energy spent.  (Edges to/from the cloud phase are
-        handled by the caller.)"""
+        handled by the caller.)  One process per component, not
+        :func:`~repro.apps.graph.run_dag`'s chains: chain fusion would
+        queue overlapping jobs' tied UE requests in another order and so
+        move results (see ``docs/modeling.md``)."""
         sim = self.env.sim
         energy = 0.0
         done: Dict[str, Event] = {name: sim.event() for name in members}
@@ -190,8 +196,6 @@ class WorkflowOffloadRunner:
     def _job_proc(self, job: Job) -> Generator[Event, Any, JobResult]:
         sim = self.env.sim
         started = sim.now
-        app = self.app
-        partition = self.partition
         energy_model = self.env.ue.spec.energy
         energy_j = 0.0
         energy_breakdown: Dict[str, float] = {}
@@ -203,34 +207,18 @@ class WorkflowOffloadRunner:
             energy_j += joules
             energy_breakdown[kind] = energy_breakdown.get(kind, 0.0) + joules
 
-        cloud = set(self.cloud_components)
-        prologue = [
-            n
-            for n in app.component_names
-            if n not in cloud
-            and not any(p in cloud for p in self._ancestors(n))
-        ]
-        epilogue = [
-            n for n in app.component_names if n not in cloud and n not in prologue
-        ]
-
         charge(
             "compute",
-            (yield from self._local_phase(job, prologue, finish_times)),
+            (yield from self._local_phase(job, self._prologue, finish_times)),
         )
 
         if self.definition is not None:
             # Upload every cut edge into the cloud region.
-            for flow in app.flows:
-                if flow.src in set(prologue) and flow.dst in cloud:
-                    nbytes = job.flow_bytes(flow.src, flow.dst)
-                    result = yield from self.env.ue.radio_body(
-                        nbytes, self.env.uplink, transmit=True
-                    )
-                    charge(
-                        "tx",
-                        energy_model.transmit_energy(result.radio_seconds),
-                    )
+            for src, dst in self._uploads:
+                result = yield from self.env.ue.radio_body(
+                    job.flow_bytes(src, dst), self.env.uplink, transmit=True
+                )
+                charge("tx", energy_model.transmit_energy(result.radio_seconds))
 
             # Hand off and deep-sleep until the completion push.
             work = {
@@ -250,20 +238,15 @@ class WorkflowOffloadRunner:
                 finish_times[name] = invocation.finished_at
 
             # Pull every cut edge back out.
-            for flow in app.flows:
-                if flow.src in cloud and flow.dst in set(epilogue):
-                    nbytes = job.flow_bytes(flow.src, flow.dst)
-                    result = yield from self.env.ue.radio_body(
-                        nbytes, self.env.downlink, transmit=False
-                    )
-                    charge(
-                        "rx",
-                        energy_model.receive_energy(result.radio_seconds),
-                    )
+            for src, dst in self._downloads:
+                result = yield from self.env.ue.radio_body(
+                    job.flow_bytes(src, dst), self.env.downlink, transmit=False
+                )
+                charge("rx", energy_model.receive_energy(result.radio_seconds))
 
         charge(
             "compute",
-            (yield from self._local_phase(job, epilogue, finish_times)),
+            (yield from self._local_phase(job, self._epilogue, finish_times)),
         )
 
         return JobResult(
@@ -275,21 +258,6 @@ class WorkflowOffloadRunner:
             component_finish_times=finish_times,
             energy_breakdown=energy_breakdown,
         )
-
-    def _ancestors(self, name: str) -> Set[str]:
-        seen: Set[str] = set()
-        frontier = list(self.app.predecessors(name))
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(self.app.predecessors(node))
-        return seen
-
-    def run_workload(self, jobs: List[Job]) -> ControllerReport:
-        """Release each job at its ``released_at`` and run to completion."""
-        return run_jobs(self.env.sim, self.start, jobs)
 
 
 __all__ = ["WorkflowOffloadRunner", "is_phase_shaped"]

@@ -88,12 +88,18 @@ class EdgeNode:
     def execute(self, work_gcycles: float) -> Event:
         """Run work on the node; process event yields :class:`EdgeExecution`."""
         return self.sim.spawn(
-            self._execute_proc(work_gcycles), name=f"{self.spec.name}.exec"
+            self.execute_body(work_gcycles), name=f"{self.spec.name}.exec"
         )
 
-    def _execute_proc(
+    def execute_body(
         self, work_gcycles: float
     ) -> Generator[Event, object, EdgeExecution]:
+        """Run ``work_gcycles`` on one of the node's cores.
+
+        Delegate into it with ``yield from``; it returns an
+        :class:`EdgeExecution`.  Queues (first come, first served) when
+        every core is busy.
+        """
         submitted = self.sim.now
         request = self._cpu.request()
         yield request

@@ -99,6 +99,7 @@ from repro.serverless.platform import PlatformConfig, ServerlessPlatform
 from repro.sim import Simulator
 from repro.sim.rng import SeedSequenceRegistry
 from repro.sweep import SweepProgress, SweepRunner, SweepSpec, canonical_json
+from repro.sweep.runner import WorkerDiedError
 from repro.telemetry.tracer import Tracer
 
 #: Version tag embedded in every merged document.
@@ -989,7 +990,10 @@ def run_sharded(
     runs of unchanged shards into cache hits.  ``progress`` receives one
     :class:`~repro.sweep.runner.SweepProgress` per finished shard (live
     heartbeats); when ``spec.monitor`` is set, the group monitors are
-    merged and the health document attached to the result.
+    merged and the health document attached to the result.  A worker
+    that dies fails the run with a :class:`RuntimeError` naming its
+    shard by index, chained from the sweep's
+    :class:`~repro.sweep.runner.WorkerDiedError`.
     """
     plan = partition_topology(spec.topology, n_shards, split_coupled)
     spec_dict = spec.to_dict()
@@ -1006,7 +1010,13 @@ def run_sharded(
     meter = RuntimeMeter()
     meter.shard_runs += len(configs)
     fanout_started = perf_counter()
-    result = runner.run()
+    try:
+        result = runner.run()
+    except WorkerDiedError as error:
+        raise RuntimeError(
+            f"fleet shard {error.config['shard']} of {len(configs)} died "
+            f"(exit code {error.exitcode})"
+        ) from error
     meter.shard_wall_s += perf_counter() - fanout_started
     shard_results = result.results_for(configs)
     group_records = [

@@ -32,6 +32,7 @@ _EXPORTS = {
     "SweepResult": "runner",
     "SweepRunner": "runner",
     "SweepSpec": "spec",
+    "WorkerDiedError": "runner",
     "canonical_json": "spec",
     "code_digest": "spec",
     "config_hash": "spec",

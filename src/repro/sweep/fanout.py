@@ -7,7 +7,8 @@ moment that worker's result arrives, so the load balances itself.
 Failure is loud and bounded: a scenario error is re-raised in the
 caller with its own type, and a worker that dies is EOF on its pipe,
 after which every worker is killed and reaped and a
-:class:`RuntimeError` names the config and the exit code.
+:class:`~repro.sweep.runner.WorkerDiedError` names the config and the
+exit code.
 
 Only :class:`~repro.sweep.runner.SweepRunner` with ``workers > 1``
 imports this module, so a process that never fans out loads neither it
@@ -24,6 +25,7 @@ import traceback
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.sweep.runner import WorkerDiedError
 from repro.sweep.spec import canonical_json, config_key, resolve_scenario
 
 
@@ -119,10 +121,7 @@ def fan_out(
                     data = conn.recv_bytes()
                 except EOFError:
                     _reap(processes, kill=True)
-                    raise RuntimeError(
-                        f"sweep worker died (exit code {process.exitcode}) "
-                        f"running config {config_key(config)}"
-                    ) from None
+                    raise WorkerDiedError(config, process.exitcode) from None
                 if not data:
                     error, trace = conn.recv()
                     raise error from _RemoteTraceback(trace)

@@ -53,6 +53,19 @@ DEFAULT_CACHE_DIR = ".sweep_cache"
 _MISS = object()
 
 
+class WorkerDiedError(RuntimeError):
+    """A worker process died while it ran ``config``; ``exitcode`` is its
+    exit status (negative when a signal killed it)."""
+
+    def __init__(self, config: Mapping[str, Any], exitcode: Optional[int]):
+        super().__init__(
+            f"sweep worker died (exit code {exitcode}) "
+            f"running config {config_key(config)}"
+        )
+        self.config = config
+        self.exitcode = exitcode
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     """One completed scenario run inside a sweep."""
@@ -179,7 +192,7 @@ class SweepRunner:
         callable scenario is only allowed in-process — multi-worker runs
         need an importable ``module:function`` reference.  A scenario
         error in a worker is re-raised here with its type, and a worker
-        that dies fails the run with a :class:`RuntimeError`.
+        that dies fails the run with a :class:`WorkerDiedError`.
     cache_dir:
         Directory for the per-config result cache; ``None`` disables
         caching entirely.
@@ -361,5 +374,6 @@ __all__ = [
     "SweepProgress",
     "SweepResult",
     "SweepRunner",
+    "WorkerDiedError",
     "run_sweep",
 ]

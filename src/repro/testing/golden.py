@@ -17,6 +17,7 @@ behaviour, and let the diff document exactly what moved.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import astuple
 from typing import Dict, List
 
 from repro.apps.catalog import photo_backup_app
@@ -281,6 +282,135 @@ def run_offload_matrix() -> Dict[str, str]:
     return cells
 
 
+#: The edge/workflow matrix's workload: 4 jobs of 4 MB released 5 s
+#: apart (each runs longer than that, so jobs overlap and contend) with
+#: 3600 s of slack, on each of two seeds.
+EDGE_WORKFLOW_WORKLOAD = {
+    "jobs": 4, "spacing_s": 5.0, "slack_s": 3600.0, "input_mb": 4.0,
+    "seeds": [0, 7],
+}
+
+
+def _jobs(app, n: int, spacing: float, slack: float, input_mb: float):
+    return [
+        Job(app, input_mb=input_mb, released_at=spacing * i,
+            deadline=spacing * i + slack, job_id=2000 + i)
+        for i in range(n)
+    ]
+
+
+def _render_report(report, edge_env=None, **extra) -> str:
+    """Canonical JSON of every job result field and every failure of a
+    workload, by job id, plus ``extra`` and, given ``edge_env``, its edge
+    node's execution records and utilisation."""
+    from repro.sweep import canonical_json
+
+    if edge_env is not None:
+        node = edge_env.edge
+        extra["edge_executions"] = sorted(astuple(e) for e in node.executions)
+        extra["edge_utilisation"] = node.utilisation()
+    results = [
+        dict(r._asdict(), job=[r.job.job_id, r.job.released_at])
+        for r in sorted(report.results, key=lambda r: r.job.job_id)
+    ]
+    failures = [
+        [f.job.job_id, f.failed_at, type(f.error).__name__]
+        for f in sorted(report.failures, key=lambda f: f.job.job_id)
+    ]
+    return canonical_json(dict(extra, results=results, failures=failures))
+
+
+def run_edge_workflow_matrix() -> Dict[str, str]:
+    """Canonical JSON of the edge and workflow executors' pinned runs.
+
+    * ``edge/<app>/<partition>/<seed>``: ``EdgeJobRunner`` on every
+      catalog app under the ``full``, ``local`` and ``alternate`` (every
+      other offloadable component) partitions, on
+      :data:`EDGE_WORKFLOW_WORKLOAD`.
+    * ``workflow/<app>/<partition>/<seed>``: ``WorkflowOffloadRunner`` on
+      the same jobs, under each of those partitions and ``prefix`` (the
+      first half of the offloadable components) that is phase-shaped.
+    * ``f5/edge`` and ``f5/cloud``: benchmark F5's two executors at its
+      smallest sweep point (3 jobs in 6 h, seed 88); ``a6/<app>/...``:
+      benchmark A6's ``run_pair`` for both its apps at 8 MB.
+
+    Only sim-time values are pinned, never event counts.
+    """
+    from repro.apps.catalog import CATALOG
+    from repro.baselines import EdgeEnvironment, EdgeJobRunner
+    from repro.core.partitioning import FixedPartitioner, Partition
+    from repro.core.workflow_runner import (
+        WorkflowOffloadRunner,
+        is_phase_shaped,
+    )
+
+    w = EDGE_WORKFLOW_WORKLOAD
+    cells: Dict[str, str] = {}
+    for name, factory in sorted(CATALOG.items()):
+        names = factory().offloadable_names()
+        for label, cloud in (
+            ("full", names), ("local", []), ("alternate", names[::2]),
+            ("prefix", names[: len(names) // 2]),
+        ):
+            partition = Partition(name, frozenset(cloud))
+            for seed in w["seeds"]:
+                key = f"{name}/{label}/{seed}"
+                app = factory()
+                jobs = _jobs(app, w["jobs"], w["spacing_s"], w["slack_s"],
+                             w["input_mb"])
+                if label != "prefix":
+                    env = EdgeEnvironment.build(seed=seed)
+                    report = EdgeJobRunner(env, app, partition).run_workload(jobs)
+                    cells[f"edge/{key}"] = _render_report(report, env)
+                if is_phase_shaped(app, partition):
+                    runner = WorkflowOffloadRunner(
+                        Environment.build(seed=seed), app, partition
+                    )
+                    cells[f"workflow/{key}"] = _render_report(
+                        runner.run_workload(jobs)
+                    )
+
+    horizon = 6 * 3600.0
+    app = CATALOG["nightly_analytics"]()
+    env = EdgeEnvironment.build(seed=88, connectivity="4g")
+    report = EdgeJobRunner(env, app).run_workload(
+        _jobs(app, 3, horizon / 3, horizon, 6.0)
+    )
+    if env.sim.now < horizon:
+        env.sim.run(until=horizon)  # run out the billing horizon
+    cells["f5/edge"] = _render_report(
+        report, env, provisioned_cost_usd=env.edge.provisioned_cost()
+    )
+    controller = OffloadController(
+        Environment.build(seed=88, connectivity="4g"),
+        CATALOG["nightly_analytics"](),
+    )
+    controller.profile_offline()
+    controller.plan(input_mb=6.0)
+    cells["f5/cloud"] = _render_report(controller.run_workload(
+        _jobs(controller.app, 3, horizon / 3, horizon, 6.0)
+    ))
+
+    for name in ("nightly_analytics", "ml_training"):
+        partition = Partition.full_offload(CATALOG[name]())
+        controller = OffloadController(
+            Environment.build(seed=151, execution_noise_sigma=0.0),
+            CATALOG[name](), partitioner=FixedPartitioner(partition),
+        )
+        controller.profile_offline()
+        controller.plan(input_mb=8.0)
+        runner = WorkflowOffloadRunner(
+            Environment.build(seed=151, execution_noise_sigma=0.0),
+            CATALOG[name](), partition,
+            memory_plan={n: d.memory_mb for n, d in controller.allocation.items()},
+        )
+        for kind, executor in (("controller", controller), ("workflow", runner)):
+            cells[f"a6/{name}/{kind}"] = _render_report(
+                executor.run_workload(_jobs(executor.app, 1, 0.0, 36000.0, 8.0))
+            )
+    return cells
+
+
 def monitoring_chaos_schedule() -> FaultSchedule:
     """The R1-style chaos campaign of the *monitored* scenario.
 
@@ -403,6 +533,7 @@ def run_monitored_scenario(with_faults: bool, seed: int = GOLDEN_SEED):
 
 
 __all__ = [
+    "EDGE_WORKFLOW_WORKLOAD",
     "GOLDEN_SEED",
     "OFFLOAD_MATRIX_WORKLOAD",
     "TRACE_SCHEMA",
@@ -412,6 +543,7 @@ __all__ = [
     "golden_monitoring_rules",
     "golden_monitoring_slos",
     "monitoring_chaos_schedule",
+    "run_edge_workflow_matrix",
     "run_golden_fleet",
     "run_golden_scenario",
     "run_monitored_scenario",

@@ -82,3 +82,15 @@ class TestCheckMode:
         assert tool.main(["--check", str(target)]) == 1
         assert "STALE" in capsys.readouterr().err
         assert tool.main(["--check", str(tmp_path / "missing.md")]) == 1
+
+
+class TestDescribeClass:
+    def test_methods_inherited_from_the_package_are_listed(self, tool):
+        """An executor's section lists the entry points it inherits from
+        ``JobRunner``, as it lists inherited properties."""
+        from repro.baselines import EdgeJobRunner
+
+        lines = tool.describe_class(EdgeJobRunner)
+        listed = {line.split("`")[1].split("(")[0] for line in lines
+                  if line.startswith("- ")}
+        assert {"run_workload", "start", "submit"} <= listed

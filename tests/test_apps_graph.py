@@ -180,6 +180,32 @@ class TestAppGraphQueries:
         )
         assert diamond.serial_chains == (("a",), ("b",), ("c",), ("d", "e"))
 
+    def test_chain_layout(self):
+        """The layout a job runs on: the chains, the one entry chain, each
+        chain's tail by head, and the flows into chain heads; an app with
+        two entry components has no entry chain."""
+        app = photo_backup_app()
+        chains, entry, tails, links = app.chain_layout
+        assert chains == app.serial_chains
+        assert entry == ("capture", "transcode")
+        assert tails == {
+            "capture": "transcode", "thumbnail": "thumbnail",
+            "feature_extract": "dedup_hash", "index_update": "notify",
+        }
+        assert links == [
+            ("dedup_hash", "index_update"),
+            ("thumbnail", "index_update"),
+            ("transcode", "feature_extract"),
+            ("transcode", "thumbnail"),
+        ]
+        assert app.chain_layout is app.chain_layout
+        join = AppGraph(
+            "join",
+            [Component(n) for n in "abc"],
+            [DataFlow("a", "c"), DataFlow("b", "c")],
+        )
+        assert join.chain_layout[1] is None
+
     @pytest.mark.parametrize("family", ["tree", "layered"])
     @pytest.mark.parametrize("seed", range(6))
     def test_serial_chains_partition_the_graph(self, family, seed):

@@ -25,6 +25,7 @@ from repro.apps.generators import (
     linear_pipeline_app,
     random_tree_app,
 )
+from repro.baselines import EdgeEnvironment, EdgeJobRunner
 from repro.baselines.policies import RandomPartitioner
 from repro.core.allocation import MemoryAllocator
 from repro.core.demand import DemandModel, RegressionEstimator, StaticEstimator
@@ -655,12 +656,27 @@ JOB_PROCESS_BUDGET = {
 }
 
 
-def _photo_jobs(controller, n):
+def _photo_jobs(runner, n):
     return [
-        Job(controller.app, input_mb=4.0, released_at=60.0 * i,
+        Job(runner.app, input_mb=4.0, released_at=60.0 * i,
             deadline=60.0 * i + 3600.0)
         for i in range(n)
     ]
+
+
+def _count_spawns(monkeypatch) -> Counter:
+    """Count every process spawned from here on by name, digits dropped
+    (job and span numbers vary, the shape does not)."""
+    spawned = Counter()
+    spawn = Simulator.spawn
+
+    def counting_spawn(sim, generator, name=None):
+        process = spawn(sim, generator, name)
+        spawned[re.sub(r"\d+", "", process.name)] += 1
+        return process
+
+    monkeypatch.setattr(Simulator, "spawn", counting_spawn)
+    return spawned
 
 
 class TestJobBudget:
@@ -671,21 +687,27 @@ class TestJobBudget:
         controller = make_controller(scheduler=EagerScheduler())
         controller.profile_offline()
         controller.plan(input_mb=4.0)
-        spawned = Counter()
-        spawn = Simulator.spawn
-
-        def counting_spawn(sim, generator, name=None):
-            process = spawn(sim, generator, name)
-            spawned[re.sub(r"\d+", "", process.name)] += 1
-            return process
-
-        monkeypatch.setattr(Simulator, "spawn", counting_spawn)
+        spawned = _count_spawns(monkeypatch)
         report = controller.run_workload(_photo_jobs(controller, 20))
         assert report.jobs_completed == 20
         assert dict(spawned) == {
             name: 20 * count for name, count in JOB_PROCESS_BUDGET.items()
         }
         assert controller.env.sim.events_processed == 785
+
+    def test_edge_job_process_budget(self, monkeypatch):
+        """The edge baseline runs a job on the controller's driver: the
+        same 4 processes per ``photo_backup`` job (no process per flow or
+        per edge-node execution) and 800 kernel events for 20 jobs."""
+        env = EdgeEnvironment.build(seed=0, connectivity="4g")
+        runner = EdgeJobRunner(env, photo_backup_app())
+        spawned = _count_spawns(monkeypatch)
+        report = runner.run_workload(_photo_jobs(runner, 20))
+        assert report.jobs_completed == 20
+        assert dict(spawned) == {
+            name: 20 * count for name, count in JOB_PROCESS_BUDGET.items()
+        }
+        assert env.sim.events_processed == 800
 
     def test_no_dataclass_record_per_job(self):
         """A job builds no dataclass instance: every per-operation record

@@ -57,6 +57,39 @@ class TestExecution:
         assert len(node.executions) == 1
 
 
+class TestExecuteBody:
+    def test_delegated_body_matches_spawned_execution(self):
+        """Delegating into ``execute_body`` from a caller's process and
+        spawning ``execute`` record the same executions, contention
+        included, and the same utilisation."""
+
+        def run(delegate):
+            sim = Simulator()
+            node = EdgeNode(sim, EdgeNodeSpec(cycles_per_second=3.0e9, cores=2))
+
+            def caller(work, delay):
+                yield sim.timeout(delay)
+                if delegate:
+                    record = yield from node.execute_body(work)
+                else:
+                    record = yield node.execute(work)
+                return record
+
+            callers = [
+                sim.spawn(caller(work, delay))
+                for work, delay in ((6.0, 0.0), (3.0, 0.5), (9.0, 0.5), (1.5, 1.0))
+            ]
+            got = sim.run(until=sim.all_of(callers))
+            sim.timeout(30.0 - sim.now)
+            sim.run()
+            return [got[c] for c in callers], node.executions, node.utilisation()
+
+        delegated, spawned = run(True), run(False)
+        assert delegated == spawned
+        records, _, _ = delegated
+        assert any(record.queue_delay > 0 for record in records)
+
+
 class TestAccounting:
     def test_provisioned_cost_accrues_with_wall_time(self, sim):
         node = EdgeNode(sim, EdgeNodeSpec(hourly_cost_usd=0.36))

@@ -157,6 +157,55 @@ class TestDifferential:
         # reject NaN outright).
         assert aggregates["mean_response_s"] >= 0.0
 
+    def test_dead_shard_worker_is_named_by_its_index(self):
+        """A worker that dies running a shard fails the fleet run with a
+        short message naming the shard by index and the exit code, chained
+        from the sweep's error; every worker has been reaped by then.
+        ``shard_run`` is patched before the workers fork, so shard 1's
+        worker exits with code 3."""
+        script = (
+            "import os, sys\n"
+            "import repro.fleet.sharded as sharded\n"
+            "from repro.fleet.topology import FleetTopology\n"
+            "run = sharded.shard_run\n"
+            "def dies_on_shard_one(config):\n"
+            "    if config['shard'] == 1:\n"
+            "        os._exit(3)\n"
+            "    return run(config)\n"
+            "sharded.shard_run = dies_on_shard_one\n"
+            "spec = sharded.ShardedFleetSpec(\n"
+            "    topology=FleetTopology.uniform(2, 1, jobs_per_ue=1, seed=3),\n"
+            "    window_s=600.0, slack_s=1200.0)\n"
+            "try:\n"
+            "    sharded.run_sharded(spec, n_shards=2, workers=2)\n"
+            "except RuntimeError as error:\n"
+            "    print(error)\n"
+            "    print(type(error.__cause__).__name__, error.__cause__.exitcode)\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "        print('a child is left')\n"
+            "    except ChildProcessError:\n"
+            "        print('no child left')\n"
+            "    sys.exit(1)\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(
+            filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.splitlines() == [
+            "fleet shard 1 of 2 died (exit code 3)",
+            "WorkerDiedError 3",
+            "no child left",
+        ], done.stderr
+
     def test_shard_scenario_importable_by_reference(self):
         """The sweep machinery must resolve the scenario by name — the
         multiprocessing path imports it in the worker."""

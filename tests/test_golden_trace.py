@@ -21,9 +21,11 @@ import pytest
 
 from repro.sweep import canonical_json
 from repro.testing.golden import (
+    EDGE_WORKFLOW_WORKLOAD,
     GOLDEN_SEED,
     TRACE_SCHEMA,
     OFFLOAD_MATRIX_WORKLOAD,
+    run_edge_workflow_matrix,
     run_golden_fleet,
     run_golden_scenario,
     run_offload_matrix,
@@ -221,6 +223,54 @@ def test_offload_matrix_fixture_is_self_consistent():
     spacing = OFFLOAD_MATRIX_WORKLOAD["spacing_s"]
     assert any(cell["mean_response_s"] > spacing for cell in cells.values())
     assert cells["photo_backup/4g/eager/storage"]["cloud_components"]
+
+
+EDGE_WORKFLOW_FIXTURE = "edge_workflow_matrix.json"
+
+
+def test_edge_workflow_matrix_matches_committed_fixture():
+    """The edge runner's and the workflow runner's overlapping jobs, and
+    benchmarks F5's and A6's executors, replay byte for byte (event
+    counts excluded): whichever driver runs a job's DAG, every job
+    result field stays where it was."""
+    fixture = _load(EDGE_WORKFLOW_FIXTURE)
+    assert fixture["schema"] == TRACE_SCHEMA
+    assert fixture["workload"] == EDGE_WORKFLOW_WORKLOAD
+
+    texts = run_edge_workflow_matrix()
+    assert {
+        name: json.loads(text) for name, text in texts.items()
+    } == fixture["cells"], REGEN_HINT
+    assert trace_digest(
+        [texts[name] for name in sorted(texts)]
+    ) == fixture["digest"], REGEN_HINT
+
+
+def test_edge_workflow_fixture_is_self_consistent():
+    """The stored digest is that of the stored cells' canonical text, and
+    the matrix exercises what it guards: every catalog app on the edge
+    under three partitions and two seeds, overlapping jobs, edge
+    executions, a mixed workflow partition, and both benchmarks."""
+    from repro.apps.catalog import CATALOG
+
+    fixture = _load(EDGE_WORKFLOW_FIXTURE)
+    cells = fixture["cells"]
+    assert fixture["digest"] == trace_digest(
+        [canonical_json(cells[name]) for name in sorted(cells)]
+    )
+    edge = [name for name in cells if name.startswith("edge/")]
+    assert len(edge) == len(CATALOG) * 3 * len(EDGE_WORKFLOW_WORKLOAD["seeds"])
+    for name in edge:
+        results = cells[name]["results"]
+        assert len(results) == EDGE_WORKFLOW_WORKLOAD["jobs"]
+        assert not cells[name]["failures"]
+        spacing = EDGE_WORKFLOW_WORKLOAD["spacing_s"]
+        assert any(r["finished_at"] - r["started_at"] > spacing for r in results)
+        assert bool(cells[name]["edge_executions"]) is ("/local/" not in name)
+    assert any(name.startswith("workflow/") and "/prefix/" in name
+               for name in cells)
+    assert {"f5/edge", "f5/cloud"} <= set(cells)
+    assert sum(name.startswith("a6/") for name in cells) == 4
 
 
 def _regen_tool():

@@ -4,9 +4,11 @@ import pytest
 
 from repro import Environment, Job, ObjectiveWeights, photo_backup_app
 from repro.apps import AppGraph, Component, DataFlow, ml_training_app, nightly_analytics_app
+from repro.apps.generators import layered_random_app, random_tree_app
 from repro.core.controller import OffloadController
 from repro.core.partitioning import FixedPartitioner, Partition
 from repro.core.workflow_runner import WorkflowOffloadRunner, is_phase_shaped
+from repro.sim.rng import RngStream
 
 
 class TestPhaseShape:
@@ -28,6 +30,44 @@ class TestPhaseShape:
         )
         partition = Partition("sandwich", frozenset({"a", "c"}))
         assert not is_phase_shaped(app, partition)
+
+    def test_matches_its_definition_on_random_dags(self):
+        """Phase-shaped exactly when no local component has both a cloud
+        ancestor and a cloud descendant, found here by walking each
+        component's ancestors and descendants; random trees and layered
+        DAGs under random partitions, with both outcomes seen."""
+
+        def reach(name, step):
+            seen, frontier = set(), list(step(name))
+            while frontier:
+                node = frontier.pop()
+                if node not in seen:
+                    seen.add(node)
+                    frontier.extend(step(node))
+            return seen
+
+        rng = RngStream(11)
+        outcomes = set()
+        for seed in range(4):
+            for app in (
+                random_tree_app(7, RngStream(seed)),
+                layered_random_app(3, 3, RngStream(100 + seed)),
+            ):
+                names = app.offloadable_names()
+                for _ in range(20):
+                    cloud = frozenset(
+                        n for n in names if rng.uniform(0.0, 1.0) < 0.5
+                    )
+                    expected = not any(
+                        n not in cloud
+                        and reach(n, app.predecessors) & cloud
+                        and reach(n, app.successors) & cloud
+                        for n in app.component_names
+                    )
+                    partition = Partition(app.name, cloud)
+                    assert is_phase_shaped(app, partition) is expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_runner_rejects_non_phase_shaped(self):
         app = AppGraph(

@@ -104,7 +104,7 @@ def describe_class(cls) -> list[str]:
         if name.startswith("_"):
             continue
         if inspect.isfunction(member) or inspect.ismethod(member):
-            if member.__qualname__.startswith(cls.__name__):
+            if (member.__module__ or "").startswith("repro"):
                 methods.append(
                     f"- `{name}{signature_of(member)}` — {summary(member)}"
                 )

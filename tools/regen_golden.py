@@ -26,9 +26,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.testing.golden import (  # noqa: E402 - path bootstrap above
+    EDGE_WORKFLOW_WORKLOAD,
     GOLDEN_SEED,
     TRACE_SCHEMA,
     OFFLOAD_MATRIX_WORKLOAD,
+    run_edge_workflow_matrix,
     run_golden_fleet,
     run_golden_scenario,
     run_offload_matrix,
@@ -46,7 +48,15 @@ FLEET_VARIANTS = {
     "fleet_monitored.json": {"couple": "ring", "remediate": False},
     "fleet_remediated.json": {"couple": "pairs", "remediate": True},
 }
-MATRIX_FIXTURE = "offload_matrix.json"
+#: Cell-matrix fixtures: the runner of their cells and its workload.
+MATRIX_FIXTURES = {
+    "offload_matrix.json": {
+        "run": run_offload_matrix, "workload": OFFLOAD_MATRIX_WORKLOAD,
+    },
+    "edge_workflow_matrix.json": {
+        "run": run_edge_workflow_matrix, "workload": EDGE_WORKFLOW_WORKLOAD,
+    },
+}
 #: How many differing paths ``--check`` prints per stale fixture.
 DIFF_LIMIT = 20
 
@@ -85,15 +95,15 @@ def render_fleet(couple: str, remediate: bool) -> dict:
     }
 
 
-def render_matrix() -> dict:
-    """Every offload-matrix cell as JSON, plus one digest over the cells'
-    exact canonical text in name order (the parsed cells alone would not
-    see an int turn into a float)."""
-    texts = run_offload_matrix()
+def render_matrix(run, workload: dict) -> dict:
+    """Every cell of a matrix runner as JSON, plus one digest over the
+    cells' exact canonical text in name order (the parsed cells alone
+    would not see an int turn into a float)."""
+    texts = run()
     names = sorted(texts)
     return {
         "schema": TRACE_SCHEMA,
-        "workload": OFFLOAD_MATRIX_WORKLOAD,
+        "workload": workload,
         "digest": trace_digest([texts[name] for name in names]),
         "cells": {name: json.loads(texts[name]) for name in names},
     }
@@ -145,7 +155,9 @@ def main() -> int:
     renders += [
         (name, render_fleet, kwargs) for name, kwargs in FLEET_VARIANTS.items()
     ]
-    renders.append((MATRIX_FIXTURE, render_matrix, {}))
+    renders += [
+        (name, render_matrix, kwargs) for name, kwargs in MATRIX_FIXTURES.items()
+    ]
     for filename, renderer, kwargs in renders:
         path = GOLDEN_DIR / filename
         fresh = renderer(**kwargs)
